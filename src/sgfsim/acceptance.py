@@ -24,7 +24,6 @@ from . import analytic
 from .model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from .montecarlo import (
     MIN_RESOLVED_OUTAGES,
-    WORKERS_ENV_VAR,
     Scheme,
     estimate_outage,
 )
@@ -405,7 +404,6 @@ def criterion_zone_geometry(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def _run_preset_bytes(cli, preset: str, seed: int, workers: str, tag: str, tmp: str):
     """Run one preset into ``tmp`` and return its output files as sorted bytes."""
-    os.environ[WORKERS_ENV_VAR] = workers
     subdir = os.path.join(tmp, tag)
     os.makedirs(subdir, exist_ok=True)
     out = os.path.join(subdir, f"{preset}.csv")
@@ -419,6 +417,8 @@ def _run_preset_bytes(cli, preset: str, seed: int, workers: str, tag: str, tmp: 
         "--out",
         out,
         "--no-timestamp",
+        "--workers",
+        workers,
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(argv)
@@ -446,23 +446,16 @@ def criterion_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
     if single != estimate_outage(config, Scheme.CR_RSMA_SGF, 150_000, seed, workers=1):
         failures.append("estimate differs between identical reruns")
 
-    env_before = os.environ.get(WORKERS_ENV_VAR)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for preset in cli.PRESET_NAMES:
-                runs = [
-                    _run_preset_bytes(cli, preset, seed, workers, f"{preset}-{i}", tmp)
-                    for i, workers in enumerate(("1", "8", "1", "8"))
-                ]
-                if any(r is None for r in runs):
-                    failures.append(f"preset {preset} exited nonzero")
-                elif len(set(runs)) != 1:
-                    failures.append(f"preset {preset} output not byte-identical")
-    finally:
-        if env_before is None:
-            os.environ.pop(WORKERS_ENV_VAR, None)
-        else:
-            os.environ[WORKERS_ENV_VAR] = env_before
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in cli.PRESET_NAMES:
+            runs = [
+                _run_preset_bytes(cli, preset, seed, workers, f"{preset}-{i}", tmp)
+                for i, workers in enumerate(("1", "8", "1", "8"))
+            ]
+            if any(r is None for r in runs):
+                failures.append(f"preset {preset} exited nonzero")
+            elif len(set(runs)) != 1:
+                failures.append(f"preset {preset} output not byte-identical")
 
     detail = "estimates and presets byte-identical across reruns and worker counts {1, 8}"
     if failures:

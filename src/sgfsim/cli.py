@@ -386,7 +386,9 @@ def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
     return f"{stem}_{spec.label}{ext or '.csv'}"
 
 
-def _execute_spec(spec: ExperimentSpec, out: str, fmt: str, timestamp: bool) -> list[str]:
+def _execute_spec(
+    spec: ExperimentSpec, out: str, fmt: str, timestamp: bool, workers: int | None
+) -> list[str]:
     run_meta = (
         *spec.metadata,
         ("trials", str(spec.trials), "choice"),
@@ -411,6 +413,7 @@ def _execute_spec(spec: ExperimentSpec, out: str, fmt: str, timestamp: bool) -> 
             seed=spec.seed,
             schemes=spec.schemes,
             gbu_to_gfu_power_ratio=spec.gbu_to_gfu_power_ratio,
+            workers=workers,
         )
         cells = [_sweep_row_cells(row, spec) for row in rows]
         header = SWEEP_COLUMNS
@@ -447,6 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timestamp",
         action="store_true",
         help="omit the generated_at comment for byte-reproducible output",
+    )
+    run.add_argument(
+        "--workers",
+        type=int,
+        help="sweep worker threads (default: $SGFSIM_WORKERS, else 1); output does not depend on it",
     )
     run.add_argument("--p0g0-db", type=float, help="zone runs: received GBU power in dB")
     run.add_argument("--psgk-db", type=float, help="zone runs: received GFU power in dB")
@@ -489,7 +497,7 @@ def _cmd_run(args) -> int:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        for written in _execute_spec(spec, path, args.fmt, not args.no_timestamp):
+        for written in _execute_spec(spec, path, args.fmt, not args.no_timestamp, args.workers):
             print(f"wrote {written}")
     return 0
 

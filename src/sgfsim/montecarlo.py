@@ -4,7 +4,8 @@ Trials are partitioned into fixed blocks of 65536; block ``b`` draws from a
 counter-based generator keyed by ``(seed, b)``, so trial ``i`` sees the same
 gains no matter how many workers run or how the work is scheduled. Tallies
 are integers and their aggregation is associative, which makes the estimate
-a pure function of (config, scheme, trials, seed).
+a pure function of (config, scheme, trials, seed). A sweep draws each block
+once per user count and runs every grid point and both schemes on it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import analytic
-from .model import SystemConfig, db_to_linear
+from .model import SystemConfig, db_to_linear, sample_gain_matrix
 
 __all__ = [
     "Scheme",
@@ -83,31 +84,54 @@ class OutageEstimate:
         return self.gfu_outage_count >= MIN_RESOLVED_OUTAGES
 
 
+def _evaluate_trials(
+    config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised protocol of both schemes over many fading blocks.
+
+    ``gains_gfu`` rows must be ascending. Returns (case index in {0,1,2} for
+    Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU outage
+    flag, GBU outage flag). The outage tests are exact algebraic
+    rearrangements of the per-case rate-versus-target comparisons, not
+    approximations. The schemes share the admission window and the case
+    partition and differ only in Case II.
+    """
+    ps, e0, es = config.power_gfu, config.eps0, config.eps_s
+    p0g0 = config.power_gbu * gain_gbu
+    tau_hat = p0g0 / e0 - 1.0
+    best = ps * gains_gfu[:, -1]
+    case3 = tau_hat <= 0.0
+    case1 = ~case3 & (best <= tau_hat)
+    case2 = ~(case1 | case3)
+    case_idx = case2.view(np.int8) + 2 * case3.view(np.int8)
+
+    # Case I decodes the admitted GFU interference-free, Case III decodes it first
+    interference = 1.0 + p0g0
+    out_decode_first = best < es * interference
+    out_shared = (case1 & (best < es)) | (case3 & out_decode_first)
+    out_split = interference + best < (1.0 + e0) * (1.0 + es)
+    rsma_out = out_shared | (case2 & out_split)
+    # Without splitting, Case II may instead decode last the strongest GFU under
+    # the threshold; that works iff some GFU below the strongest (which is above
+    # the threshold) has received power in [eps_s, tau_hat).
+    decodable_last = np.zeros_like(case2)
+    for j in range(gains_gfu.shape[1] - 1):
+        received = ps * gains_gfu[:, j]
+        decodable_last |= (received >= es) & (received < tau_hat)
+    noma_out = out_shared | (case2 & out_decode_first & ~decodable_last)
+    return case_idx, rsma_out, noma_out, gain_gbu < config.eta0
+
+
 def evaluate_rsma_trials(
     config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised rate-splitting protocol over many fading blocks.
 
     ``gains_gfu`` rows must be ascending. Returns (case index in {0,1,2} for
-    Cases I/II/III, GFU outage flag, GBU outage flag). The outage tests are
-    exact algebraic rearrangements of the per-case rate-versus-target
-    comparisons, not approximations.
+    Cases I/II/III, GFU outage flag, GBU outage flag).
     """
-    p0, ps = config.power_gbu, config.power_gfu
-    e0, es = config.eps0, config.eps_s
-    p0g0 = p0 * gain_gbu
-    tau_hat = p0g0 / e0 - 1.0
-    best = ps * gains_gfu[:, -1]
-    case3 = tau_hat <= 0.0
-    case1 = ~case3 & (best <= tau_hat)
-    case_idx = np.where(case3, 2, np.where(case1, 0, 1)).astype(np.int8)
-
-    out_interference_free = best < es
-    out_split = p0g0 + 1.0 + best < (1.0 + e0) * (1.0 + es)
-    out_decode_first = best < es * (1.0 + p0g0)
-    gfu_out = np.where(case3, out_decode_first, np.where(case1, out_interference_free, out_split))
-    gbu_out = gain_gbu < config.eta0
-    return case_idx, gfu_out, gbu_out
+    case_idx, rsma_out, _, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
+    return case_idx, rsma_out, gbu_out
 
 
 def evaluate_noma_trials(
@@ -119,33 +143,12 @@ def evaluate_noma_trials(
     only the achievable rate in the middle case differs (best of one user
     decoded last or the strongest decoded first).
     """
-    p0, ps = config.power_gbu, config.power_gfu
-    e0, es = config.eps0, config.eps_s
-    p0g0 = p0 * gain_gbu
-    tau_hat = p0g0 / e0 - 1.0
-    best = ps * gains_gfu[:, -1]
-    case3 = tau_hat <= 0.0
-    case1 = ~case3 & (best <= tau_hat)
-    case_idx = np.where(case3, 2, np.where(case1, 0, 1)).astype(np.int8)
-
-    out_interference_free = best < es
-    out_decode_first = best < es * (1.0 + p0g0)
-    below = np.sum(ps * gains_gfu < tau_hat[:, None], axis=1)
-    kth_gain = np.take_along_axis(
-        gains_gfu, np.maximum(below - 1, 0)[:, None], axis=1
-    )[:, 0]
-    out_middle = np.where(
-        below >= 1, (ps * kth_gain < es) & out_decode_first, out_decode_first
-    )
-    gfu_out = np.where(case3, out_decode_first, np.where(case1, out_interference_free, out_middle))
-    gbu_out = gain_gbu < config.eta0
-    return case_idx, gfu_out, gbu_out
+    case_idx, _, noma_out, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
+    return case_idx, noma_out, gbu_out
 
 
-_EVALUATORS = {
-    Scheme.CR_RSMA_SGF: evaluate_rsma_trials,
-    Scheme.CR_NOMA_SGF: evaluate_noma_trials,
-}
+# row of a config's case tallies holding each scheme's GFU outages; row 0 counts occurrences
+_OUTAGE_ROW = {Scheme.CR_RSMA_SGF: 1, Scheme.CR_NOMA_SGF: 2}
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -153,28 +156,78 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_tallies(
-    config: SystemConfig, scheme: Scheme, seed: int, block: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    rng = _block_generator(seed, block)
-    u = rng.random((rows, config.num_gfus + 1))
-    gains = -np.log1p(-u)
-    gfu = np.sort(gains[:, :-1], axis=1)
-    g0 = gains[:, -1]
-    case_idx, gfu_out, gbu_out = _EVALUATORS[scheme](config, g0, gfu)
-    occurrences = np.bincount(case_idx, minlength=3)
-    outages = np.bincount(case_idx[gfu_out], minlength=3)
-    return occurrences, outages, int(np.count_nonzero(gbu_out))
+def _run_block(configs: list[SystemConfig], seed: int, block: int, rows: int) -> tuple:
+    """Draw block ``block`` once and tally every config (one ``num_gfus``) on it."""
+    gains = sample_gain_matrix(rows, configs[0].num_gfus + 1, _block_generator(seed, block))
+    gain_gbu = np.ascontiguousarray(gains[:, -1])
+    # column-major, so the kernel reads each user's gains contiguously
+    gains_gfu = np.asfortranarray(np.sort(gains[:, :-1], axis=1))
+    cases = np.empty((len(configs), 3, 3), dtype=np.int64)
+    gbu = np.empty(len(configs), dtype=np.int64)
+    for i, config in enumerate(configs):
+        case_idx, rsma_out, noma_out, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
+        masks = [case_idx == case for case in range(3)]
+        cases[i] = [[np.count_nonzero(m & f) for m in masks] for f in (True, rsma_out, noma_out)]
+        gbu[i] = np.count_nonzero(gbu_out)
+    return cases, gbu
+
+
+def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> tuple:
+    """Per-config integer tallies over ``trials``: a (3, 3) array (case occurrences,
+    then each scheme's GFU outages per case) and the GBU outage count. All configs
+    share one ``num_gfus``; integer sums make the result independent of ``workers``."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+    def run(block: int) -> tuple:
+        return _run_block(configs, seed, block, min(BLOCK_SIZE, trials - block * BLOCK_SIZE))
+
+    if workers > 1 and n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(n_blocks)))
+    else:
+        parts = [run(b) for b in range(n_blocks)]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """``workers`` if given, else the SGFSIM_WORKERS variable, else 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1") or "1")
-    return max(1, workers)
+        raw = os.environ.get(WORKERS_ENV_VAR, "")
+        if not raw:
+            return 1
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+        return int(raw)
+    if workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
 
 
 def _std_err(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
+
+
+def _estimate(
+    scheme: Scheme, trials: int, seed: int, cases: np.ndarray, gbu_count: int
+) -> OutageEstimate:
+    occurrences, outages = cases[0], cases[_OUTAGE_ROW[scheme]]
+    gfu_prob = int(outages.sum()) / trials
+    gbu_prob = int(gbu_count) / trials
+    return OutageEstimate(
+        scheme=scheme,
+        seed=seed,
+        trials=trials,
+        gfu_outage_prob=gfu_prob,
+        gbu_outage_prob=gbu_prob,
+        std_err_gfu=_std_err(gfu_prob, trials),
+        std_err_gbu=_std_err(gbu_prob, trials),
+        case_tallies=CaseTallies(
+            occurrences=tuple(int(x) for x in occurrences),
+            gfu_outages=tuple(int(x) for x in outages),
+        ),
+    )
 
 
 def estimate_outage(
@@ -190,42 +243,9 @@ def estimate_outage(
     independent of ``workers`` (also settable via the SGFSIM_WORKERS
     environment variable).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     scheme = Scheme(scheme)
-    workers = _resolve_workers(workers)
-
-    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, trials - b * BLOCK_SIZE) for b in range(n_blocks)]
-
-    def run(block: int) -> tuple[np.ndarray, np.ndarray, int]:
-        return _block_tallies(config, scheme, seed, block, sizes[block])
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    else:
-        parts = [run(b) for b in range(n_blocks)]
-
-    occurrences = np.sum([p[0] for p in parts], axis=0)
-    outages = np.sum([p[1] for p in parts], axis=0)
-    gbu_count = sum(p[2] for p in parts)
-
-    gfu_prob = int(outages.sum()) / trials
-    gbu_prob = gbu_count / trials
-    return OutageEstimate(
-        scheme=scheme,
-        seed=seed,
-        trials=trials,
-        gfu_outage_prob=gfu_prob,
-        gbu_outage_prob=gbu_prob,
-        std_err_gfu=_std_err(gfu_prob, trials),
-        std_err_gbu=_std_err(gbu_prob, trials),
-        case_tallies=CaseTallies(
-            occurrences=tuple(int(x) for x in occurrences),
-            gfu_outages=tuple(int(x) for x in outages),
-        ),
-    )
+    cases, gbu = _simulate([config], trials, seed, _resolve_workers(workers))
+    return _estimate(scheme, trials, seed, cases[0], gbu[0])
 
 
 SWEEP_AXES = ("gbu_power_db", "gfu_power_db", "target_rate", "num_gfus")
@@ -266,6 +286,8 @@ def _config_on_axis(
     if axis == "target_rate":
         return replace(base, target_rate_gbu=value, target_rate_gfu=value)
     if axis == "num_gfus":
+        if not float(value).is_integer():
+            raise ValueError(f"num_gfus must be an integer, got {value!r}")
         return replace(base, num_gfus=int(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
@@ -308,30 +330,33 @@ def sweep(
         raise ValueError("sweep grid must be nonempty")
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    schemes = tuple(Scheme(s) for s in schemes)
+    workers = _resolve_workers(workers)
+
+    configs: dict[int, SystemConfig] = {}
+    errors: dict[int, str] = {}
+    for i, value in enumerate(grid):
+        try:
+            configs[i] = _config_on_axis(base_config, axis, value, gbu_to_gfu_power_ratio)
+        except (ValueError, TypeError) as err:
+            errors[i] = str(err)
+    # block-outer: each K's blocks are drawn once and shared by its grid points and schemes
+    tallies: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k in sorted({config.num_gfus for config in configs.values()}):
+        points = [i for i, config in configs.items() if config.num_gfus == k]
+        cases, gbu = _simulate([configs[i] for i in points], trials, seed, workers)
+        tallies.update(zip(points, zip(cases, gbu)))
 
     rows: list[SweepRow] = []
-    for value in grid:
-        try:
-            config = _config_on_axis(base_config, axis, value, gbu_to_gfu_power_ratio)
-        except (ValueError, TypeError) as err:
-            rows.append(
-                SweepRow(
-                    axis=axis,
-                    axis_value=float(value),
-                    scheme=None,
-                    config=None,
-                    estimate=None,
-                    analytic_exact=None,
-                    analytic_highsnr=None,
-                    analytic_asymptote=None,
-                    unresolved=False,
-                    error=str(err),
-                )
-            )
-            continue
-        exact, highsnr, asymptote, note = _analytic_columns(config)
-        for scheme in schemes:
-            estimate = estimate_outage(config, scheme, trials, seed, workers=workers)
+    for i, value in enumerate(grid):
+        config = configs.get(i)
+        if config is None:
+            exact = highsnr = asymptote = None
+            note, estimates = errors[i], [(None, None)]
+        else:
+            exact, highsnr, asymptote, note = _analytic_columns(config)
+            estimates = [(s, _estimate(s, trials, seed, *tallies[i])) for s in schemes]
+        for scheme, estimate in estimates:
             rows.append(
                 SweepRow(
                     axis=axis,
@@ -342,7 +367,7 @@ def sweep(
                     analytic_exact=exact,
                     analytic_highsnr=highsnr,
                     analytic_asymptote=asymptote,
-                    unresolved=not estimate.statistically_resolved,
+                    unresolved=estimate is not None and not estimate.statistically_resolved,
                     error=note,
                 )
             )

@@ -77,6 +77,17 @@ class TestRunWithConfigFile:
         assert main(["run", "--config", cfg, "--out", out2, "--no-timestamp"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_workers_flag_overrides_env_and_keeps_bytes(self, tmp_path, monkeypatch):
+        # three blocks, so more than one worker has work
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("trials = 5000", "trials = 150000"))
+        monkeypatch.setenv("SGFSIM_WORKERS", "abc")
+        outs = []
+        for workers in ("1", "3"):
+            outs.append(str(tmp_path / f"w{workers}.csv"))
+            argv = ["run", "--config", cfg, "--out", outs[-1], "--no-timestamp", "--workers", workers]
+            assert main(argv) == 0
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
     def test_timestamp_header_by_default(self, tmp_path):
         cfg = write_config(tmp_path, ZONE_CONFIG)
         out = str(tmp_path / "zone.csv")
@@ -152,3 +163,12 @@ class TestUsageErrors:
         bad = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = bandwidth")
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", cfg]) == 2
+
+    def test_bad_worker_count(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out, "--workers", "0"]) == 1
+        assert "workers" in capsys.readouterr().err
+        monkeypatch.setenv("SGFSIM_WORKERS", "-3")
+        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert "SGFSIM_WORKERS" in capsys.readouterr().err

@@ -6,8 +6,12 @@ import pytest
 from sgfsim.baselines import cr_noma_outage_sample
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import (
+    BLOCK_SIZE,
     MIN_RESOLVED_OUTAGES,
+    WORKERS_ENV_VAR,
     Scheme,
+    _evaluate_trials,
+    _resolve_workers,
     estimate_outage,
     evaluate_noma_trials,
     evaluate_rsma_trials,
@@ -20,6 +24,52 @@ CASE_INDEX = {CaseLabel.CASE_I: 0, CaseLabel.CASE_II: 1, CaseLabel.CASE_III: 2}
 
 def config(num_gfus=3, power_gbu=10.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.0):
     return SystemConfig(num_gfus, power_gbu, power_gfu, rate_gbu, rate_gfu)
+
+
+def sorted_block(rng, rows, num_gfus):
+    gains = sample_gain_matrix(rows, num_gfus + 1, rng)
+    return gains[:, -1], np.sort(gains[:, :-1], axis=1)
+
+
+def reference_kernels(cfg, g0, gfu):
+    """Separate per-scheme kernels: the case partition, then each scheme's
+    outage rule, with the baseline's decoded-last user found by counting the
+    users under the threshold. Returns (case index, rsma, noma, GBU flags)."""
+    p0g0 = cfg.power_gbu * g0
+    tau_hat = p0g0 / cfg.eps0 - 1.0
+    received = cfg.power_gfu * gfu
+    best = received[:, -1]
+    case3 = tau_hat <= 0.0
+    case1 = ~case3 & (best <= tau_hat)
+    case_idx = np.where(case3, 2, np.where(case1, 0, 1))
+    out_free = best < cfg.eps_s
+    out_first = best < cfg.eps_s * (1.0 + p0g0)
+    out_split = p0g0 + 1.0 + best < (1.0 + cfg.eps0) * (1.0 + cfg.eps_s)
+    below = np.sum(received < tau_hat[:, None], axis=1)
+    kth = np.take_along_axis(received, np.maximum(below - 1, 0)[:, None], axis=1)[:, 0]
+    out_middle = np.where(below >= 1, (kth < cfg.eps_s) & out_first, out_first)
+    rsma = np.where(case3, out_first, np.where(case1, out_free, out_split))
+    noma = np.where(case3, out_first, np.where(case1, out_free, out_middle))
+    return case_idx, rsma, noma, g0 < cfg.eta0
+
+
+def loop_tallies(cfg, trials, seed):
+    """Per-scheme (occurrences, outages) and the GBU outage count, summed over
+    blocks drawn one by one, independently of the sweep engine."""
+    occurrences = np.zeros(3, dtype=np.int64)
+    outages = {scheme: np.zeros(3, dtype=np.int64) for scheme in Scheme}
+    gbu = 0
+    for block in range(-(-trials // BLOCK_SIZE)):
+        rows = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
+        g0, gfu = sorted_block(rng, rows, cfg.num_gfus)
+        case_idx, rsma_out, gbu_out = evaluate_rsma_trials(cfg, g0, gfu)
+        _, noma_out, _ = evaluate_noma_trials(cfg, g0, gfu)
+        occurrences += np.bincount(case_idx, minlength=3)
+        outages[Scheme.CR_RSMA_SGF] += np.bincount(case_idx[rsma_out], minlength=3)
+        outages[Scheme.CR_NOMA_SGF] += np.bincount(case_idx[noma_out], minlength=3)
+        gbu += int(np.count_nonzero(gbu_out))
+    return occurrences, outages, gbu
 
 
 class TestEstimateOutage:
@@ -77,6 +127,31 @@ class TestEstimateOutage:
         assert not est.statistically_resolved
 
 
+class TestWorkerCount:
+    def test_unset_or_empty_means_one(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        assert _resolve_workers(None) == 1
+        monkeypatch.setenv(WORKERS_ENV_VAR, "")
+        assert _resolve_workers(None) == 1
+
+    def test_env_value_and_explicit_override(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert _resolve_workers(None) == 3
+        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+        assert _resolve_workers(2) == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", " "])
+    def test_bad_env_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            _resolve_workers(None)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_explicit_count(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            _resolve_workers(workers)
+
+
 class TestVectorisedKernels:
     @pytest.mark.parametrize("scheme", [Scheme.CR_RSMA_SGF, Scheme.CR_NOMA_SGF])
     def test_agree_with_scalar_protocol(self, scheme):
@@ -96,6 +171,30 @@ class TestVectorisedKernels:
                 assert bool(gbu_out[i]) == outcome.gbu_outage
             else:
                 assert bool(gfu_out[i]) == cr_noma_outage_sample(cfg, real)
+
+    @pytest.mark.parametrize("num_gfus", [1, 5])
+    def test_fused_kernel_matches_single_scheme_kernels(self, num_gfus):
+        rng = np.random.default_rng(1000 + num_gfus)
+        g0, gfu = sorted_block(rng, 20_000, num_gfus)
+        for p0_db, ps_db, rate_gbu, rate_gfu in [
+            (15.0, 0.0, 3.0, 3.0),
+            (15.0, 20.0, 3.0, 3.0),
+            (30.0, 18.2, 2.5, 1.5),
+            (10.0, 15.0, 1.0, 1.0),
+            (20.0, 45.0, 0.5, 4.0),
+        ]:
+            cfg = SystemConfig.from_db(num_gfus, p0_db, ps_db, rate_gbu, rate_gfu)
+            expected = reference_kernels(cfg, g0, gfu)
+            # the sweep engine passes the GFU gains column-major
+            for layout in (gfu, np.asfortranarray(gfu)):
+                fused = _evaluate_trials(cfg, g0, layout)
+                rsma, noma = evaluate_rsma_trials(cfg, g0, layout), evaluate_noma_trials(cfg, g0, layout)
+                for got, want in zip(fused, expected):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(rsma, (fused[0], fused[1], fused[3])):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(noma, (fused[0], fused[2], fused[3])):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestSweep:
@@ -157,6 +256,45 @@ class TestSweep:
         assert rows[0].estimate is None
         assert rows[1].error is None
         assert rows[1].estimate is not None
+
+    def test_fractional_user_count_becomes_error_row(self):
+        rows = sweep(
+            config(num_gfus=2),
+            axis="num_gfus",
+            grid=[2.5, 3.0],
+            trials=1000,
+            seed=10,
+            schemes=(Scheme.CR_RSMA_SGF,),
+        )
+        assert rows[0].error is not None and "integer" in rows[0].error
+        assert rows[0].estimate is None
+        assert rows[1].config.num_gfus == 3
+        assert rows[1].estimate is not None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [("gfu_power_db", [0.0, 20.0, 45.0]), ("num_gfus", [1.0, 4.0, 2.0, 4.0])],
+    )
+    def test_engine_matches_block_by_block_loop(self, axis, grid, workers):
+        # 150k trials: two full blocks and a partial one
+        trials, seed = 150_000, 21
+        rows = sweep(
+            SystemConfig.from_db(3, 15.0, 10.0, 3.0, 2.0),
+            axis=axis,
+            grid=grid,
+            trials=trials,
+            seed=seed,
+            workers=workers,
+        )
+        assert len(rows) == 2 * len(grid)
+        for row in rows:
+            occurrences, outages, gbu = loop_tallies(row.config, trials, seed)
+            tallies = row.estimate.case_tallies
+            assert tallies.occurrences == tuple(int(x) for x in occurrences)
+            assert tallies.gfu_outages == tuple(int(x) for x in outages[row.scheme])
+            assert row.estimate.gbu_outage_prob == gbu / trials
+            assert row.estimate == estimate_outage(row.config, row.scheme, trials, seed, workers=1)
 
     def test_single_user_rows_use_single_user_analytics(self):
         from sgfsim.analytic import outage_single_user
