@@ -21,13 +21,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import analytic
+from .baselines import cr_noma_rate
 from .model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from .montecarlo import (
+    BLOCK_SIZE,
     MIN_RESOLVED_OUTAGES,
+    OutageEstimate,
     Scheme,
     estimate_outage,
+    evaluate_rsma_trials,
+    sweep,
 )
-from .protocol import evaluate_transmission, gbu_oma_outage
+from .protocol import evaluate_transmission
 from .zones import ZoneLabel, classify_grid, region_corners
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "DEFAULT_SEED"]
@@ -43,11 +48,6 @@ class CriterionResult:
     detail: str
 
 
-@lru_cache(maxsize=None)
-def _cached_estimate(config: SystemConfig, scheme: Scheme, trials: int, seed: int):
-    return estimate_outage(config, scheme, trials, seed)
-
-
 def _fig3_config(num_gfus: int, gbu_power_db: float) -> SystemConfig:
     power_gbu = db_to_linear(gbu_power_db)
     return SystemConfig(
@@ -59,32 +59,30 @@ def _fig3_config(num_gfus: int, gbu_power_db: float) -> SystemConfig:
     )
 
 
-def _fig4_config(num_gfus: int, gfu_power_db: float) -> SystemConfig:
-    return SystemConfig(
-        num_gfus=num_gfus,
-        power_gbu=db_to_linear(15.0),
-        power_gfu=db_to_linear(gfu_power_db),
-        target_rate_gbu=3.0,
-        target_rate_gfu=3.0,
-    )
-
-
-def _grid_points():
+@lru_cache(maxsize=None)
+def _mc_grid(seed: int) -> dict[str, tuple[SystemConfig, OutageEstimate, OutageEstimate]]:
+    """Config and both schemes' 1e6-trial estimates per point of the locked-ratio
+    and fixed-GBU grids, K in {2, 5}: one sweep per K and axis, one draw per block."""
+    grid = {}
     for k in (2, 5):
-        for db in range(20, 50, 5):
-            yield _fig3_config(k, db), f"locked-ratio K={k} P0={db}dB"
-        for db in range(0, 50, 5):
-            yield _fig4_config(k, db), f"fixed-GBU K={k} Ps={db}dB"
+        fixed_gbu = SystemConfig.from_db(k, 15.0, 0.0, 3.0, 3.0)
+        for name, base, axis, dbs in (
+            ("locked-ratio K={} P0={}dB", _fig3_config(k, 20), "gbu_power_db", range(20, 50, 5)),
+            ("fixed-GBU K={} Ps={}dB", fixed_gbu, "gfu_power_db", range(0, 50, 5)),
+        ):
+            ratio = POWER_RATIO_FIG3 if axis == "gbu_power_db" else None
+            rows = sweep(base, axis, dbs, 10**6, seed, gbu_to_gfu_power_ratio=ratio)
+            for db, rsma, noma in zip(dbs, rows[::2], rows[1::2]):
+                grid[name.format(k, db)] = rsma.config, rsma.estimate, noma.estimate
+    return grid
 
 
 def criterion_exact_vs_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Closed form vs 1e6-trial Monte Carlo at every resolved grid point."""
-    trials = 10**6
     worst = 0.0
     skipped = 0
     failures = []
-    for config, label in _grid_points():
-        est = _cached_estimate(config, Scheme.CR_RSMA_SGF, trials, seed)
+    for label, (config, est, _) in _mc_grid(seed).items():
         if not est.statistically_resolved:
             skipped += 1
             continue
@@ -154,13 +152,14 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_single_user(seed: int = DEFAULT_SEED) -> CriterionResult:
     """K = 1 closed form vs 1e7-trial MC, and its power-law approximation."""
-    trials = 10**7
+    grid = range(20, 60, 5)
+    base = _fig3_config(1, 20)
+    rows = sweep(base, "gbu_power_db", grid, 10**7, seed, gbu_to_gfu_power_ratio=POWER_RATIO_FIG3)
     failures = []
     worst = 0.0
-    for db in range(20, 60, 5):
-        config = _fig3_config(1, db)
+    for db, row in zip(grid, rows[::2]):
+        config, est = row.config, row.estimate
         exact, approx = analytic.outage_single_user(config)
-        est = _cached_estimate(config, Scheme.CR_RSMA_SGF, trials, seed)
         if est.statistically_resolved:
             pull = abs(exact - est.gfu_outage_prob) / est.std_err_gfu
             worst = max(worst, pull)
@@ -226,21 +225,19 @@ def criterion_highsnr_approx(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_gbu_oma_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Protocol GBU outage equals the orthogonal-access event, realization by
-    realization, and its MC frequency matches the exponential CDF."""
+    """Production-kernel GBU outage equals the orthogonal-access event, realization
+    by realization, and its MC frequency matches the exponential CDF."""
     config = SystemConfig(3, db_to_linear(10.0), db_to_linear(15.0), 1.0, 1.5)
     trials = 10**6
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 6)))
     gains = sample_gain_matrix(trials, config.num_gfus + 1, rng)
-    gfu_sorted = np.sort(gains[:, :-1], axis=1)
-    violations = 0
-    gbu_count = 0
-    for row_gfu, g0 in zip(gfu_sorted.tolist(), gains[:, -1].tolist()):
-        outcome = evaluate_transmission(config, ChannelRealization(g0, tuple(row_gfu)))
-        if outcome.gbu_outage != gbu_oma_outage(config, g0):
-            violations += 1
-        gbu_count += outcome.gbu_outage
-    p_hat = gbu_count / trials
+    gain_gbu = gains[:, -1]
+    case_idx, _, gbu_out = evaluate_rsma_trials(config, gain_gbu, np.sort(gains[:, :-1], axis=1))
+    # the GBU is protected in Cases I and II, so the kernel may put a row there
+    # only when the GBU alone would succeed
+    oma_out = gain_gbu < config.eta0
+    violations = np.count_nonzero(((case_idx < 2) & oma_out) | (gbu_out != oma_out))
+    p_hat = np.count_nonzero(gbu_out) / trials
     p_true = -math.expm1(-config.eps0 / config.power_gbu)
     sigma = math.sqrt(p_true * (1.0 - p_true) / trials)
     pull = abs(p_hat - p_true) / sigma
@@ -256,33 +253,23 @@ def criterion_rsma_dominance(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Rate-splitting strictly beats the baseline rate in the middle case,
     ties it elsewhere, and never loses on Monte Carlo outage."""
     config = _fig3_config(3, 20.0)
-    p0, ps = config.power_gbu, config.power_gfu
-    e0 = config.eps0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
     needed = 10**5
     collected = 0
     strict_violations = 0
     while collected < needed:
         gains = sample_gain_matrix(1 << 18, config.num_gfus + 1, rng)
-        gfu = np.sort(gains[:, :-1], axis=1)
-        g0 = gains[:, -1]
-        tau_hat = p0 * g0 / e0 - 1.0
-        best = ps * gfu[:, -1]
-        mask = (tau_hat > 0.0) & (best > tau_hat)
-        g0, gfu, tau_hat, best = g0[mask], gfu[mask], tau_hat[mask], best[mask]
-        collected += int(mask.sum())
-
-        p0g0 = p0 * g0
-        rsma = np.log2(1.0 + tau_hat) + np.log2(1.0 + (best - tau_hat) / (p0g0 + tau_hat + 1.0))
-        decode_first = np.log2(1.0 + best / (p0g0 + 1.0))
-        below = np.sum(ps * gfu < tau_hat[:, None], axis=1)
-        kth = np.take_along_axis(gfu, np.maximum(below - 1, 0)[:, None], axis=1)[:, 0]
-        noma = np.where(below >= 1, np.maximum(np.log2(1.0 + ps * kth), decode_first), decode_first)
-        strict_violations += int(np.count_nonzero(rsma <= noma))
+        gain_gbu, gains_gfu = gains[:, -1], np.sort(gains[:, :-1], axis=1)
+        case_idx, _, _ = evaluate_rsma_trials(config, gain_gbu, gains_gfu)
+        # the production kernel picks the Case II rows; the public rate functions compare them
+        middle = case_idx == 1
+        collected += int(np.count_nonzero(middle))
+        for g0, row in zip(gain_gbu[middle].tolist(), gains_gfu[middle].tolist()):
+            real = ChannelRealization(g0, tuple(row))
+            if evaluate_transmission(config, real).rate_gfu_total <= cr_noma_rate(config, real)[0]:
+                strict_violations += 1
 
     # identical rates outside the middle case, via the two scalar code paths
-    from .baselines import cr_noma_rate
-
     identical_checked = 0
     identity_violations = 0
     rng2 = np.random.Generator(np.random.Philox(key=np.uint64(seed + 8)))
@@ -300,11 +287,8 @@ def criterion_rsma_dominance(seed: int = DEFAULT_SEED) -> CriterionResult:
             if identical_checked >= 2000:
                 break
 
-    trials = 10**6
     mc_failures = []
-    for cfg, label in _grid_points():
-        rsma_est = _cached_estimate(cfg, Scheme.CR_RSMA_SGF, trials, seed)
-        noma_est = _cached_estimate(cfg, Scheme.CR_NOMA_SGF, trials, seed)
+    for label, (_, rsma_est, noma_est) in _mc_grid(seed).items():
         slack = max(rsma_est.std_err_gfu, noma_est.std_err_gfu)
         if rsma_est.gfu_outage_prob > noma_est.gfu_outage_prob + slack:
             mc_failures.append(label)
@@ -326,9 +310,8 @@ def criterion_case_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for k in (2, 5):
         for db in range(20, 50, 5):
-            config = _fig3_config(k, db)
+            config, est, _ = _mc_grid(seed)[f"locked-ratio K={k} P0={db}dB"]
             breakdown = analytic.outage_exact(config)
-            est = _cached_estimate(config, Scheme.CR_RSMA_SGF, trials, seed)
             per_case = [
                 ("I", breakdown.p_case1, est.case_tallies.gfu_outages[0]),
                 ("II", breakdown.p_case2, est.case_tallies.gfu_outages[1]),
@@ -411,7 +394,8 @@ def _run_preset_bytes(cli, preset: str, seed: int, workers: str, tag: str, tmp: 
         "run",
         preset,
         "--trials",
-        "20000",
+        # one trial past a block, so the 8-worker runs really start a pool
+        str(BLOCK_SIZE + 1),
         "--seed",
         str(seed),
         "--out",

@@ -275,7 +275,7 @@ def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
     for n in range(big_k + 1):
         sign = -1.0 if n % 2 else 1.0
         acc.add(comb(big_k, n) * sign * terms.mu1(n) * nu_kernel(0, terms.mu2(n), config))
-    p2_terms.append(terms.phi0 / (big_k * (big_k - 1)) * _finish_sum(acc, "case-II k=0 series"))
+    p2_terms.append(_finish_sum(acc, "case-II k=0 series"))
 
     # buckets 1 <= k <= K-2
     for k in range(1, big_k - 1):
@@ -311,7 +311,7 @@ def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
                 - scale * nu_kernel(n, terms.mu6, config)
             )
         )
-    p2_terms.append(terms.phi0 / (big_k - 1) * _finish_sum(acc, "case-II k=K-1 series"))
+    p2_terms.append(big_k * _finish_sum(acc, "case-II k=K-1 series"))
 
     # case I: the strongest GFU fits under a positive threshold
     acc = _CompensatedSum()

@@ -467,6 +467,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# zone flag (its argparse dest and metadata key) -> the spec field it sets
+_ZONE_FIELDS = {
+    "p0g0_db": "zone_gbu_power_db",
+    "psgk_db": "zone_gfu_power_db",
+    "grid": "zone_grid_n",
+}
+
+
+def _override_zone(spec: ExperimentSpec, overrides: dict) -> ExperimentSpec:
+    """Apply zone flags; each overridden value replaces its metadata line as a choice."""
+    lines = {key: (key, value, source) for key, value, source in spec.metadata}
+    lines.update((key, (key, _fmt(value), "choice")) for key, value in overrides.items())
+    fields = {_ZONE_FIELDS[key]: value for key, value in overrides.items()}
+    return replace(spec, metadata=tuple(lines.values()), **fields)
+
+
 def _cmd_run(args) -> int:
     if args.preset and args.preset_flag and args.preset != args.preset_flag:
         raise UsageError("positional preset and --preset disagree")
@@ -479,16 +495,11 @@ def _cmd_run(args) -> int:
     else:
         specs = _load_config_file(args.config, args.trials, args.seed)
         default_out = "results.csv"
-    if specs and specs[0].kind == "zone":
-        overrides = {}
-        if args.p0g0_db is not None:
-            overrides["zone_gbu_power_db"] = args.p0g0_db
-        if args.psgk_db is not None:
-            overrides["zone_gfu_power_db"] = args.psgk_db
-        if args.grid is not None:
-            overrides["zone_grid_n"] = args.grid
-        if overrides:
-            specs = [replace(s, **overrides) for s in specs]
+    overrides = {key: getattr(args, key) for key in _ZONE_FIELDS if getattr(args, key) is not None}
+    if overrides:
+        if specs[0].kind != "zone":
+            raise UsageError("--p0g0-db, --psgk-db and --grid apply to zone runs only")
+        specs = [_override_zone(spec, overrides) for spec in specs]
 
     out = args.out or default_out
     multi = len(specs) > 1

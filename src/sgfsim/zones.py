@@ -63,9 +63,12 @@ def classify_rate_pair(
 
     Boundaries are inclusive: a target exactly on a region edge is feasible.
     """
+    return _classify(region_corners(p_gbu, p_gfu), target_gbu, target_gfu)
+
+
+def _classify(c: RegionCorners, target_gbu: float, target_gfu: float) -> ZoneLabel:
     if target_gbu <= 0.0 or target_gfu <= 0.0:
         raise ValueError("target rates must be > 0")
-    c = region_corners(p_gbu, p_gfu)
     gbu_first_ok = target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone
     gfu_first_ok = target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first
     rsma_ok = (
@@ -94,14 +97,15 @@ def classify_grid(
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    corners = region_corners(p_gbu, p_gfu)
     if max_rate is None:
-        max_rate = region_corners(p_gbu, p_gfu).sum_rate
+        max_rate = corners.sum_rate
     if max_rate <= 0.0:
         raise ValueError("max_rate must be > 0")
     step = max_rate / grid_n
     points = [step * (i + 1) for i in range(grid_n)]
     return [
-        (t_gbu, t_gfu, classify_rate_pair(p_gbu, p_gfu, t_gbu, t_gfu))
+        (t_gbu, t_gfu, _classify(corners, t_gbu, t_gfu))
         for t_gbu in points
         for t_gfu in points
     ]

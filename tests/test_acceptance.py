@@ -1,12 +1,19 @@
 """Release gate: every criterion runs at its pinned budget and tolerance.
 
 Each test prints its PASS/FAIL line (visible with ``pytest -s`` or on
-failure); the CLI ``validate`` subcommand prints the same report.
+failure); the CLI ``validate`` subcommand prints the same report. The
+planted-defect tests check that a criterion fails when the production code it
+reads is broken.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
+from sgfsim import acceptance
 from sgfsim.acceptance import CRITERIA, DEFAULT_SEED
+from sgfsim.protocol import evaluate_transmission
 
 
 @pytest.mark.parametrize("name,criterion", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -15,3 +22,32 @@ def test_criterion(name, criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_gbu_oma_equivalence_catches_a_mislabelled_case(monkeypatch):
+    """A kernel that files Case III rows under Case I breaks the GBU guarantee."""
+    kernel = acceptance.evaluate_rsma_trials
+
+    def case3_as_case1(config, gain_gbu, gains_gfu):
+        case_idx, gfu_out, gbu_out = kernel(config, gain_gbu, gains_gfu)
+        return np.where(case_idx == 2, 0, case_idx), gfu_out, gbu_out
+
+    monkeypatch.setattr(acceptance, "evaluate_rsma_trials", case3_as_case1)
+    result = acceptance.criterion_gbu_oma_equivalence(DEFAULT_SEED)
+    assert not result.passed
+    assert not result.detail.startswith("0 ")
+
+
+def test_rsma_dominance_catches_a_baseline_that_splits(monkeypatch):
+    """A baseline rate equal to the rate-splitting rate ties where it must lose."""
+    # one cached outcome per realization, so the planted baseline adds no second protocol run
+    outcome = functools.lru_cache(maxsize=1)(evaluate_transmission)
+
+    def splitting_rate(config, realization):
+        return outcome(config, realization).rate_gfu_total, realization.num_gfus
+
+    monkeypatch.setattr(acceptance, "evaluate_transmission", outcome)
+    monkeypatch.setattr(acceptance, "cr_noma_rate", splitting_rate)
+    result = acceptance.criterion_rsma_dominance(DEFAULT_SEED)
+    assert not result.passed
+    assert not result.detail.startswith("0 ")

@@ -127,6 +127,26 @@ class TestRunWithPresets:
         assert len(rows) == 400
         assert any("p0g0_db=8" in c for c in comments)
 
+    def test_zone_overrides_rewrite_metadata(self, tmp_path):
+        out = str(tmp_path / "zone.csv")
+        argv = ["run", "zone", "--grid", "20", "--p0g0-db", "3", "--out", out, "--no-timestamp"]
+        assert main(argv) == 0
+        comments, _, rows = read_csv(out)
+        assert len(rows) == 400
+        assert comments[:4] == [
+            "# preset=zone source=caption\n",
+            "# p0g0_db=3.0 source=choice\n",
+            "# psgk_db=15 source=caption\n",
+            "# grid=20 source=choice\n",
+        ]
+
+    def test_zone_config_override_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, ZONE_CONFIG)
+        out = str(tmp_path / "zone.csv")
+        assert main(["run", "--config", cfg, "--psgk-db", "12", "--out", out, "--no-timestamp"]) == 0
+        comments, _, _ = read_csv(out)
+        assert "# psgk_db=12.0 source=choice\n" in comments
+
     def test_fig7_writes_one_file_per_setting(self, tmp_path):
         out = str(tmp_path / "fig7.csv")
         assert main(
@@ -163,6 +183,15 @@ class TestUsageErrors:
         bad = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = bandwidth")
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--grid", "7"), ("--p0g0-db", "3"), ("--psgk-db", "3")])
+    def test_zone_flags_rejected_on_sweeps(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "fig6", flag, value, "--trials", "100", "--out", out]) == 2
+        assert "zone runs only" in capsys.readouterr().err
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        assert main(["run", "--config", cfg, flag, value, "--out", out]) == 2
+        assert not os.path.exists(out)
 
     def test_bad_worker_count(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
