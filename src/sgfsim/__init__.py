@@ -3,8 +3,8 @@
 A grant-based user and K contending grant-free users share one resource
 block; the strongest grant-free user is admitted under a cognitive-radio
 interference threshold and splits its signal across two SIC stages. The
-package provides the per-block protocol, closed-form and high-SNR outage
-expressions with an independent quadrature oracle, a deterministic parallel
+package provides the per-block protocol, a Gauss-Legendre outage evaluator
+beside the paper's series and high-SNR expressions, a deterministic parallel
 Monte Carlo estimator, a non-splitting baseline, and capacity-region zone
 classification, all driven by a CSV-emitting experiment CLI.
 """
@@ -14,11 +14,10 @@ from .analytic import (
     ConditioningWarning,
     NumericalRangeError,
     OutageBreakdown,
-    QuadratureError,
     nu_kernel,
     outage_diversity_asymptote,
     outage_exact,
-    outage_exact_quadrature_oracle,
+    outage_quadrature,
     outage_highsnr,
     outage_probability,
     outage_probability_highsnr,
@@ -64,7 +63,6 @@ __all__ = [
     "NumericalRangeError",
     "OutageBreakdown",
     "OutageEstimate",
-    "QuadratureError",
     "RegionCorners",
     "Scheme",
     "SweepRow",
@@ -86,7 +84,7 @@ __all__ = [
     "nu_kernel",
     "outage_diversity_asymptote",
     "outage_exact",
-    "outage_exact_quadrature_oracle",
+    "outage_quadrature",
     "outage_highsnr",
     "outage_probability",
     "outage_probability_highsnr",

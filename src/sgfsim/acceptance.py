@@ -78,7 +78,7 @@ def _mc_grid(seed: int) -> dict[str, tuple[SystemConfig, OutageEstimate, OutageE
 
 
 def criterion_exact_vs_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Closed form vs 1e6-trial Monte Carlo at every resolved grid point."""
+    """Production evaluator vs 1e6-trial Monte Carlo at every resolved grid point."""
     worst = 0.0
     skipped = 0
     failures = []
@@ -86,7 +86,7 @@ def criterion_exact_vs_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not est.statistically_resolved:
             skipped += 1
             continue
-        exact = analytic.outage_exact(config).total
+        exact = analytic.outage_probability(config)
         sigma = est.std_err_gfu
         pull = abs(exact - est.gfu_outage_prob) / sigma
         worst = max(worst, pull)
@@ -118,7 +118,7 @@ def _random_oracle_configs(seed: int, count: int = 50):
 
 
 def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Series evaluation vs quadrature oracle, term by term, 1e-7 absolute."""
+    """The paper's series vs the production quadrature, term by term, 1e-7 absolute."""
     tol = 1e-7
     worst = 0.0
     big_eps_product = 0
@@ -127,17 +127,17 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
         if config.eps0 * config.eps_s > 1.0:
             big_eps_product += 1
         series = analytic.outage_exact(config)
-        oracle = analytic.outage_exact_quadrature_oracle(config)
+        quadrature = analytic.outage_quadrature(config)
         pairs = [
-            ("case-I", series.p_case1, oracle.p_case1),
-            ("case-III", series.p_case3, oracle.p_case3),
+            ("case-I", series.p_case1, quadrature.p_case1),
+            ("case-III", series.p_case3, quadrature.p_case3),
             *(
-                (f"case-II k={k}", s, o)
-                for k, (s, o) in enumerate(zip(series.p_case2_terms, oracle.p_case2_terms))
+                (f"case-II k={k}", s, q)
+                for k, (s, q) in enumerate(zip(series.p_case2_terms, quadrature.p_case2_terms))
             ),
         ]
-        for term, s_val, o_val in pairs:
-            diff = abs(s_val - o_val)
+        for term, s_val, q_val in pairs:
+            diff = abs(s_val - q_val)
             worst = max(worst, diff)
             if diff > tol:
                 failures.append(f"config#{i} {term}: |diff|={diff:.2e}")
@@ -211,7 +211,7 @@ def criterion_highsnr_approx(seed: int = DEFAULT_SEED) -> CriterionResult:
         for db, config in _equal_power_sweep(k):
             if db < 45:
                 continue
-            exact = analytic.outage_exact(config).total
+            exact = analytic.outage_probability(config)
             rels.append(abs(analytic.outage_highsnr(config) / exact - 1.0))
         if not all(a >= b - 1e-12 for a, b in zip(rels, rels[1:])):
             failures.append(f"K={k}: rel errors {rels} not nonincreasing")
@@ -303,7 +303,7 @@ def criterion_rsma_dominance(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_case_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Per-case closed-form terms match per-case MC outage tallies."""
+    """Per-case quadrature terms match per-case MC outage tallies."""
     trials = 10**6
     failures = []
     skipped = 0
@@ -311,7 +311,7 @@ def criterion_case_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
     for k in (2, 5):
         for db in range(20, 50, 5):
             config, est, _ = _mc_grid(seed)[f"locked-ratio K={k} P0={db}dB"]
-            breakdown = analytic.outage_exact(config)
+            breakdown = analytic.outage_quadrature(config)
             per_case = [
                 ("I", breakdown.p_case1, est.case_tallies.gfu_outages[0]),
                 ("II", breakdown.p_case2, est.case_tallies.gfu_outages[1]),

@@ -1,42 +1,45 @@
-"""Closed-form outage probability of the admitted grant-free user.
+"""Outage probability of the admitted grant-free user.
 
 The admitted user is the maximum of K unit-mean exponential gains, so every
 case probability reduces to expectations of order-statistic CDFs over the
-GBU gain. Three evaluation routes are provided:
+GBU gain. The evaluation routes are:
 
-* ``outage_exact`` - exact alternating binomial series over the exponential
-  integral kernel ``nu_kernel`` (valid for K >= 2),
-* ``outage_exact_quadrature_oracle`` - adaptive quadrature of the
-  order-statistic CDF integrands, independent of the series algebra,
+* ``outage_quadrature`` - the production evaluator (K >= 2): fixed 48- and
+  64-node Gauss-Legendre rules over the positive order-statistic integrands,
+  split at the kink x* = eta0 * (1 + eps_s); it answers to ~1e-13 relative
+  and raises ``NumericalRangeError`` where the two rules disagree,
+* ``outage_exact`` - the paper's alternating binomial series over the
+  exponential integral kernel ``nu_kernel``, kept as the reference formula,
 * ``outage_highsnr`` / ``outage_diversity_asymptote`` - high-SNR power laws,
 * ``outage_single_user`` - the K = 1 closed form and its approximation.
 
-The alternating series cancel heavily for large K or small GFU power; terms
-are accumulated with compensated summation and a ``ConditioningWarning`` is
-emitted when the compensation grows past 1e-10 of the largest term. The
-supported range is K <= 20 in double precision.
+The paper's alternating series cancel heavily for large K or small GFU
+power; terms are accumulated with compensated summation and a
+``ConditioningWarning`` is emitted when the compensation grows past 1e-10 of
+the largest term. The high-SNR approximation is a closed form whose double
+sums collapse exactly, so it does not cancel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from math import comb, exp, expm1, factorial
 
-from scipy.integrate import quad
+import numpy as np
 
 from .model import SystemConfig
 
 __all__ = [
     "NumericalRangeError",
-    "QuadratureError",
     "ConditioningWarning",
     "AnalyticTerms",
     "OutageBreakdown",
     "nu_kernel",
     "outage_exact",
-    "outage_exact_quadrature_oracle",
+    "outage_quadrature",
     "outage_highsnr",
     "outage_diversity_asymptote",
     "outage_single_user",
@@ -51,20 +54,12 @@ _DEGENERATE_TOL = 1e-10
 _EXCURSION_TOL = 1e-9
 # compensation-to-largest-term ratio that triggers a conditioning warning
 _CONDITIONING_TOL = 1e-10
-# quadrature error estimate above which the oracle refuses to answer
-_QUAD_FAIL_TOL = 1e-8
+# relative disagreement of the two Gauss-Legendre rules that refuses an answer
+_RULE_AGREEMENT = 1e-10
 
 
 class NumericalRangeError(ArithmeticError):
     """A closed-form evaluation left the representable/probability range."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
-        self.achieved_tol = achieved_tol
 
 
 class ConditioningWarning(RuntimeWarning):
@@ -249,7 +244,9 @@ def _require_multi_user(config: SystemConfig, op: str) -> int:
 def outage_exact(config: SystemConfig) -> OutageBreakdown:
     """Exact outage probability of the admitted GFU, per case (K >= 2).
 
-    Valid for all positive target rates; no small-target restriction.
+    The paper's binomial series: valid for all positive target rates, but it
+    cancels to an absolute floor of ~1e-13 and overflows for large K or small
+    GFU power; ``outage_quadrature`` is the production evaluator.
     """
     _require_multi_user(config, "outage_exact")
     try:
@@ -333,135 +330,109 @@ def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
     return _build_breakdown(p1, p2_terms, p3)
 
 
-def _quad(fn, lo: float, hi: float, abs_tol: float, where: str) -> float:
-    value, err = quad(fn, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=200)
-    if err > _QUAD_FAIL_TOL:
-        raise QuadratureError(f"quadrature did not converge for {where}", achieved_tol=err)
-    return value
+def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of two Gauss-Legendre rules on [0, 1], side by side, and a
+    (nodes, 2) weight matrix whose columns apply the coarse and the fine rule."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in (coarse, fine)]
+    nodes = 0.5 * (np.concatenate([x for x, _ in rules]) + 1.0)
+    weights = np.zeros((nodes.size, 2))
+    weights[:coarse, 0] = 0.5 * rules[0][1]
+    weights[coarse:, 1] = 0.5 * rules[1][1]
+    return nodes, weights
 
 
-def outage_exact_quadrature_oracle(
-    config: SystemConfig, abs_tol: float = 1e-10
-) -> OutageBreakdown:
-    """Outage probability via direct numerical integration (K >= 2).
+# the 64-node rule answers and the 48-node rule checks it
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
 
-    Integrates the exact conditional order-statistic CDF expressions over
-    the GBU gain with adaptive quadrature, bypassing the binomial-series
-    algebra entirely. Intended as an independent cross-check of
-    ``outage_exact``.
+
+def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
+    """Outage probability of the admitted GFU by Gauss-Legendre quadrature (K >= 2).
+
+    The production evaluator behind ``outage_probability``: the three case
+    integrals over the GBU gain x ~ Exp(1). With F(y) = -expm1(-y) and u in
+    [0, 1], the case-I/II interval [eta0, x*] is x = eta0 * (1 + eps_s * u).
+    There the weakest GFU gain that clears the threshold is a = eta_s * u
+    and the band of gains below the ceiling is d = (1 + eps0) * eta_s * (1 - u).
+    Case-II bucket k is the product C(K, k) F(a)^k (exp(-a) F(d))^(K-k) exp(-x)
+    of positive factors, and the row k = K is the case-I core F(a)^K exp(-x);
+    nothing cancels, and all K + 1 rows are integrated in one product.
+
+    The 48- and the 64-node rule are both evaluated and the 64-node breakdown
+    is returned. ``NumericalRangeError`` is raised where their totals differ
+    by more than 1e-10 relative (the integrands vary too fast for a fixed
+    rule) or where the total is below the smallest normal double.
     """
-    big_k = _require_multi_user(config, "outage_exact_quadrature_oracle")
-    p0, ps = config.power_gbu, config.power_gfu
+    big_k = _require_multi_user(config, "outage_quadrature")
+    u, w = _GAUSS_NODES, _GAUSS_WEIGHTS
     e0, es = config.eps0, config.eps_s
     eta0, eta_s = config.eta0, config.eta_s
-    lo, hi = eta0, eta0 * (1.0 + es)
+    try:
+        # case III: x in [0, eta0]
+        x = eta0 * u
+        p3 = eta0 * ((-np.expm1(-eta_s * (1.0 + config.power_gbu * x))) ** big_k * np.exp(-x) @ w)
 
-    def floor_gain(x: float) -> float:
-        # GFU gain whose received power equals the (positive) threshold
-        return (x / eta0 - 1.0) / ps
+        # case-II buckets k = 0..K-1 and the case-I core, x in [eta0, x*]
+        a = eta_s * u
+        band = np.exp(-a) * -np.expm1(-(1.0 + e0) * eta_s * (1.0 - u))
+        ks = np.arange(big_k + 1)[:, None]
+        rows = (-np.expm1(-a)) ** ks * band ** (big_k - ks)
+        binomials = np.array([comb(big_k, k) for k in range(big_k + 1)], dtype=float)[:, None]
+        density = eta0 * es * np.exp(-eta0 * (1.0 + es * u))  # dx/du times exp(-x)
+        terms = binomials * (rows @ (w * density[:, None]))
 
-    def ceil_gain(x: float) -> float:
-        # largest best-user gain that still leaves the total rate short
-        return ((1.0 + e0) * (1.0 + es) - 1.0 - p0 * x) / ps
-
-    def bucket_integrand(k: int):
-        def fn(x: float) -> float:
-            a = floor_gain(x)
-            b = ceil_gain(x)
-            if b <= a:
-                return 0.0
-            below = -expm1(-a)
-            inside = exp(-a) - exp(-b)
-            return comb(big_k, k) * below**k * inside ** (big_k - k) * exp(-x)
-
-        return fn
-
-    p2_terms = [
-        _quad(bucket_integrand(k), lo, hi, abs_tol, f"case-II bucket k={k}")
-        for k in range(big_k)
-    ]
-
-    def case1_core(x: float) -> float:
-        return (-expm1(-floor_gain(x))) ** big_k * exp(-x)
-
-    def case1_tail(x: float) -> float:
-        return (-expm1(-eta_s)) ** big_k * exp(-x)
-
-    p1 = _quad(case1_core, lo, hi, abs_tol, "case-I core") + _quad(
-        case1_tail, hi, math.inf, abs_tol, "case-I tail"
-    )
-
-    def case3_integrand(x: float) -> float:
-        return (-expm1(-eta_s * (1.0 + p0 * x))) ** big_k * exp(-x)
-
-    p3 = _quad(case3_integrand, 0.0, lo, abs_tol, "case-III")
-
-    return _build_breakdown(p1, p2_terms, p3)
+        # case-I tail: beyond x* the strongest GFU clears the threshold alone
+        tail = (-expm1(-eta_s)) ** big_k * exp(-eta0 * (1.0 + es))
+    except OverflowError as err:
+        raise NumericalRangeError("quadrature overflowed double precision") from err
+    coarse, fine = (math.fsum((*terms[:, j].tolist(), tail, float(p3[j]))) for j in (0, 1))
+    if fine < sys.float_info.min:
+        raise NumericalRangeError(
+            f"quadrature total {fine!r} is below the smallest normal double; no "
+            "relative precision can be held"
+        )
+    if not abs(coarse - fine) <= _RULE_AGREEMENT * fine:
+        raise NumericalRangeError(
+            f"the 48- and 64-node rules disagree ({coarse!r} vs {fine!r}); "
+            "the integrands vary too fast for a fixed quadrature rule here"
+        )
+    return _build_breakdown(float(terms[big_k, 1]) + tail, terms[:big_k, 1].tolist(), float(p3[1]))
 
 
 def outage_highsnr(config: SystemConfig) -> float:
     """High-SNR approximation of the admitted GFU's outage probability (K >= 2).
 
     Derived for both transmit SNRs growing together; only the GFU power
-    appears explicitly. The middle buckets contribute for K >= 3 and the sum
-    over them is empty at K = 2. The value is not clamped: at moderate SNR
-    it may sit slightly off the exact bracket.
+    appears explicitly. The value is not clamped: at moderate SNR it may sit
+    slightly off the exact bracket.
+
+    The paper writes buckets 0..K-2 as double binomial sums; each collapses to
+    a Beta integral, (-1)^k eps_s^(K+1) k! (K-k)! / (K+1)!, so together they
+    are e0 r^(K+1) / (K+1) * sum (1+e0)^(K-k) with r = eps_s / P_s. Every term
+    is written in r so that no intermediate overflows.
     """
     big_k = _require_multi_user(config, "outage_highsnr")
     ps = config.power_gfu
     e0, es = config.eps0, config.eps_s
-    phi0 = big_k * (big_k - 1)
+    r = es / ps
+    rk = r**big_k
+    g = 1.0 + e0
+    gk1 = g ** (big_k + 1)
 
-    # bucket k = 0
-    inner = math.fsum(
-        comb(big_k, n)
-        * (-1.0 if n % 2 else 1.0)
-        / (n + 1)
-        * ((1.0 + es) ** (big_k + 1) - (1.0 + es) ** (big_k - n))
-        for n in range(big_k + 1)
-    )
-    total = phi0 * e0 * (1.0 + e0) ** big_k / (ps ** (big_k + 1) * big_k * (big_k - 1)) * inner
-
-    # buckets 1 <= k <= K-2 (empty sum at K = 2)
-    for k in range(1, big_k - 1):
-        inner = math.fsum(
-            comb(big_k - k, m)
-            * (-1.0 if m % 2 else 1.0)
-            * (1.0 + es) ** (big_k - k - m)
-            * comb(k, n)
-            * (-1.0 if n % 2 else 1.0)
-            * ((1.0 + es) ** (m + n + 1) - 1.0)
-            / (m + n + 1)
-            for m in range(big_k - k + 1)
-            for n in range(k + 1)
-        )
-        total += (
-            comb(big_k, k)
-            * e0
-            * (1.0 + e0) ** (big_k - k)
-            * (-1.0 if k % 2 else 1.0)
-            / ps ** (big_k + 1)
-            * inner
-        )
+    # buckets 0 <= k <= K-2 (only k = 0 at K = 2)
+    total = e0 * rk * r / (big_k + 1) * math.fsum(g ** (big_k - k) for k in range(big_k - 1))
 
     # bucket k = K-1
-    total += phi0 * e0 * es**big_k * (1.0 + e0) * (1.0 + es) / (
-        ps ** (big_k + 1) * big_k * (big_k - 1)
-    )
-    total -= phi0 * es**big_k * (1.0 / e0 + 1.0) * (big_k * (1.0 + es) + 1.0) / (
-        ps ** (big_k + 1) * big_k * (big_k - 1) * (big_k + 1)
-    )
+    total += e0 * g * (1.0 + es) * rk / ps
+    total -= (g / e0) * (big_k * (1.0 + es) + 1.0) * rk / (ps * (big_k + 1))
 
     # case I
-    total += e0 * es ** (big_k + 1) / ((big_k + 1) * ps ** (big_k + 1))
-    total += es**big_k / ps**big_k
-    total -= e0 * es**big_k * (1.0 + es) / ps ** (big_k + 1)
+    total += e0 * rk * r / (big_k + 1)
+    total += rk
+    total -= e0 * (1.0 + es) * rk / ps
 
     # case III
-    total += es**big_k * ((1.0 + e0) ** (big_k + 1) - 1.0) / (ps ** (big_k + 1) * (big_k + 1))
-    total -= es**big_k * (
-        (e0 * (big_k + 1) - 1.0) * (1.0 + e0) ** (big_k + 1) + 1.0
-    ) / (ps ** (big_k + 2) * (big_k + 2) * (big_k + 1))
+    total += (gk1 - 1.0) * rk / (ps * (big_k + 1))
+    total -= ((e0 * (big_k + 1) - 1.0) * gk1 + 1.0) * rk / (ps * ps * (big_k + 2) * (big_k + 1))
 
     return total
 
@@ -503,7 +474,7 @@ def outage_probability(config: SystemConfig) -> float:
     """Exact outage probability for any K >= 1 (dispatching facade)."""
     if config.num_gfus == 1:
         return outage_single_user(config)[0]
-    return outage_exact(config).total
+    return outage_quadrature(config).total
 
 
 def outage_probability_highsnr(config: SystemConfig) -> float:

@@ -1,24 +1,28 @@
 import math
-from math import exp, factorial
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb, exp, expm1, factorial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import sgfsim
 from sgfsim.analytic import (
     AnalyticTerms,
     ConditioningWarning,
     NumericalRangeError,
-    QuadratureError,
     _CompensatedSum,
     _finish_sum,
     nu_kernel,
     outage_diversity_asymptote,
     outage_exact,
-    outage_exact_quadrature_oracle,
     outage_highsnr,
     outage_probability,
     outage_probability_highsnr,
+    outage_quadrature,
     outage_single_user,
 )
 from sgfsim.model import SystemConfig, db_to_linear
@@ -26,6 +30,55 @@ from sgfsim.model import SystemConfig, db_to_linear
 
 def config(num_gfus=2, power_gbu=10.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.0):
     return SystemConfig(num_gfus, power_gbu, power_gfu, rate_gbu, rate_gfu)
+
+
+def reference_breakdown(cfg, epsabs=1e-10, epsrel=1e-12):
+    """(case I, case-II buckets, case III) by adaptive quadrature of the exact
+    conditional order-statistic CDFs over the GBU gain, independent of both the
+    series algebra and the fixed Gauss rules."""
+    big_k = cfg.num_gfus
+    p0, ps = cfg.power_gbu, cfg.power_gfu
+    e0, es = cfg.eps0, cfg.eps_s
+    eta0, eta_s = cfg.eta0, cfg.eta_s
+    lo, hi = eta0, eta0 * (1.0 + es)
+
+    def integrate(fn, a, b):
+        return quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
+
+    def floor_gain(x):
+        # GFU gain whose received power equals the (positive) threshold
+        return (x / eta0 - 1.0) / ps
+
+    def ceil_gain(x):
+        # largest best-user gain that still leaves the total rate short
+        return ((1.0 + e0) * (1.0 + es) - 1.0 - p0 * x) / ps
+
+    def bucket(k):
+        def fn(x):
+            a, b = floor_gain(x), ceil_gain(x)
+            if b <= a:
+                return 0.0
+            # exp(-a) - exp(-b), factored so that a narrow band does not cancel
+            inside = exp(-a) * -expm1(a - b)
+            return comb(big_k, k) * (-expm1(-a)) ** k * inside ** (big_k - k) * exp(-x)
+
+        return fn
+
+    p2_terms = [integrate(bucket(k), lo, hi) for k in range(big_k)]
+    p1 = integrate(lambda x: (-expm1(-floor_gain(x))) ** big_k * exp(-x), lo, hi) + integrate(
+        lambda x: (-expm1(-eta_s)) ** big_k * exp(-x), hi, math.inf
+    )
+    p3 = integrate(lambda x: (-expm1(-eta_s * (1.0 + p0 * x))) ** big_k * exp(-x), 0.0, lo)
+    return p1, p2_terms, p3
+
+
+def assert_terms_match_reference(breakdown, cfg, tol=1e-7):
+    p1, p2_terms, p3 = reference_breakdown(cfg)
+    assert breakdown.p_case1 == pytest.approx(p1, abs=tol)
+    assert breakdown.p_case3 == pytest.approx(p3, abs=tol)
+    assert len(breakdown.p_case2_terms) == len(p2_terms)
+    for got, want in zip(breakdown.p_case2_terms, p2_terms):
+        assert got == pytest.approx(want, abs=tol)
 
 
 class TestAnalyticTerms:
@@ -122,20 +175,16 @@ class TestOutageExact:
         ],
     )
     def test_matches_quadrature_oracle(self, cfg):
-        series = outage_exact(cfg)
-        oracle = outage_exact_quadrature_oracle(cfg)
-        assert series.p_case1 == pytest.approx(oracle.p_case1, abs=1e-7)
-        assert series.p_case3 == pytest.approx(oracle.p_case3, abs=1e-7)
-        for s_term, o_term in zip(series.p_case2_terms, oracle.p_case2_terms):
-            assert s_term == pytest.approx(o_term, abs=1e-7)
+        assert_terms_match_reference(outage_exact(cfg), cfg)
+        assert_terms_match_reference(outage_quadrature(cfg), cfg)
 
     def test_valid_when_threshold_product_exceeds_one(self):
         cfg = config(num_gfus=3, power_gbu=31.6, power_gfu=31.6, rate_gbu=3.0, rate_gfu=3.0)
         assert cfg.eps0 * cfg.eps_s > 1.0
         breakdown = outage_exact(cfg)
         assert 0.0 <= breakdown.total <= 1.0
-        oracle = outage_exact_quadrature_oracle(cfg)
-        assert breakdown.total == pytest.approx(oracle.total, abs=1e-7)
+        assert_terms_match_reference(breakdown, cfg)
+        assert_terms_match_reference(outage_quadrature(cfg), cfg)
 
     def test_stays_in_range_over_supported_envelope(self):
         # K <= 10 with GFU power >= 1: no clipping excursion, no warning
@@ -157,22 +206,78 @@ class TestOutageExact:
 
 
 class TestQuadratureOracle:
+    """Limits of the production quadrature, which replaced the adaptive oracle."""
+
     def test_vanishing_power_forces_outage(self):
-        total = outage_exact_quadrature_oracle(config(num_gfus=2, power_gfu=1e-6)).total
+        total = outage_quadrature(config(num_gfus=2, power_gfu=1e-6)).total
         assert total > 0.99
 
     def test_vanishing_target_removes_outage(self):
-        total = outage_exact_quadrature_oracle(
-            config(num_gfus=2, rate_gfu=1e-9)
-        ).total
+        total = outage_quadrature(config(num_gfus=2, rate_gfu=1e-9)).total
         assert total < 1e-9
         series = outage_exact(config(num_gfus=2, rate_gfu=1e-9)).total
         assert series < 1e-9
 
-    def test_error_carries_achieved_tolerance(self):
-        err = QuadratureError("did not converge", achieved_tol=3.2e-5)
-        assert err.achieved_tol == 3.2e-5
-        assert "3.2" in str(err)
+
+class TestOutageQuadrature:
+    def test_relative_precision_over_readme_range(self):
+        # K 2..20, powers 0-50 dB, rates 0.5-4: a 10,944-point grid over this
+        # range measured <= 3.2e-14 relative against a tight adaptive quadrature
+        rng = np.random.default_rng(404)
+        for _ in range(200):
+            cfg = SystemConfig.from_db(
+                int(rng.integers(2, 21)),
+                float(rng.uniform(0.0, 50.0)),
+                float(rng.uniform(0.0, 50.0)),
+                float(rng.uniform(0.5, 4.0)),
+                float(rng.uniform(0.5, 4.0)),
+            )
+            p1, p2_terms, p3 = reference_breakdown(cfg, epsabs=0.0, epsrel=1e-13)
+            want = math.fsum((p1, *p2_terms, p3))
+            assert outage_probability(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "gbu_db,gfu_db,rate_gbu,rate_gfu,want",
+        [
+            # 30-digit mpmath quadrature of the three case integrals
+            pytest.param(15.0, 45.0, 3.0, 3.0, 3.8650487731266e-15, id="fig4_k5-45dB"),
+            pytest.param(50.0, 50.0 - 10.0 * math.log10(15.0), 2.5, 1.5, 1.78945926911446e-18,
+                         id="fig3_k5-50dB"),
+        ],
+    )
+    def test_preset_points_below_the_series_floor(self, gbu_db, gfu_db, rate_gbu, rate_gfu, want):
+        cfg = SystemConfig.from_db(5, gbu_db, gfu_db, rate_gbu, rate_gfu)
+        assert outage_probability(cfg) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_rules_disagreeing_raise(self):
+        # eta0 = 630: the exponential factor varies too fast for 48 nodes, and
+        # the two rules differ by ~1.5e-7 relative
+        with pytest.raises(NumericalRangeError, match="48- and 64-node rules disagree"):
+            outage_quadrature(SystemConfig(5, 0.1, 10.0, 6.0, 1.0))
+
+    def test_subnormal_total_raises(self):
+        with pytest.raises(NumericalRangeError, match="smallest normal double"):
+            outage_quadrature(SystemConfig(50, 1.0, 1e9, 1.0, 1.0))
+
+    def test_breakdown_consistency(self):
+        breakdown = outage_quadrature(config(num_gfus=5, power_gbu=31.6, power_gfu=100.0))
+        parts = [breakdown.p_case1, *breakdown.p_case2_terms, breakdown.p_case3]
+        assert all(isinstance(p, float) and 0.0 < p <= 1.0 for p in parts)
+        assert len(breakdown.p_case2_terms) == 5
+        assert breakdown.total == math.fsum(parts)
+
+    def test_requires_two_users(self):
+        with pytest.raises(ValueError, match="outage_single_user"):
+            outage_quadrature(config(num_gfus=1))
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sgfsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, sgfsim; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestHighSnr:
@@ -200,6 +305,67 @@ class TestHighSnr:
     def test_requires_two_users(self):
         with pytest.raises(ValueError):
             outage_highsnr(config(num_gfus=1))
+
+
+def highsnr_double_sum(cfg):
+    """The paper's high-SNR expression with its double binomial sums, in exact
+    rational arithmetic on the config's float parameters."""
+    big_k = cfg.num_gfus
+    ps, e0, es = Fraction(cfg.power_gfu), Fraction(cfg.eps0), Fraction(cfg.eps_s)
+    phi0 = big_k * (big_k - 1)
+
+    def sign(i):
+        return -1 if i % 2 else 1
+
+    inner = sum(
+        comb(big_k, n) * sign(n) * Fraction(1, n + 1)
+        * ((1 + es) ** (big_k + 1) - (1 + es) ** (big_k - n))
+        for n in range(big_k + 1)
+    )
+    total = phi0 * e0 * (1 + e0) ** big_k / (ps ** (big_k + 1) * big_k * (big_k - 1)) * inner
+    for k in range(1, big_k - 1):
+        inner = sum(
+            comb(big_k - k, m) * sign(m) * (1 + es) ** (big_k - k - m)
+            * comb(k, n) * sign(n) * ((1 + es) ** (m + n + 1) - 1) / (m + n + 1)
+            for m in range(big_k - k + 1)
+            for n in range(k + 1)
+        )
+        total += comb(big_k, k) * e0 * (1 + e0) ** (big_k - k) * sign(k) / ps ** (big_k + 1) * inner
+    total += phi0 * e0 * es**big_k * (1 + e0) * (1 + es) / (ps ** (big_k + 1) * big_k * (big_k - 1))
+    total -= phi0 * es**big_k * (1 / e0 + 1) * (big_k * (1 + es) + 1) / (
+        ps ** (big_k + 1) * big_k * (big_k - 1) * (big_k + 1)
+    )
+    total += e0 * es ** (big_k + 1) / ((big_k + 1) * ps ** (big_k + 1))
+    total += es**big_k / ps**big_k
+    total -= e0 * es**big_k * (1 + es) / ps ** (big_k + 1)
+    total += es**big_k * ((1 + e0) ** (big_k + 1) - 1) / (ps ** (big_k + 1) * (big_k + 1))
+    total -= es**big_k * ((e0 * (big_k + 1) - 1) * (1 + e0) ** (big_k + 1) + 1) / (
+        ps ** (big_k + 2) * (big_k + 2) * (big_k + 1)
+    )
+    return total
+
+
+class TestHighSnrClosedForm:
+    @pytest.mark.parametrize("k_users", range(2, 21))
+    def test_matches_exact_double_sum(self, k_users):
+        rng = np.random.default_rng(1000 + k_users)
+        cfg = SystemConfig.from_db(
+            k_users,
+            float(rng.uniform(0.0, 50.0)),
+            float(rng.uniform(0.0, 50.0)),
+            float(rng.uniform(0.5, 4.0)),
+            float(rng.uniform(0.5, 4.0)),
+        )
+        want = float(highsnr_double_sum(cfg))
+        assert outage_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_where_the_float_double_sum_cancelled(self):
+        # the paper's double sum evaluated in floats is 0.467 relative off here
+        cfg = SystemConfig(
+            19, 13618.417611811261, 255.6200881832188, 1.0921025045045964, 0.6364614068872667
+        )
+        want = float(highsnr_double_sum(cfg))
+        assert outage_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestDiversityAsymptote:
@@ -238,14 +404,14 @@ class TestSingleUser:
         single = config(num_gfus=1)
         multi = config(num_gfus=3)
         assert outage_probability(single) == outage_single_user(single)[0]
-        assert outage_probability(multi) == outage_exact(multi).total
+        assert outage_probability(multi) == outage_quadrature(multi).total
         assert outage_probability_highsnr(single) == outage_single_user(single)[1]
         assert outage_probability_highsnr(multi) == outage_highsnr(multi)
 
 
 class TestOracleSensitivity:
     def test_corrupted_kernel_breaks_oracle_agreement(self, monkeypatch):
-        # the series route must actually depend on the kernel the oracle checks
+        # the series route must actually depend on the kernel the quadrature checks
         import sgfsim.analytic as analytic_module
 
         cfg = config(num_gfus=3, power_gbu=100.0, power_gfu=10.0, rate_gbu=1.5, rate_gfu=1.5)
@@ -255,8 +421,20 @@ class TestOracleSensitivity:
         )
         corrupted = analytic_module.outage_exact(cfg)
         monkeypatch.undo()
-        clean = outage_exact_quadrature_oracle(cfg)
+        clean = outage_quadrature(cfg)
         assert abs(corrupted.total - clean.total) > 1e-7
+
+    def test_corrupted_rule_breaks_reference_agreement(self, monkeypatch):
+        # and the quadrature must depend on its rule: 1% off the weights is seen
+        import sgfsim.analytic as analytic_module
+
+        cfg = config(num_gfus=3, power_gbu=100.0, power_gfu=10.0, rate_gbu=1.5, rate_gfu=1.5)
+        weights = 1.01 * analytic_module._GAUSS_WEIGHTS
+        monkeypatch.setattr(analytic_module, "_GAUSS_WEIGHTS", weights)
+        corrupted = outage_quadrature(cfg)
+        monkeypatch.undo()
+        p1, p2_terms, p3 = reference_breakdown(cfg)
+        assert abs(corrupted.total - math.fsum((p1, *p2_terms, p3))) > 1e-7
 
 
 class TestCompensatedSum:
