@@ -4,9 +4,10 @@ A grant-based user and K contending grant-free users share one resource
 block; the strongest grant-free user is admitted under a cognitive-radio
 interference threshold and splits its signal across two SIC stages. The
 package provides the per-block protocol, a Gauss-Legendre outage evaluator
-beside the paper's series and high-SNR expressions, a deterministic parallel
-Monte Carlo estimator, a non-splitting baseline, and capacity-region zone
-classification, all driven by a CSV-emitting experiment CLI.
+for every K beside the paper's series and high-SNR expressions, a
+deterministic parallel Monte Carlo estimator, a non-splitting baseline, and
+capacity-region zone classification, all driven by a CSV-emitting experiment
+CLI.
 """
 
 from .analytic import (
@@ -21,7 +22,6 @@ from .analytic import (
     outage_highsnr,
     outage_probability,
     outage_probability_highsnr,
-    outage_single_user,
 )
 from .baselines import cr_noma_outage_sample, cr_noma_rate
 from .model import (
@@ -88,7 +88,6 @@ __all__ = [
     "outage_highsnr",
     "outage_probability",
     "outage_probability_highsnr",
-    "outage_single_user",
     "region_corners",
     "sample_channel_realization",
     "sinr_triplet",

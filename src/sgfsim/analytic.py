@@ -4,14 +4,16 @@ The admitted user is the maximum of K unit-mean exponential gains, so every
 case probability reduces to expectations of order-statistic CDFs over the
 GBU gain. The evaluation routes are:
 
-* ``outage_quadrature`` - the production evaluator (K >= 2): fixed 48- and
-  64-node Gauss-Legendre rules over the positive order-statistic integrands,
-  split at the kink x* = eta0 * (1 + eps_s); it answers to ~1e-13 relative
-  and raises ``NumericalRangeError`` where the two rules disagree,
+* ``outage_quadrature`` - the production evaluator (any K >= 1): fixed 48-
+  and 64-node Gauss-Legendre rules over the positive order-statistic
+  integrands, split at the kink x* = eta0 * (1 + eps_s); it answers to
+  ~1e-13 relative and raises ``NumericalRangeError`` where the two rules
+  disagree,
 * ``outage_exact`` - the paper's alternating binomial series over the
-  exponential integral kernel ``nu_kernel``, kept as the reference formula,
-* ``outage_highsnr`` / ``outage_diversity_asymptote`` - high-SNR power laws,
-* ``outage_single_user`` - the K = 1 closed form and its approximation.
+  exponential integral kernel ``nu_kernel`` (K >= 2), kept as the reference
+  formula,
+* ``outage_highsnr`` / ``outage_diversity_asymptote`` - high-SNR power laws;
+  at K = 1 the diversity law eps_s / P_s is the approximation.
 
 The paper's alternating series cancel heavily for large K or small GFU
 power; terms are accumulated with compensated summation and a
@@ -42,7 +44,6 @@ __all__ = [
     "outage_quadrature",
     "outage_highsnr",
     "outage_diversity_asymptote",
-    "outage_single_user",
     "outage_probability",
     "outage_probability_highsnr",
 ]
@@ -236,7 +237,7 @@ def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreak
 def _require_multi_user(config: SystemConfig, op: str) -> int:
     if config.num_gfus < 2:
         raise ValueError(
-            f"{op} requires num_gfus >= 2; use outage_single_user for num_gfus == 1"
+            f"{op} requires num_gfus >= 2; use outage_probability for num_gfus == 1"
         )
     return config.num_gfus
 
@@ -346,7 +347,7 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
 
 
 def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
-    """Outage probability of the admitted GFU by Gauss-Legendre quadrature (K >= 2).
+    """Outage probability of the admitted GFU by Gauss-Legendre quadrature (K >= 1).
 
     The production evaluator behind ``outage_probability``: the three case
     integrals over the GBU gain x ~ Exp(1). With F(y) = -expm1(-y) and u in
@@ -362,7 +363,7 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     by more than 1e-10 relative (the integrands vary too fast for a fixed
     rule) or where the total is below the smallest normal double.
     """
-    big_k = _require_multi_user(config, "outage_quadrature")
+    big_k = config.num_gfus
     u, w = _GAUSS_NODES, _GAUSS_WEIGHTS
     e0, es = config.eps0, config.eps_s
     eta0, eta_s = config.eta0, config.eta_s
@@ -446,39 +447,16 @@ def outage_diversity_asymptote(config: SystemConfig) -> float:
     return (config.eps_s / config.power_gfu) ** config.num_gfus
 
 
-def outage_single_user(config: SystemConfig) -> tuple[float, float]:
-    """Exact and high-SNR outage probability for the single-GFU pairing (K = 1)."""
-    if config.num_gfus != 1:
-        raise ValueError(
-            f"outage_single_user requires num_gfus == 1, got {config.num_gfus}; "
-            "use outage_exact for num_gfus >= 2"
-        )
-    p0, ps = config.power_gbu, config.power_gfu
-    e0, es = config.eps0, config.eps_s
-    eta0, eta_s = config.eta0, config.eta_s
-    try:
-        exact = (
-            1.0
-            - exp(-(e0 + es + e0 * es) / ps) * nu_kernel(0, -p0 / ps, config)
-            - exp(-eta_s - eta0 * (1.0 + es))
-            - exp(-eta_s) * (-expm1(-eta0 - e0 * eta_s)) / (1.0 + p0 * eta_s)
-        )
-    except OverflowError as err:
-        raise NumericalRangeError(
-            "single-user closed form overflowed double precision"
-        ) from err
-    return _clip_probability(exact, "single-user outage"), es / ps
-
-
 def outage_probability(config: SystemConfig) -> float:
-    """Exact outage probability for any K >= 1 (dispatching facade)."""
-    if config.num_gfus == 1:
-        return outage_single_user(config)[0]
+    """Exact outage probability for any K >= 1."""
     return outage_quadrature(config).total
 
 
 def outage_probability_highsnr(config: SystemConfig) -> float:
-    """High-SNR outage approximation for any K >= 1 (dispatching facade)."""
+    """High-SNR outage approximation for any K >= 1.
+
+    At K = 1 the leading term eps_s / P_s is the whole approximation.
+    """
     if config.num_gfus == 1:
-        return outage_single_user(config)[1]
+        return outage_diversity_asymptote(config)
     return outage_highsnr(config)

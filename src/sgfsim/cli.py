@@ -282,19 +282,19 @@ def _load_config_file(path: str, trials: int, seed: int) -> list[ExperimentSpec]
                     metadata=(("config_file", path, "choice"),),
                 )
             ]
-        system = parser["system"]
+        # required keys are read through the parser so a missing one raises
         base = SystemConfig.from_db(
-            num_gfus=system.getint("num_gfus"),
-            gbu_power_db=system.getfloat("gbu_power_db"),
-            gfu_power_db=system.getfloat("gfu_power_db"),
-            target_rate_gbu=system.getfloat("target_rate_gbu"),
-            target_rate_gfu=system.getfloat("target_rate_gfu"),
+            num_gfus=parser.getint("system", "num_gfus"),
+            gbu_power_db=parser.getfloat("system", "gbu_power_db"),
+            gfu_power_db=parser.getfloat("system", "gfu_power_db"),
+            target_rate_gbu=parser.getfloat("system", "target_rate_gbu"),
+            target_rate_gfu=parser.getfloat("system", "target_rate_gfu"),
         )
         sweep_section = parser["sweep"]
-        axis = sweep_section.get("axis")
+        axis = parser.get("sweep", "axis")
         if axis not in SWEEP_AXES:
             raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-        grid = tuple(float(v) for v in sweep_section.get("grid").split())
+        grid = tuple(float(v) for v in parser.get("sweep", "grid").split())
         schemes = tuple(
             Scheme(v) for v in sweep_section.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
         )
@@ -435,12 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a preset or config-file experiment")
     run.add_argument("preset", nargs="?", choices=PRESET_NAMES, help="built-in experiment")
-    run.add_argument(
-        "--preset",
-        dest="preset_flag",
-        choices=PRESET_NAMES,
-        help="flag spelling of the positional preset",
-    )
     run.add_argument("--config", help="INI experiment description (alternative to a preset)")
     run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -484,14 +478,11 @@ def _override_zone(spec: ExperimentSpec, overrides: dict) -> ExperimentSpec:
 
 
 def _cmd_run(args) -> int:
-    if args.preset and args.preset_flag and args.preset != args.preset_flag:
-        raise UsageError("positional preset and --preset disagree")
-    preset = args.preset or args.preset_flag
-    if bool(preset) == bool(args.config):
+    if bool(args.preset) == bool(args.config):
         raise UsageError("exactly one of a preset name or --config is required")
-    if preset:
-        specs = _PRESETS[preset](args.trials, args.seed)
-        default_out = f"{preset}.csv"
+    if args.preset:
+        specs = _PRESETS[args.preset](args.trials, args.seed)
+        default_out = f"{args.preset}.csv"
     else:
         specs = _load_config_file(args.config, args.trials, args.seed)
         default_out = "results.csv"

@@ -87,22 +87,16 @@ def _classify(c: RegionCorners, target_gbu: float, target_gfu: float) -> ZoneLab
     return ZoneLabel.OUTAGE
 
 
-def classify_grid(
-    p_gbu: float, p_gfu: float, grid_n: int, max_rate: float | None = None
-) -> list[tuple[float, float, ZoneLabel]]:
+def classify_grid(p_gbu: float, p_gfu: float, grid_n: int) -> list[tuple[float, float, ZoneLabel]]:
     """Classify a uniform grid_n x grid_n grid of target pairs.
 
-    Grid points are i * max_rate / grid_n for i = 1..grid_n on both axes;
-    ``max_rate`` defaults to the sum rate, which covers every region corner.
+    Grid points are i * sum_rate / grid_n for i = 1..grid_n on both axes, so
+    the grid covers every region corner.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     corners = region_corners(p_gbu, p_gfu)
-    if max_rate is None:
-        max_rate = corners.sum_rate
-    if max_rate <= 0.0:
-        raise ValueError("max_rate must be > 0")
-    step = max_rate / grid_n
+    step = corners.sum_rate / grid_n
     points = [step * (i + 1) for i in range(grid_n)]
     return [
         (t_gbu, t_gfu, _classify(corners, t_gbu, t_gfu))

@@ -23,7 +23,6 @@ from sgfsim.analytic import (
     outage_probability,
     outage_probability_highsnr,
     outage_quadrature,
-    outage_single_user,
 )
 from sgfsim.model import SystemConfig, db_to_linear
 
@@ -146,10 +145,8 @@ class TestNuKernel:
 
 class TestOutageExact:
     def test_dispatch_guards(self):
-        with pytest.raises(ValueError, match="outage_single_user"):
+        with pytest.raises(ValueError, match="outage_probability"):
             outage_exact(config(num_gfus=1))
-        with pytest.raises(ValueError, match="outage_exact"):
-            outage_single_user(config(num_gfus=2))
 
     def test_asymptotic_regime(self):
         breakdown = outage_exact(config(num_gfus=2, power_gbu=1000.0, power_gfu=1000.0))
@@ -221,12 +218,13 @@ class TestQuadratureOracle:
 
 class TestOutageQuadrature:
     def test_relative_precision_over_readme_range(self):
-        # K 2..20, powers 0-50 dB, rates 0.5-4: a 10,944-point grid over this
-        # range measured <= 3.2e-14 relative against a tight adaptive quadrature
+        # K 1..20, powers 0-50 dB, rates 0.5-4: a 10,944-point grid over this
+        # range (K >= 2) measured <= 3.2e-14 relative against a tight adaptive
+        # quadrature, and 2,000 K = 1 configs <= 5.4e-15
         rng = np.random.default_rng(404)
         for _ in range(200):
             cfg = SystemConfig.from_db(
-                int(rng.integers(2, 21)),
+                int(rng.integers(1, 21)),
                 float(rng.uniform(0.0, 50.0)),
                 float(rng.uniform(0.0, 50.0)),
                 float(rng.uniform(0.5, 4.0)),
@@ -266,9 +264,24 @@ class TestOutageQuadrature:
         assert len(breakdown.p_case2_terms) == 5
         assert breakdown.total == math.fsum(parts)
 
-    def test_requires_two_users(self):
-        with pytest.raises(ValueError, match="outage_single_user"):
-            outage_quadrature(config(num_gfus=1))
+    def test_accepts_single_user(self):
+        cfg = config(num_gfus=1, power_gbu=100.0, power_gfu=6.7, rate_gbu=2.5, rate_gfu=1.5)
+        breakdown = outage_quadrature(cfg)
+        assert len(breakdown.p_case2_terms) == 1
+        assert_terms_match_reference(breakdown, cfg)
+
+    @pytest.mark.parametrize(
+        "db,want",
+        [
+            # 30-digit mpmath; evaluating 1 - (three terms near 1) in doubles
+            # loses 2.3e-12 and 1.3e-9 relative here
+            pytest.param(50.0, 4.142132070311762e-6, id="50dB"),
+            pytest.param(70.0, 4.142135588197042e-8, id="70dB"),
+        ],
+    )
+    def test_single_user_relative_precision_at_high_snr(self, db, want):
+        cfg = SystemConfig.from_db(1, db, db, 0.5, 0.5)
+        assert outage_probability(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sgfsim.__file__)))
@@ -386,26 +399,27 @@ class TestSingleUser:
     def test_exact_value(self):
         # cross-checked against direct quadrature of the three case integrals
         # and a 1e7-trial simulation
-        exact, approx = outage_single_user(config(num_gfus=1))
+        cfg = config(num_gfus=1)
+        exact, approx = outage_probability(cfg), outage_probability_highsnr(cfg)
         assert exact == pytest.approx(0.10309035857298945, abs=1e-12)
         assert approx == pytest.approx(0.1)
 
     def test_approximation_tracks_exact(self):
         cfg = config(num_gfus=1, power_gbu=1e4, power_gfu=1e4)
-        exact, approx = outage_single_user(cfg)
+        exact, approx = outage_probability(cfg), outage_probability_highsnr(cfg)
         assert approx == pytest.approx(1e-4)
         assert 0.8 <= exact / approx <= 1.2
 
     def test_vanishes_at_high_power(self):
-        exact, _ = outage_single_user(config(num_gfus=1, power_gbu=1e12, power_gfu=1e12))
+        exact = outage_probability(config(num_gfus=1, power_gbu=1e12, power_gfu=1e12))
         assert exact < 1e-9
 
     def test_facades_dispatch_on_user_count(self):
         single = config(num_gfus=1)
         multi = config(num_gfus=3)
-        assert outage_probability(single) == outage_single_user(single)[0]
+        assert outage_probability(single) == outage_quadrature(single).total
         assert outage_probability(multi) == outage_quadrature(multi).total
-        assert outage_probability_highsnr(single) == outage_single_user(single)[1]
+        assert outage_probability_highsnr(single) == outage_diversity_asymptote(single)
         assert outage_probability_highsnr(multi) == outage_highsnr(multi)
 
 

@@ -184,6 +184,26 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "num_gfus",
+            "gbu_power_db",
+            "gfu_power_db",
+            "target_rate_gbu",
+            "target_rate_gfu",
+            "axis",
+            "grid",
+        ],
+    )
+    def test_missing_required_key_in_config(self, tmp_path, capsys, key):
+        lines = SWEEP_CONFIG.splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(f"{key} =")]
+        assert len(kept) == len(lines) - 1
+        cfg = write_config(tmp_path, "".join(kept))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "invalid config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [("--grid", "7"), ("--p0g0-db", "3"), ("--psgk-db", "3")])
     def test_zone_flags_rejected_on_sweeps(self, tmp_path, capsys, flag, value):
         out = str(tmp_path / "x.csv")

@@ -297,7 +297,7 @@ class TestSweep:
             assert row.estimate == estimate_outage(row.config, row.scheme, trials, seed, workers=1)
 
     def test_single_user_rows_use_single_user_analytics(self):
-        from sgfsim.analytic import outage_single_user
+        from sgfsim.analytic import outage_diversity_asymptote, outage_quadrature
 
         rows = sweep(
             config(num_gfus=1),
@@ -307,9 +307,8 @@ class TestSweep:
             seed=11,
             schemes=(Scheme.CR_RSMA_SGF,),
         )
-        exact, approx = outage_single_user(rows[0].config)
-        assert rows[0].analytic_exact == exact
-        assert rows[0].analytic_highsnr == approx
+        assert rows[0].analytic_exact == outage_quadrature(rows[0].config).total
+        assert rows[0].analytic_highsnr == outage_diversity_asymptote(rows[0].config)
 
     def test_rejects_empty_grid_and_bad_axis(self):
         with pytest.raises(ValueError):
