@@ -233,7 +233,7 @@ def criterion_gbu_oma_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 6)))
     gains = sample_gain_matrix(trials, config.num_gfus + 1, rng)
     gain_gbu = gains[:, -1]
-    case_idx, _, gbu_out = evaluate_rsma_trials(config, gain_gbu, np.sort(gains[:, :-1], axis=1))
+    case_idx, _, gbu_out = evaluate_rsma_trials(config, gain_gbu, gains[:, :-1])
     # the GBU is protected in Cases I and II, so the kernel may put a row there
     # only when the GBU alone would succeed
     oma_out = gain_gbu < config.eta0
@@ -260,6 +260,7 @@ def criterion_rsma_dominance(seed: int = DEFAULT_SEED) -> CriterionResult:
     strict_violations = 0
     while collected < needed:
         gains = sample_gain_matrix(1 << 18, config.num_gfus + 1, rng)
+        # sorted, because ChannelRealization takes ascending gains
         gain_gbu, gains_gfu = gains[:, -1], np.sort(gains[:, :-1], axis=1)
         case_idx, _, _ = evaluate_rsma_trials(config, gain_gbu, gains_gfu)
         # the production kernel picks the Case II rows; the public rate functions compare them

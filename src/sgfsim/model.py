@@ -2,9 +2,11 @@
 
 One grant-based user (GBU) and K grant-free users (GFUs) share a resource
 block. Channels are quasi-static Rayleigh: every power gain is a unit-mean
-exponential variate, and the GFU gains are kept in ascending order so the
-admitted user is always the last index. Noise variance is normalised to 1,
-so ``power_gbu`` / ``power_gfu`` are transmit SNRs.
+exponential variate. A ``ChannelRealization`` (the scalar path) keeps the GFU
+gains in ascending order, so the admitted user is the last index; the Monte
+Carlo blocks leave ``sample_gain_matrix`` rows unsorted and take the row
+maximum. Noise variance is normalised to 1, so ``power_gbu`` / ``power_gfu``
+are transmit SNRs.
 """
 
 from __future__ import annotations
@@ -131,11 +133,14 @@ def sample_gain_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.nda
     """Draw a (rows, cols) matrix of unit-mean exponential power gains.
 
     Inverse-CDF transform -ln(u) with u = 1 - random() in (0, 1], which
-    guards against ln(0). This is the single sampling path shared by the
-    scalar API and the Monte Carlo blocks.
+    guards against ln(0); it runs in place on the uniforms, bit for bit the
+    same as ``-np.log1p(-rng.random((rows, cols)))``. This is the single
+    sampling path shared by the scalar API and the Monte Carlo blocks.
     """
     u = rng.random((rows, cols))
-    return -np.log1p(-u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> ChannelRealization:

@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,42 +85,93 @@ class OutageEstimate:
         return self.gfu_outage_count >= MIN_RESOLVED_OUTAGES
 
 
+class _Masks(NamedTuple):
+    """Per-trial masks of one config: the case partition (I, II, III), the GFU
+    outages shared by both schemes in Cases I and III, each scheme's Case II
+    GFU outages, and the GBU outage flag."""
+
+    case1: np.ndarray
+    case2: np.ndarray
+    case3: np.ndarray
+    out_case1: np.ndarray
+    out_case3: np.ndarray
+    rsma_case2: np.ndarray
+    noma_case2: np.ndarray
+    gbu: np.ndarray
+
+
+def _row_max(gains_gfu: np.ndarray) -> np.ndarray:
+    """Best gain of each row, by a running maximum over the columns."""
+    best = gains_gfu[:, 0].copy()
+    for j in range(1, gains_gfu.shape[1]):
+        np.maximum(best, gains_gfu[:, j], out=best)
+    return best
+
+
+def _outage_masks(
+    config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray, best_gain: np.ndarray
+) -> _Masks:
+    """The case partition and the outage rules of both schemes.
+
+    ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in
+    any order. The outage tests are exact algebraic rearrangements of the
+    per-case rate-versus-target comparisons, not approximations. The schemes
+    share the admission window and the case partition and differ only in
+    Case II.
+    """
+    ps, e0, es = config.power_gfu, config.eps0, config.eps_s
+    # in-place steps reuse the float temporaries; each value is the same expression
+    p0g0 = config.power_gbu * gain_gbu
+    tau_hat = p0g0 / e0
+    tau_hat -= 1.0
+    best = ps * best_gain
+    case3 = tau_hat <= 0.0
+    below = best <= tau_hat
+    case1 = below & ~case3
+    case2 = ~(below | case3)
+
+    # Case I decodes the admitted GFU interference-free, Case III decodes it first
+    interference = np.add(1.0, p0g0, out=p0g0)
+    scratch = es * interference
+    out_decode_first = best < scratch
+    out_split = np.add(interference, best, out=scratch) < (1.0 + e0) * (1.0 + es)
+    # Without splitting, Case II may instead decode last a GFU under the threshold;
+    # that works iff some GFU has received power in [eps_s, tau_hat). The strongest
+    # GFU is above the threshold, so it never passes and row order is irrelevant.
+    noma_case2 = case2 & out_decode_first
+    candidates = np.flatnonzero(noma_case2)
+    if gains_gfu.shape[1] > 1 and candidates.size:
+        tau_candidates = tau_hat[candidates]
+        decodable_last = np.zeros(candidates.size, dtype=bool)
+        for j in range(gains_gfu.shape[1]):
+            received = ps * gains_gfu[:, j].take(candidates)
+            decodable_last |= (received >= es) & (received < tau_candidates)
+        noma_case2[candidates[decodable_last]] = False
+    return _Masks(
+        case1=case1,
+        case2=case2,
+        case3=case3,
+        out_case1=case1 & (best < es),
+        out_case3=case3 & out_decode_first,
+        rsma_case2=case2 & out_split,
+        noma_case2=noma_case2,
+        gbu=gain_gbu < config.eta0,
+    )
+
+
 def _evaluate_trials(
     config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised protocol of both schemes over many fading blocks.
 
-    ``gains_gfu`` rows must be ascending. Returns (case index in {0,1,2} for
-    Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU outage
-    flag, GBU outage flag). The outage tests are exact algebraic
-    rearrangements of the per-case rate-versus-target comparisons, not
-    approximations. The schemes share the admission window and the case
-    partition and differ only in Case II.
+    ``gains_gfu`` rows may be in any order. Returns (case index in {0,1,2}
+    for Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU
+    outage flag, GBU outage flag).
     """
-    ps, e0, es = config.power_gfu, config.eps0, config.eps_s
-    p0g0 = config.power_gbu * gain_gbu
-    tau_hat = p0g0 / e0 - 1.0
-    best = ps * gains_gfu[:, -1]
-    case3 = tau_hat <= 0.0
-    case1 = ~case3 & (best <= tau_hat)
-    case2 = ~(case1 | case3)
-    case_idx = case2.view(np.int8) + 2 * case3.view(np.int8)
-
-    # Case I decodes the admitted GFU interference-free, Case III decodes it first
-    interference = 1.0 + p0g0
-    out_decode_first = best < es * interference
-    out_shared = (case1 & (best < es)) | (case3 & out_decode_first)
-    out_split = interference + best < (1.0 + e0) * (1.0 + es)
-    rsma_out = out_shared | (case2 & out_split)
-    # Without splitting, Case II may instead decode last the strongest GFU under
-    # the threshold; that works iff some GFU below the strongest (which is above
-    # the threshold) has received power in [eps_s, tau_hat).
-    decodable_last = np.zeros_like(case2)
-    for j in range(gains_gfu.shape[1] - 1):
-        received = ps * gains_gfu[:, j]
-        decodable_last |= (received >= es) & (received < tau_hat)
-    noma_out = out_shared | (case2 & out_decode_first & ~decodable_last)
-    return case_idx, rsma_out, noma_out, gain_gbu < config.eta0
+    m = _outage_masks(config, gain_gbu, gains_gfu, _row_max(gains_gfu))
+    case_idx = m.case2.view(np.int8) + 2 * m.case3.view(np.int8)
+    out_shared = m.out_case1 | m.out_case3
+    return case_idx, out_shared | m.rsma_case2, out_shared | m.noma_case2, m.gbu
 
 
 def evaluate_rsma_trials(
@@ -127,8 +179,8 @@ def evaluate_rsma_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised rate-splitting protocol over many fading blocks.
 
-    ``gains_gfu`` rows must be ascending. Returns (case index in {0,1,2} for
-    Cases I/II/III, GFU outage flag, GBU outage flag).
+    ``gains_gfu`` rows may be in any order. Returns (case index in {0,1,2}
+    for Cases I/II/III, GFU outage flag, GBU outage flag).
     """
     case_idx, rsma_out, _, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
     return case_idx, rsma_out, gbu_out
@@ -141,7 +193,8 @@ def evaluate_noma_trials(
 
     Same admission window and case partition as the rate-splitting scheme;
     only the achievable rate in the middle case differs (best of one user
-    decoded last or the strongest decoded first).
+    decoded last or the strongest decoded first). ``gains_gfu`` rows may be
+    in any order. Returns (case index, GFU outage flag, GBU outage flag).
     """
     case_idx, _, noma_out, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
     return case_idx, noma_out, gbu_out
@@ -158,17 +211,23 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 def _run_block(configs: list[SystemConfig], seed: int, block: int, rows: int) -> tuple:
     """Draw block ``block`` once and tally every config (one ``num_gfus``) on it."""
-    gains = sample_gain_matrix(rows, configs[0].num_gfus + 1, _block_generator(seed, block))
-    gain_gbu = np.ascontiguousarray(gains[:, -1])
-    # column-major, so the kernel reads each user's gains contiguously
-    gains_gfu = np.asfortranarray(np.sort(gains[:, :-1], axis=1))
+    rng = _block_generator(seed, block)
+    # column-major, so each user's gains and the GBU's are contiguous
+    gains = np.asfortranarray(sample_gain_matrix(rows, configs[0].num_gfus + 1, rng))
+    gain_gbu, gains_gfu = gains[:, -1], gains[:, :-1]
+    best_gain = _row_max(gains_gfu)
     cases = np.empty((len(configs), 3, 3), dtype=np.int64)
     gbu = np.empty(len(configs), dtype=np.int64)
     for i, config in enumerate(configs):
-        case_idx, rsma_out, noma_out, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
-        masks = [case_idx == case for case in range(3)]
-        cases[i] = [[np.count_nonzero(m & f) for m in masks] for f in (True, rsma_out, noma_out)]
-        gbu[i] = np.count_nonzero(gbu_out)
+        m = _outage_masks(config, gain_gbu, gains_gfu, best_gain)
+        n2, n3 = np.count_nonzero(m.case2), np.count_nonzero(m.case3)
+        o1, o3 = np.count_nonzero(m.out_case1), np.count_nonzero(m.out_case3)
+        cases[i] = [
+            [rows - n2 - n3, n2, n3],
+            [o1, np.count_nonzero(m.rsma_case2), o3],
+            [o1, np.count_nonzero(m.noma_case2), o3],
+        ]
+        gbu[i] = np.count_nonzero(m.gbu)
     return cases, gbu
 
 
@@ -253,7 +312,8 @@ SWEEP_AXES = ("gbu_power_db", "gfu_power_db", "target_rate", "num_gfus")
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a sweep: estimate plus matching analytic values."""
+    """One grid point of a sweep: estimate plus the rate-splitting scheme's
+    analytic values, which are ``None`` on baseline rows."""
 
     axis: str
     axis_value: float
@@ -323,7 +383,8 @@ def sweep(
     (linear ratio) so locked-ratio sweeps stay on a single axis. Rows share
     the seed, so schemes are compared on identical channel draws. Grid
     values that produce an invalid configuration yield an error row and the
-    sweep continues.
+    sweep continues. The analytic values are the rate-splitting scheme's;
+    baseline rows leave them (and their error note) empty.
     """
     grid = list(grid)
     if not grid:
@@ -350,13 +411,15 @@ def sweep(
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         config = configs.get(i)
-        if config is None:
-            exact = highsnr = asymptote = None
-            note, estimates = errors[i], [(None, None)]
-        else:
-            exact, highsnr, asymptote, note = _analytic_columns(config)
+        estimates = [(None, None)]
+        if config is not None:
             estimates = [(s, _estimate(s, trials, seed, *tallies[i])) for s in schemes]
         for scheme, estimate in estimates:
+            exact = highsnr = asymptote = None
+            note = errors.get(i)
+            # the analytic columns are the rate-splitting outage; the baseline's is not derived
+            if scheme is Scheme.CR_RSMA_SGF:
+                exact, highsnr, asymptote, note = _analytic_columns(config)
             rows.append(
                 SweepRow(
                     axis=axis,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -33,6 +34,19 @@ grid = 10
 [run]
 seed = 1
 """
+
+
+MONTE_CARLO_COLUMNS = (
+    "mc_gfu_outage",
+    "mc_std_err",
+    "mc_gbu_outage",
+    "case1_frac",
+    "case2_frac",
+    "case3_frac",
+    "unresolved",
+)
+# Monte Carlo cells of `sgfsim run fig7 --trials 140000 --seed 3`, both files
+FIG7_MONTE_CARLO_SHA256 = "677794aa9f060cba24d3feb07a6f072c2324a246856a45f88e4deb057b43afab"
 
 
 def read_csv(path):
@@ -157,6 +171,20 @@ class TestRunWithPresets:
         _, header, rows = read_csv(str(tmp_path / "fig7_a.csv"))
         assert header == SWEEP_COLUMNS
         assert len(rows) == 16  # K = 1..8, two schemes
+
+    def test_monte_carlo_columns_are_pinned(self, tmp_path):
+        # K = 1..8, both schemes, three blocks: any change to the draws, the case
+        # partition or an outage rule moves this hash and must be made on purpose
+        out = str(tmp_path / "fig7.csv")
+        argv = ["run", "fig7", "--trials", "140000", "--seed", "3", "--out", out, "--no-timestamp"]
+        assert main(argv) == 0
+        digest = hashlib.sha256()
+        for name in ("fig7_a.csv", "fig7_b.csv"):
+            _, header, rows = read_csv(str(tmp_path / name))
+            cols = [header.index(c) for c in MONTE_CARLO_COLUMNS]
+            for row in rows:
+                digest.update((",".join(row[i] for i in cols) + "\n").encode())
+        assert digest.hexdigest() == FIG7_MONTE_CARLO_SHA256
 
     def test_choice_parameters_are_marked(self, tmp_path):
         out = str(tmp_path / "fig7.csv")

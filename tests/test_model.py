@@ -86,6 +86,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_channel_realization(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [(65536, 6), (1, 6)])
+    def test_in_place_transform_is_bit_identical(self, shape):
+        def philox():
+            return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
+
+        gains = sample_gain_matrix(*shape, philox())
+        expected = -np.log1p(-philox().random(shape))
+        assert gains.shape == shape
+        assert gains.tobytes() == expected.tobytes()
+
     def test_unit_mean(self):
         rng = np.random.default_rng(11)
         gains = sample_gain_matrix(10**6, 1, rng)

@@ -26,6 +26,17 @@ def config(num_gfus=3, power_gbu=10.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.
     return SystemConfig(num_gfus, power_gbu, power_gfu, rate_gbu, rate_gfu)
 
 
+# (P0 dB, Ps dB, GBU rate, GFU rate); together they reach every case and both
+# Case II outcomes of each scheme at K in {1, 2, 5, 20}
+KERNEL_CONFIGS = [
+    (15.0, 0.0, 3.0, 3.0),
+    (15.0, 20.0, 3.0, 3.0),
+    (30.0, 18.2, 2.5, 1.5),
+    (10.0, 15.0, 1.0, 1.0),
+    (20.0, 45.0, 0.5, 4.0),
+]
+
+
 def sorted_block(rng, rows, num_gfus):
     gains = sample_gain_matrix(rows, num_gfus + 1, rng)
     return gains[:, -1], np.sort(gains[:, :-1], axis=1)
@@ -176,13 +187,7 @@ class TestVectorisedKernels:
     def test_fused_kernel_matches_single_scheme_kernels(self, num_gfus):
         rng = np.random.default_rng(1000 + num_gfus)
         g0, gfu = sorted_block(rng, 20_000, num_gfus)
-        for p0_db, ps_db, rate_gbu, rate_gfu in [
-            (15.0, 0.0, 3.0, 3.0),
-            (15.0, 20.0, 3.0, 3.0),
-            (30.0, 18.2, 2.5, 1.5),
-            (10.0, 15.0, 1.0, 1.0),
-            (20.0, 45.0, 0.5, 4.0),
-        ]:
+        for p0_db, ps_db, rate_gbu, rate_gfu in KERNEL_CONFIGS:
             cfg = SystemConfig.from_db(num_gfus, p0_db, ps_db, rate_gbu, rate_gfu)
             expected = reference_kernels(cfg, g0, gfu)
             # the sweep engine passes the GFU gains column-major
@@ -194,6 +199,21 @@ class TestVectorisedKernels:
                 for got, want in zip(rsma, (fused[0], fused[1], fused[3])):
                     np.testing.assert_array_equal(got, want)
                 for got, want in zip(noma, (fused[0], fused[2], fused[3])):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("num_gfus", [1, 2, 5, 20])
+    def test_kernel_takes_rows_in_any_order(self, num_gfus):
+        rng = np.random.default_rng(2000 + num_gfus)
+        g0, gfu = sorted_block(rng, 20_000, num_gfus)
+        if num_gfus > 1:
+            # a tied strongest user in every tenth row
+            gfu[::10, -2] = gfu[::10, -1]
+        shuffled = rng.permuted(gfu, axis=1)
+        for p0_db, ps_db, rate_gbu, rate_gfu in KERNEL_CONFIGS:
+            cfg = SystemConfig.from_db(num_gfus, p0_db, ps_db, rate_gbu, rate_gfu)
+            expected = reference_kernels(cfg, g0, gfu)
+            for layout in (shuffled, np.asfortranarray(shuffled)):
+                for got, want in zip(_evaluate_trials(cfg, g0, layout), expected):
                     np.testing.assert_array_equal(got, want)
 
 
@@ -211,10 +231,17 @@ class TestSweep:
         assert {r.scheme for r in rows} == {Scheme.CR_RSMA_SGF, Scheme.CR_NOMA_SGF}
         for row in rows:
             assert row.estimate is not None
-            assert row.analytic_exact is not None
-            assert row.analytic_asymptote == pytest.approx(
-                (row.config.eps_s / row.config.power_gfu) ** row.config.num_gfus
-            )
+            if row.scheme is Scheme.CR_RSMA_SGF:
+                assert row.analytic_exact is not None
+                assert row.analytic_asymptote == pytest.approx(
+                    (row.config.eps_s / row.config.power_gfu) ** row.config.num_gfus
+                )
+            else:
+                # the analytic columns are the rate-splitting outage, not the baseline's
+                assert row.analytic_exact is None
+                assert row.analytic_highsnr is None
+                assert row.analytic_asymptote is None
+                assert row.error is None
 
     def test_locked_power_ratio(self):
         rows = sweep(
@@ -274,7 +301,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
         "axis, grid",
-        [("gfu_power_db", [0.0, 20.0, 45.0]), ("num_gfus", [1.0, 4.0, 2.0, 4.0])],
+        [("gfu_power_db", [0.0, 20.0, 45.0]), ("num_gfus", [1.0, 4.0, 2.0, 8.0, 4.0])],
     )
     def test_engine_matches_block_by_block_loop(self, axis, grid, workers):
         # 150k trials: two full blocks and a partial one
