@@ -15,11 +15,13 @@ GBU gain. The evaluation routes are:
 * ``outage_highsnr`` / ``outage_diversity_asymptote`` - high-SNR power laws;
   at K = 1 the diversity law eps_s / P_s is the approximation.
 
-The paper's alternating series cancel heavily for large K or small GFU
-power; terms are accumulated with compensated summation and a
-``ConditioningWarning`` is emitted when the compensation grows past 1e-10 of
-the largest term. The high-SNR approximation is a closed form whose double
-sums collapse exactly, so it does not cancel.
+The paper's alternating series cancel heavily for large K, high SNR or small
+GFU power. Each series is summed with ``math.fsum``, which is correctly
+rounded, so what is lost is the terms' own rounding magnified by the
+condition number kappa = sum|t| / |sum t|; a ``ConditioningWarning`` naming
+the series and kappa is emitted when kappa * 2**-53 exceeds 1e-10 relative.
+The high-SNR approximation is a closed form whose double sums collapse
+exactly, so it does not cancel.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ _DEGENERATE_TOL = 1e-10
 # allowed excursion of a closed-form probability outside [0, 1] before it is
 # treated as a formula bug rather than rounding noise
 _EXCURSION_TOL = 1e-9
-# compensation-to-largest-term ratio that triggers a conditioning warning
+# relative-error bound kappa * 2**-53 of a series sum past which it warns
 _CONDITIONING_TOL = 1e-10
 # relative disagreement of the two Gauss-Legendre rules that refuses an answer
 _RULE_AGREEMENT = 1e-10
@@ -67,48 +69,31 @@ class ConditioningWarning(RuntimeWarning):
     """An alternating series lost significant precision to cancellation."""
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulator that tracks the largest |term|."""
+def _series_sum(terms: list[float], where: str) -> float:
+    """Correctly rounded sum of one of the paper's alternating series.
 
-    __slots__ = ("_sum", "_comp", "max_abs_term")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-        self.max_abs_term = 0.0
-
-    def add(self, value: float) -> None:
-        self.max_abs_term = max(self.max_abs_term, abs(value))
-        total = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - total) + value
-        else:
-            self._comp += (value - total) + self._sum
-        self._sum = total
-
-    @property
-    def compensation(self) -> float:
-        return self._comp
-
-    @property
-    def result(self) -> float:
-        return self._sum + self._comp
-
-
-def _finish_sum(acc: _CompensatedSum, where: str) -> float:
-    """Close out a compensated sum, flagging cancellation and range problems."""
-    value = acc.result
-    if not math.isfinite(value):
+    ``math.fsum`` adds the terms without rounding error of its own, so the
+    result is off only by the terms' own rounding magnified by cancellation:
+    a relative error of about kappa * 2**-53 with kappa = sum|t| / |sum t|.
+    ``ConditioningWarning`` is emitted when that bound exceeds 1e-10.
+    """
+    try:
+        total = math.fsum(terms)
+        magnitude = math.fsum(map(abs, terms))
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum overflowed
+        total = math.nan
+    if not math.isfinite(total):
         raise NumericalRangeError(f"nonfinite intermediate while evaluating {where}")
-    if acc.max_abs_term > 0.0 and abs(acc.compensation) > _CONDITIONING_TOL * acc.max_abs_term:
+    if magnitude * 2.0**-53 > _CONDITIONING_TOL * abs(total):
+        kappa = magnitude / abs(total) if total else math.inf
         warnings.warn(
-            f"{where}: compensated-sum residual {abs(acc.compensation):.3e} exceeds "
-            f"{_CONDITIONING_TOL:g} of the largest term {acc.max_abs_term:.3e}; "
-            "the alternating series is poorly conditioned here",
+            f"{where}: condition number {kappa:.3e} bounds the relative error by "
+            f"{kappa * 2.0**-53:.3e}, above {_CONDITIONING_TOL:g}; the alternating "
+            "series cancels too heavily here, use outage_quadrature",
             ConditioningWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return value
+    return total
 
 
 def _clip_probability(value: float, where: str) -> float:
@@ -127,8 +112,7 @@ class AnalyticTerms:
 
     ``mu1``/``mu2`` drive the bucket where every GFU clears the threshold,
     ``mu3``/``mu4`` the buckets where k users fall below it, ``mu5``/``mu6``
-    the bucket where only the strongest clears it. ``tilde_mu5``/``tilde_mu6``
-    are the matching constants of the pre-series conditional probabilities.
+    the bucket where only the strongest clears it.
     """
 
     config: SystemConfig
@@ -136,11 +120,6 @@ class AnalyticTerms:
     def __post_init__(self) -> None:
         if self.config.num_gfus < 2:
             raise ValueError("series coefficients require num_gfus >= 2")
-
-    @property
-    def phi0(self) -> float:
-        k = self.config.num_gfus
-        return factorial(k) / factorial(k - 2)
 
     def phi_k(self, k: int) -> float:
         kk = self.config.num_gfus
@@ -175,15 +154,6 @@ class AnalyticTerms:
     def mu6(self) -> float:
         cfg = self.config
         return -cfg.power_gbu / cfg.power_gfu
-
-    def tilde_mu5(self, k: int) -> float:
-        cfg = self.config
-        e0, es = cfg.eps0, cfg.eps_s
-        return exp(-(cfg.num_gfus - k) * (e0 + es + e0 * es) / cfg.power_gfu)
-
-    def tilde_mu6(self, k: int) -> float:
-        cfg = self.config
-        return -(cfg.num_gfus - k) * cfg.power_gbu / cfg.power_gfu
 
 
 def nu_kernel(n: int, mu: float, config: SystemConfig) -> float:
@@ -245,9 +215,14 @@ def _require_multi_user(config: SystemConfig, op: str) -> int:
 def outage_exact(config: SystemConfig) -> OutageBreakdown:
     """Exact outage probability of the admitted GFU, per case (K >= 2).
 
-    The paper's binomial series: valid for all positive target rates, but it
-    cancels to an absolute floor of ~1e-13 and overflows for large K or small
-    GFU power; ``outage_quadrature`` is the production evaluator.
+    The paper's binomial series, valid for all positive target rates and
+    kept as the reference formula; ``outage_quadrature`` is the production
+    evaluator. Each series is summed correctly rounded by ``math.fsum``, so a
+    result is accurate to about kappa * 2**-53 relative, kappa being the
+    series' condition number sum|t| / |sum t|. Where that bound exceeds 1e-10
+    (large K, high SNR) a ``ConditioningWarning`` names the series and kappa;
+    where no warning is emitted the total holds 1e-9 relative. An overflowing
+    or nonfinite series raises ``NumericalRangeError``.
     """
     _require_multi_user(config, "outage_exact")
     try:
@@ -266,67 +241,51 @@ def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
     eta0, eta_s = config.eta0, config.eta_s
     e0, es = config.eps0, config.eps_s
 
-    p2_terms: list[float] = []
+    def sign(i: int) -> float:
+        return -1.0 if i % 2 else 1.0
 
     # bucket k = 0: every GFU clears the threshold
-    acc = _CompensatedSum()
-    for n in range(big_k + 1):
-        sign = -1.0 if n % 2 else 1.0
-        acc.add(comb(big_k, n) * sign * terms.mu1(n) * nu_kernel(0, terms.mu2(n), config))
-    p2_terms.append(_finish_sum(acc, "case-II k=0 series"))
+    bucket0 = [
+        comb(big_k, n) * sign(n) * terms.mu1(n) * nu_kernel(0, terms.mu2(n), config)
+        for n in range(big_k + 1)
+    ]
+    p2_terms = [_series_sum(bucket0, "case-II k=0 series")]
 
     # buckets 1 <= k <= K-2
     for k in range(1, big_k - 1):
-        acc = _CompensatedSum()
-        for m in range(big_k - k + 1):
-            sign_m = -1.0 if m % 2 else 1.0
-            mu3 = terms.mu3(k, m)
-            mu4 = terms.mu4(k, m)
-            for n in range(k + 1):
-                sign_n = -1.0 if n % 2 else 1.0
-                acc.add(
-                    comb(big_k - k, m)
-                    * sign_m
-                    * comb(k, n)
-                    * sign_n
-                    * exp(n / ps)
-                    * mu3
-                    * nu_kernel(n, mu4, config)
-                )
-        p2_terms.append(terms.phi_k(k) * _finish_sum(acc, f"case-II k={k} series"))
+        bucket = [
+            comb(big_k - k, m) * sign(m) * comb(k, n) * sign(n) * exp(n / ps)
+            * terms.mu3(k, m) * nu_kernel(n, terms.mu4(k, m), config)
+            for m in range(big_k - k + 1)
+            for n in range(k + 1)
+        ]
+        p2_terms.append(terms.phi_k(k) * _series_sum(bucket, f"case-II k={k} series"))
 
     # bucket k = K-1: only the strongest GFU clears the threshold
-    acc = _CompensatedSum()
     scale = exp(-(e0 + es + e0 * es) / ps)
-    for n in range(big_k):
-        sign = -1.0 if n % 2 else 1.0
-        acc.add(
-            comb(big_k - 1, n)
-            * sign
-            * exp(n / ps)
-            * (
-                exp(1.0 / ps) * nu_kernel(n, terms.mu5, config)
-                - scale * nu_kernel(n, terms.mu6, config)
-            )
-        )
-    p2_terms.append(big_k * _finish_sum(acc, "case-II k=K-1 series"))
+    last = [
+        comb(big_k - 1, n) * sign(n) * exp(n / ps)
+        * (exp(1.0 / ps) * nu_kernel(n, terms.mu5, config)
+           - scale * nu_kernel(n, terms.mu6, config))
+        for n in range(big_k)
+    ]
+    p2_terms.append(big_k * _series_sum(last, "case-II k=K-1 series"))
 
     # case I: the strongest GFU fits under a positive threshold
-    acc = _CompensatedSum()
-    for n in range(big_k + 1):
-        sign = -1.0 if n % 2 else 1.0
-        acc.add(comb(big_k, n) * sign * exp(n / ps) * nu_kernel(n, 0.0, config))
-    p1 = _finish_sum(acc, "case-I series") + (-expm1(-eta_s)) ** big_k * exp(
+    case1 = [
+        comb(big_k, n) * sign(n) * exp(n / ps) * nu_kernel(n, 0.0, config)
+        for n in range(big_k + 1)
+    ]
+    p1 = _series_sum(case1, "case-I series") + (-expm1(-eta_s)) ** big_k * exp(
         -eta0 * (1.0 + es)
     )
 
     # case III: the threshold is zero
-    acc = _CompensatedSum()
+    case3 = []
     for n in range(big_k + 1):
-        sign = -1.0 if n % 2 else 1.0
         denom = 1.0 + n * eta_s * config.power_gbu
-        acc.add(comb(big_k, n) * sign * exp(-n * eta_s) * (-expm1(-denom * eta0)) / denom)
-    p3 = _finish_sum(acc, "case-III series")
+        case3.append(comb(big_k, n) * sign(n) * exp(-n * eta_s) * (-expm1(-denom * eta0)) / denom)
+    p3 = _series_sum(case3, "case-III series")
 
     return _build_breakdown(p1, p2_terms, p3)
 

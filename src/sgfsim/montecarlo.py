@@ -392,6 +392,8 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     schemes = tuple(Scheme(s) for s in schemes)
+    if not schemes:
+        raise ValueError("sweep schemes must be nonempty")
     workers = _resolve_workers(workers)
 
     configs: dict[int, SystemConfig] = {}

@@ -232,6 +232,14 @@ class TestUsageErrors:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "invalid config file" in capsys.readouterr().err
 
+    def test_empty_schemes_in_config(self, tmp_path, capsys):
+        bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
+        cfg = write_config(tmp_path, bad)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert "schemes must be nonempty" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flag,value", [("--grid", "7"), ("--p0g0-db", "3"), ("--psgk-db", "3")])
     def test_zone_flags_rejected_on_sweeps(self, tmp_path, capsys, flag, value):
         out = str(tmp_path / "x.csv")

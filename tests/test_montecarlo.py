@@ -343,6 +343,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(config(), axis="bandwidth", grid=[1.0], trials=10, seed=1)
 
+    def test_rejects_empty_schemes(self):
+        with pytest.raises(ValueError, match="schemes must be nonempty"):
+            sweep(config(), axis="gfu_power_db", grid=[10.0], trials=10, seed=1, schemes=())
+
     def test_deep_outage_rows_flagged_unresolved(self):
         rows = sweep(
             config(num_gfus=2, rate_gbu=1.0, rate_gfu=1.0),
