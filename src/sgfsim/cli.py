@@ -259,15 +259,18 @@ class UsageError(Exception):
     pass
 
 
-def _load_config_file(path: str, trials: int, seed: int) -> list[ExperimentSpec]:
+def _load_config_file(path: str, trials: int | None, seed: int | None) -> list[ExperimentSpec]:
+    """Specs of an INI experiment; ``trials`` and ``seed``, when given, beat its
+    ``[run]`` section, which beats the built-in defaults."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     try:
-        if parser.has_section("run"):
-            trials = parser.getint("run", "trials", fallback=trials)
-            seed = parser.getint("run", "seed", fallback=seed)
+        if trials is None:
+            trials = parser.getint("run", "trials", fallback=DEFAULT_TRIALS)
+        if seed is None:
+            seed = parser.getint("run", "seed", fallback=DEFAULT_SEED)
         if parser.has_section("zone"):
             zone = parser["zone"]
             return [
@@ -436,8 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a preset or config-file experiment")
     run.add_argument("preset", nargs="?", choices=PRESET_NAMES, help="built-in experiment")
     run.add_argument("--config", help="INI experiment description (alternative to a preset)")
-    run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument(
+        "--trials", type=int, help=f"default: the config file's [run] trials, else {DEFAULT_TRIALS}"
+    )
+    run.add_argument(
+        "--seed", type=int, help=f"default: the config file's [run] seed, else {DEFAULT_SEED}"
+    )
     run.add_argument("--out", help="output CSV path (multi-part presets add suffixes)")
     run.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     run.add_argument(
@@ -481,7 +488,9 @@ def _cmd_run(args) -> int:
     if bool(args.preset) == bool(args.config):
         raise UsageError("exactly one of a preset name or --config is required")
     if args.preset:
-        specs = _PRESETS[args.preset](args.trials, args.seed)
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        specs = _PRESETS[args.preset](trials, seed)
         default_out = f"{args.preset}.csv"
     else:
         specs = _load_config_file(args.config, args.trials, args.seed)

@@ -129,15 +129,22 @@ class ChannelRealization:
         return self.gains_gfu[-1]
 
 
-def sample_gain_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def sample_gain_matrix(
+    rows: int, cols: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw a (rows, cols) matrix of unit-mean exponential power gains.
 
     Inverse-CDF transform -ln(u) with u = 1 - random() in (0, 1], which
     guards against ln(0); it runs in place on the uniforms, bit for bit the
     same as ``-np.log1p(-rng.random((rows, cols)))``. This is the single
     sampling path shared by the scalar API and the Monte Carlo blocks.
+    ``out``, a C-contiguous float64 (rows, cols) array, receives the draw
+    (the same values as a fresh one) and is returned.
     """
-    u = rng.random((rows, cols))
+    # the generator fills ``out`` in memory order, so any other layout reorders the draw
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    u = rng.random((rows, cols), out=out)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)

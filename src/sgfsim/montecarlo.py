@@ -6,6 +6,11 @@ gains no matter how many workers run or how the work is scheduled. Tallies
 are integers and their aggregation is associative, which makes the estimate
 a pure function of (config, scheme, trials, seed). A sweep draws each block
 once per user count and runs every grid point and both schemes on it.
+
+Each worker takes a contiguous chunk of blocks and allocates one workspace
+for it: the row-major draw, its column-major copy and the per-trial scratch,
+reused by every block and config. The GBU-side terms of a block depend only
+on (P0, eps0, eps_s), so they are computed once for all configs sharing those.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -86,77 +92,126 @@ class OutageEstimate:
 
 
 class _Masks(NamedTuple):
-    """Per-trial masks of one config: the case partition (I, II, III), the GFU
-    outages shared by both schemes in Cases I and III, each scheme's Case II
-    GFU outages, and the GBU outage flag."""
+    """Per-trial masks of one config: Cases I and II (Case III is GBU-side), the
+    GFU outages shared by both schemes in Cases I and III, and each scheme's
+    Case II GFU outages."""
 
     case1: np.ndarray
     case2: np.ndarray
-    case3: np.ndarray
     out_case1: np.ndarray
     out_case3: np.ndarray
     rsma_case2: np.ndarray
     noma_case2: np.ndarray
+
+
+class _GbuTerms(NamedTuple):
+    """The per-trial terms that depend only on the GBU gain and (P0, eps0, eps_s),
+    so every config sharing those three reads them: the admission threshold
+    tau_hat = P0 g0 / eps0 - 1, the Case III mask and its complement, the
+    interference 1 + P0 g0, the least received GFU power decodable first
+    eps_s (1 + P0 g0), the GBU outage flag, and the Case III and GBU outage counts."""
+
+    tau_hat: np.ndarray
+    case3: np.ndarray
+    not_case3: np.ndarray
+    interference: np.ndarray
+    first_floor: np.ndarray
     gbu: np.ndarray
+    n_case3: int
+    n_gbu: int
 
 
-def _row_max(gains_gfu: np.ndarray) -> np.ndarray:
-    """Best gain of each row, by a running maximum over the columns."""
-    best = gains_gfu[:, 0].copy()
+_FLOAT_SCRATCH = ("best_gain", "tau_hat", "interference", "first_floor", "best")
+_BOOL_SCRATCH = (
+    "case3", "not_case3", "gbu", "case1", "case2", "decode_first",
+    "out_case1", "out_case3", "rsma_case2", "noma_case2",
+)
+
+
+def _scratch(rows: int) -> SimpleNamespace:
+    """One buffer of ``rows`` per per-trial term: the row maximum, the GBU-side
+    terms and one config's masks, each overwritten by the next block or config."""
+    return SimpleNamespace(
+        **{name: np.empty(rows) for name in _FLOAT_SCRATCH},
+        **{name: np.empty(rows, dtype=bool) for name in _BOOL_SCRATCH},
+    )
+
+
+def _prefix(scratch: SimpleNamespace, rows: int) -> SimpleNamespace:
+    """The first ``rows`` of every buffer, for a partial block."""
+    return SimpleNamespace(**{name: buf[:rows] for name, buf in vars(scratch).items()})
+
+
+def _row_max(gains_gfu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Best gain of each row into ``out``, by a running maximum over the columns."""
+    np.copyto(out, gains_gfu[:, 0])
     for j in range(1, gains_gfu.shape[1]):
-        np.maximum(best, gains_gfu[:, j], out=best)
-    return best
+        np.maximum(out, gains_gfu[:, j], out=out)
+    return out
+
+
+def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> _GbuTerms:
+    """The GBU side of the case partition and outage rules, written into ``s``."""
+    # in-place steps reuse the float buffers; each value is the same expression
+    p0g0 = np.multiply(config.power_gbu, gain_gbu, out=s.interference)
+    tau_hat = np.divide(p0g0, config.eps0, out=s.tau_hat)
+    tau_hat -= 1.0
+    case3 = np.less_equal(tau_hat, 0.0, out=s.case3)
+    interference = np.add(1.0, p0g0, out=p0g0)
+    gbu = np.less(gain_gbu, config.eta0, out=s.gbu)
+    return _GbuTerms(
+        tau_hat=tau_hat,
+        case3=case3,
+        not_case3=np.logical_not(case3, out=s.not_case3),
+        interference=interference,
+        first_floor=np.multiply(config.eps_s, interference, out=s.first_floor),
+        gbu=gbu,
+        n_case3=np.count_nonzero(case3),
+        n_gbu=np.count_nonzero(gbu),
+    )
 
 
 def _outage_masks(
-    config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray, best_gain: np.ndarray
+    config: SystemConfig, g: _GbuTerms, gains_gfu: np.ndarray, best_gain: np.ndarray, s
 ) -> _Masks:
-    """The case partition and the outage rules of both schemes.
+    """The case partition and the outage rules of both schemes, written into ``s``.
 
-    ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in
-    any order. The outage tests are exact algebraic rearrangements of the
-    per-case rate-versus-target comparisons, not approximations. The schemes
-    share the admission window and the case partition and differ only in
-    Case II.
+    ``g`` holds ``_gbu_terms`` for this config's (P0, eps0, eps_s);
+    ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in any
+    order. The outage tests are exact algebraic rearrangements of the per-case
+    rate-versus-target comparisons, not approximations. The schemes share the
+    admission window and the case partition and differ only in Case II.
     """
-    ps, e0, es = config.power_gfu, config.eps0, config.eps_s
-    # in-place steps reuse the float temporaries; each value is the same expression
-    p0g0 = config.power_gbu * gain_gbu
-    tau_hat = p0g0 / e0
-    tau_hat -= 1.0
-    best = ps * best_gain
-    case3 = tau_hat <= 0.0
-    below = best <= tau_hat
-    case1 = below & ~case3
-    case2 = ~(below | case3)
+    ps, es = config.power_gfu, config.eps_s
+    best = np.multiply(ps, best_gain, out=s.best)
+    case1 = np.less_equal(best, g.tau_hat, out=s.case1)
+    case1 &= g.not_case3
+    # Case II is the rest of ~case3, that is ~((best <= tau_hat) | case3)
+    case2 = np.logical_xor(g.not_case3, case1, out=s.case2)
 
     # Case I decodes the admitted GFU interference-free, Case III decodes it first
-    interference = np.add(1.0, p0g0, out=p0g0)
-    scratch = es * interference
-    out_decode_first = best < scratch
-    out_split = np.add(interference, best, out=scratch) < (1.0 + e0) * (1.0 + es)
+    decode_first = np.less(best, g.first_floor, out=s.decode_first)
+    out_case1 = np.less(best, es, out=s.out_case1)
+    out_case1 &= case1
+    out_case3 = np.logical_and(g.case3, decode_first, out=s.out_case3)
+    # best is not read again, so its buffer takes interference + best
+    split = np.add(g.interference, best, out=best)
+    rsma_case2 = np.less(split, (1.0 + config.eps0) * (1.0 + es), out=s.rsma_case2)
+    rsma_case2 &= case2
     # Without splitting, Case II may instead decode last a GFU under the threshold;
     # that works iff some GFU has received power in [eps_s, tau_hat). The strongest
     # GFU is above the threshold, so it never passes and row order is irrelevant.
-    noma_case2 = case2 & out_decode_first
-    candidates = np.flatnonzero(noma_case2)
-    if gains_gfu.shape[1] > 1 and candidates.size:
-        tau_candidates = tau_hat[candidates]
-        decodable_last = np.zeros(candidates.size, dtype=bool)
-        for j in range(gains_gfu.shape[1]):
-            received = ps * gains_gfu[:, j].take(candidates)
-            decodable_last |= (received >= es) & (received < tau_candidates)
-        noma_case2[candidates[decodable_last]] = False
-    return _Masks(
-        case1=case1,
-        case2=case2,
-        case3=case3,
-        out_case1=case1 & (best < es),
-        out_case3=case3 & out_decode_first,
-        rsma_case2=case2 & out_split,
-        noma_case2=noma_case2,
-        gbu=gain_gbu < config.eta0,
-    )
+    noma_case2 = np.logical_and(case2, decode_first, out=s.noma_case2)
+    if gains_gfu.shape[1] > 1:
+        candidates = np.flatnonzero(noma_case2)
+        if candidates.size:
+            tau_candidates = g.tau_hat[candidates]
+            decodable_last = np.zeros(candidates.size, dtype=bool)
+            for j in range(gains_gfu.shape[1]):
+                received = ps * gains_gfu[:, j].take(candidates)
+                decodable_last |= (received >= es) & (received < tau_candidates)
+            noma_case2[candidates[decodable_last]] = False
+    return _Masks(case1, case2, out_case1, out_case3, rsma_case2, noma_case2)
 
 
 def _evaluate_trials(
@@ -168,10 +223,12 @@ def _evaluate_trials(
     for Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU
     outage flag, GBU outage flag).
     """
-    m = _outage_masks(config, gain_gbu, gains_gfu, _row_max(gains_gfu))
-    case_idx = m.case2.view(np.int8) + 2 * m.case3.view(np.int8)
+    s = _scratch(len(gain_gbu))
+    g = _gbu_terms(config, gain_gbu, s)
+    m = _outage_masks(config, g, gains_gfu, _row_max(gains_gfu, s.best_gain), s)
+    case_idx = m.case2.view(np.int8) + 2 * g.case3.view(np.int8)
     out_shared = m.out_case1 | m.out_case3
-    return case_idx, out_shared | m.rsma_case2, out_shared | m.noma_case2, m.gbu
+    return case_idx, out_shared | m.rsma_case2, out_shared | m.noma_case2, g.gbu
 
 
 def evaluate_rsma_trials(
@@ -209,44 +266,71 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_block(configs: list[SystemConfig], seed: int, block: int, rows: int) -> tuple:
-    """Draw block ``block`` once and tally every config (one ``num_gfus``) on it."""
-    rng = _block_generator(seed, block)
-    # column-major, so each user's gains and the GBU's are contiguous
-    gains = np.asfortranarray(sample_gain_matrix(rows, configs[0].num_gfus + 1, rng))
+def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np.ndarray) -> None:
+    """Add every config's tallies on one drawn block to ``cases`` and ``gbu``.
+
+    ``gains`` is column-major with the GBU last; ``groups`` lists the configs
+    that share (P0, eps0, eps_s), whose GBU-side terms are computed once.
+    """
+    rows = gains.shape[0]
     gain_gbu, gains_gfu = gains[:, -1], gains[:, :-1]
-    best_gain = _row_max(gains_gfu)
-    cases = np.empty((len(configs), 3, 3), dtype=np.int64)
-    gbu = np.empty(len(configs), dtype=np.int64)
-    for i, config in enumerate(configs):
-        m = _outage_masks(config, gain_gbu, gains_gfu, best_gain)
-        n2, n3 = np.count_nonzero(m.case2), np.count_nonzero(m.case3)
-        o1, o3 = np.count_nonzero(m.out_case1), np.count_nonzero(m.out_case3)
-        cases[i] = [
-            [rows - n2 - n3, n2, n3],
-            [o1, np.count_nonzero(m.rsma_case2), o3],
-            [o1, np.count_nonzero(m.noma_case2), o3],
-        ]
-        gbu[i] = np.count_nonzero(m.gbu)
+    best_gain = _row_max(gains_gfu, s.best_gain)
+    for members in groups:
+        g = _gbu_terms(configs[members[0]], gain_gbu, s)
+        n3 = g.n_case3
+        gbu[members] += g.n_gbu
+        for i in members:
+            m = _outage_masks(configs[i], g, gains_gfu, best_gain, s)
+            n2 = np.count_nonzero(m.case2)
+            o1, o3 = np.count_nonzero(m.out_case1), np.count_nonzero(m.out_case3)
+            cases[i] += [
+                [rows - n2 - n3, n2, n3],
+                [o1, np.count_nonzero(m.rsma_case2), o3],
+                [o1, np.count_nonzero(m.noma_case2), o3],
+            ]
+
+
+def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
+    """Tallies of a contiguous run of blocks on one workspace, allocated here once:
+    the row-major draw, its column-major copy and the per-trial scratch."""
+    rows, cols = min(BLOCK_SIZE, trials), configs[0].num_gfus + 1
+    draw = np.empty((rows, cols))
+    # column-major, so each user's gains and the GBU's are contiguous
+    gains = np.empty((rows, cols), order="F")
+    scratch = _scratch(rows)
+    cases = np.zeros((len(configs), 3, 3), dtype=np.int64)
+    gbu = np.zeros(len(configs), dtype=np.int64)
+    for block in blocks:
+        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        sample_gain_matrix(n, cols, _block_generator(seed, block), out=draw[:n])
+        np.copyto(gains[:n], draw[:n])
+        _run_block(configs, groups, gains[:n], _prefix(scratch, n), cases, gbu)
     return cases, gbu
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> tuple:
     """Per-config integer tallies over ``trials``: a (3, 3) array (case occurrences,
     then each scheme's GFU outages per case) and the GBU outage count. All configs
-    share one ``num_gfus``; integer sums make the result independent of ``workers``."""
+    share one ``num_gfus``. Each worker runs a contiguous chunk of the blocks;
+    integer sums make the result independent of ``workers``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+    shared: dict[tuple[float, float, float], list[int]] = {}
+    for i, c in enumerate(configs):
+        shared.setdefault((c.power_gbu, c.target_rate_gbu, c.target_rate_gfu), []).append(i)
+    groups = list(shared.values())
+    tasks = min(workers, n_blocks)
+    bounds = [n_blocks * t // tasks for t in range(tasks + 1)]
 
-    def run(block: int) -> tuple:
-        return _run_block(configs, seed, block, min(BLOCK_SIZE, trials - block * BLOCK_SIZE))
+    def run(t: int) -> tuple:
+        return _run_blocks(configs, groups, trials, seed, range(bounds[t], bounds[t + 1]))
 
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
+    if tasks > 1:
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            parts = list(pool.map(run, range(tasks)))
     else:
-        parts = [run(b) for b in range(n_blocks)]
+        parts = [run(0)]
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 

@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from sgfsim.cli import PRESET_NAMES, SWEEP_COLUMNS, ZONE_COLUMNS, main
+from sgfsim.cli import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    PRESET_NAMES,
+    SWEEP_COLUMNS,
+    ZONE_COLUMNS,
+    main,
+)
 
 SWEEP_CONFIG = """
 [system]
@@ -101,6 +108,29 @@ class TestRunWithConfigFile:
             argv = ["run", "--config", cfg, "--out", outs[-1], "--no-timestamp", "--workers", workers]
             assert main(argv) == 0
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+    @pytest.mark.parametrize(
+        "run_section, flags, expected",
+        [
+            ("[run]\ntrials = 5000\nseed = 7\n", ["--trials", "100", "--seed", "3"], ("100", "3")),
+            ("[run]\ntrials = 5000\nseed = 7\n", ["--seed", "3"], ("5000", "3")),
+            ("[run]\ntrials = 5000\nseed = 7\n", [], ("5000", "7")),
+            ("", [], (str(DEFAULT_TRIALS), str(DEFAULT_SEED))),
+        ],
+        ids=["flags", "flag-and-config", "config", "defaults"],
+    )
+    def test_trials_and_seed_precedence(self, tmp_path, run_section, flags, expected):
+        # a flag beats the config file's [run] value, which beats the built-in default
+        system, _ = SWEEP_CONFIG.split("[run]")
+        text = system.replace("grid = 5 10 15", "grid = 10").replace(
+            "schemes = cr-rsma-sgf cr-noma-sgf", "schemes = cr-rsma-sgf"
+        )
+        cfg = write_config(tmp_path, text + run_section)
+        out = str(tmp_path / "sweep.csv")
+        assert main(["run", "--config", cfg, "--out", out, "--no-timestamp", *flags]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 1
+        assert (rows[0][header.index("trials")], rows[0][header.index("seed")]) == expected
 
     def test_timestamp_header_by_default(self, tmp_path):
         cfg = write_config(tmp_path, ZONE_CONFIG)

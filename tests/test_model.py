@@ -96,6 +96,28 @@ class TestSampling:
         assert gains.shape == shape
         assert gains.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows", [65536, 1001])
+    def test_out_buffer_matches_fresh_draw(self, rows):
+        # a full block and a prefix view sized for a partial one, both over stale values
+        def philox():
+            return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
+
+        buf = np.full((65536, 6), np.nan)
+        target = buf[:rows]
+        gains = sample_gain_matrix(rows, 6, philox(), out=target)
+        assert gains is target
+        assert np.shares_memory(gains, buf)
+        assert gains.tobytes() == sample_gain_matrix(rows, 6, philox()).tobytes()
+        assert np.isnan(buf[rows:]).all()
+
+    def test_out_buffer_must_match_the_draw(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample_gain_matrix(4, 3, rng, out=np.empty((5, 3)))
+        # column-major storage would be filled in memory order, reordering the draw
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sample_gain_matrix(4, 3, rng, out=np.empty((4, 3), order="F"))
+
     def test_unit_mean(self):
         rng = np.random.default_rng(11)
         gains = sample_gain_matrix(10**6, 1, rng)

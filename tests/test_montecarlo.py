@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sgfsim.montecarlo import (
     Scheme,
     _evaluate_trials,
     _resolve_workers,
+    _simulate,
     estimate_outage,
     evaluate_noma_trials,
     evaluate_rsma_trials,
@@ -112,6 +114,24 @@ class TestEstimateOutage:
         assert est.std_err_gfu == pytest.approx(
             math.sqrt(est.gfu_outage_prob * (1 - est.gfu_outage_prob) / est.trials)
         )
+
+    def test_configs_share_gbu_terms_only_when_all_gbu_side_inputs_match(self):
+        # the GBU-side terms are keyed by (P0, GBU rate, GFU rate); a change of any
+        # one of them, or of the GFU power alone, must not reuse another's terms
+        base = config(num_gfus=3, power_gbu=100.0, power_gfu=30.0, rate_gbu=1.5, rate_gfu=1.0)
+        configs = [
+            base,
+            replace(base, target_rate_gfu=2.0),
+            replace(base, target_rate_gbu=2.5),
+            replace(base, power_gbu=300.0),
+            replace(base, power_gfu=300.0),
+            base,
+        ]
+        cases, gbu = _simulate(configs, BLOCK_SIZE + 1, 8, workers=1)
+        for i, cfg in enumerate(configs):
+            alone_cases, alone_gbu = _simulate([cfg], BLOCK_SIZE + 1, 8, workers=1)
+            np.testing.assert_array_equal(cases[i], alone_cases[0])
+            assert gbu[i] == alone_gbu[0]
 
     def test_vanishing_target_never_misses(self):
         cfg = config(rate_gfu=1e-9)
@@ -301,17 +321,25 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
         "axis, grid",
-        [("gfu_power_db", [0.0, 20.0, 45.0]), ("num_gfus", [1.0, 4.0, 2.0, 8.0, 4.0])],
+        [
+            ("gfu_power_db", [0.0, 20.0, 45.0]),
+            ("num_gfus", [1.0, 4.0, 2.0, 8.0, 4.0]),
+            ("gbu_power_db", [20.0, 30.0, 20.0]),
+            ("target_rate", [1.0, 3.0, 2.0]),
+        ],
     )
     def test_engine_matches_block_by_block_loop(self, axis, grid, workers):
-        # 150k trials: two full blocks and a partial one
-        trials, seed = 150_000, 21
+        # two full blocks and a one-row partial one; each worker reuses its buffers
+        # for every block, config and GBU-side group, and the repeated GBU power
+        # shares its GBU-side terms across a config of another group
+        trials, seed = 2 * BLOCK_SIZE + 1, 21
         rows = sweep(
             SystemConfig.from_db(3, 15.0, 10.0, 3.0, 2.0),
             axis=axis,
             grid=grid,
             trials=trials,
             seed=seed,
+            gbu_to_gfu_power_ratio=db_to_linear(5.0) if axis == "gbu_power_db" else None,
             workers=workers,
         )
         assert len(rows) == 2 * len(grid)
