@@ -37,9 +37,11 @@ from .montecarlo import (
     CaseTallies,
     OutageEstimate,
     Scheme,
+    SweepRequest,
     SweepRow,
     estimate_outage,
     sweep,
+    sweeps,
 )
 from .protocol import (
     CaseLabel,
@@ -65,6 +67,7 @@ __all__ = [
     "OutageEstimate",
     "RegionCorners",
     "Scheme",
+    "SweepRequest",
     "SweepRow",
     "SystemConfig",
     "TransmissionOutcome",
@@ -92,4 +95,5 @@ __all__ = [
     "sample_channel_realization",
     "sinr_triplet",
     "sweep",
+    "sweeps",
 ]

@@ -29,9 +29,11 @@ from .montecarlo import (
     MIN_RESOLVED_OUTAGES,
     OutageEstimate,
     Scheme,
+    SweepRequest,
     estimate_outage,
     evaluate_rsma_trials,
     sweep,
+    sweeps,
 )
 from .protocol import evaluate_transmission
 from .zones import ZoneLabel, classify_grid, region_corners
@@ -63,8 +65,8 @@ def _fig3_config(num_gfus: int, gbu_power_db: float) -> SystemConfig:
 @lru_cache(maxsize=None)
 def _mc_grid(seed: int) -> dict[str, tuple[SystemConfig, OutageEstimate, OutageEstimate]]:
     """Config and both schemes' 1e6-trial estimates per point of the locked-ratio
-    and fixed-GBU grids, K in {2, 5}: one sweep per K and axis, one draw per block."""
-    grid = {}
+    and fixed-GBU grids, K in {2, 5}: one sweep per K and axis, all on one draw per block."""
+    labels, requests = [], []
     for k in (2, 5):
         fixed_gbu = SystemConfig.from_db(k, 15.0, 0.0, 3.0, 3.0)
         for name, base, axis, dbs in (
@@ -72,9 +74,12 @@ def _mc_grid(seed: int) -> dict[str, tuple[SystemConfig, OutageEstimate, OutageE
             ("fixed-GBU K={} Ps={}dB", fixed_gbu, "gfu_power_db", range(0, 50, 5)),
         ):
             ratio = POWER_RATIO_FIG3 if axis == "gbu_power_db" else None
-            rows = sweep(base, axis, dbs, 10**6, seed, gbu_to_gfu_power_ratio=ratio)
-            for db, rsma, noma in zip(dbs, rows[::2], rows[1::2]):
-                grid[name.format(k, db)] = rsma.config, rsma.estimate, noma.estimate
+            labels.append([name.format(k, db) for db in dbs])
+            requests.append(SweepRequest(base, axis, dbs, gbu_to_gfu_power_ratio=ratio))
+    grid = {}
+    for names, rows in zip(labels, sweeps(requests, 10**6, seed)):
+        for label, rsma, noma in zip(names, rows[::2], rows[1::2]):
+            grid[label] = rsma.config, rsma.estimate, noma.estimate
     return grid
 
 

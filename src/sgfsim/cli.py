@@ -4,9 +4,10 @@ Results are CSVs (optionally mirrored to JSON) with a deterministic body;
 the only run-dependent line is a leading ``# generated_at=`` comment that
 ``--no-timestamp`` removes. Sweep presets that carry several user counts or
 SNR settings write one file per sub-configuration, suffixed with the
-sub-configuration label. Metadata comment lines record every parameter and
-whether it came from the reproduced setup (``caption``/``text``) or was a
-local choice (``choice``).
+sub-configuration label; all sweeps of one run share one Monte Carlo pass,
+which draws each block once for every user count. Metadata comment lines
+record every parameter and whether it came from the reproduced setup
+(``caption``/``text``) or was a local choice (``choice``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .model import SystemConfig, db_to_linear
-from .montecarlo import SWEEP_AXES, Scheme, SweepRow, sweep
+from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, sweeps
+# perfbench traces sweeps by the name ``cli.sweep``; runs go through ``sweeps``
+from .montecarlo import sweep  # noqa: F401
 from .zones import classify_grid
 
 __all__ = ["ExperimentSpec", "PRESET_NAMES", "build_parser", "main"]
@@ -389,35 +392,30 @@ def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
     return f"{stem}_{spec.label}{ext or '.csv'}"
 
 
+def _zone_cells(spec: ExperimentSpec) -> list[list[str]]:
+    grid = classify_grid(
+        db_to_linear(spec.zone_gbu_power_db),
+        db_to_linear(spec.zone_gfu_power_db),
+        spec.zone_grid_n,
+    )
+    # the grid_n**2 pairs take their targets from grid_n values; format each once
+    text = {t: _fmt(t) for t in {t for t_gbu, t_gfu, _ in grid for t in (t_gbu, t_gfu)}}
+    return [[text[t_gbu], text[t_gfu], label.value] for t_gbu, t_gfu, label in grid]
+
+
 def _execute_spec(
-    spec: ExperimentSpec, out: str, fmt: str, timestamp: bool, workers: int | None
+    spec: ExperimentSpec, rows: list[SweepRow] | None, out: str, fmt: str, timestamp: bool
 ) -> list[str]:
+    """Write one spec's file(s): a zone grid, or the sweep ``rows`` computed for it."""
     run_meta = (
         *spec.metadata,
         ("trials", str(spec.trials), "choice"),
         ("seed", str(spec.seed), "choice"),
     )
     if spec.kind == "zone":
-        cells = [
-            [_fmt(t_gbu), _fmt(t_gfu), label.value]
-            for t_gbu, t_gfu, label in classify_grid(
-                db_to_linear(spec.zone_gbu_power_db),
-                db_to_linear(spec.zone_gfu_power_db),
-                spec.zone_grid_n,
-            )
-        ]
+        cells = _zone_cells(spec)
         header = ZONE_COLUMNS
     else:
-        rows = sweep(
-            spec.base_config,
-            spec.axis,
-            spec.grid,
-            trials=spec.trials,
-            seed=spec.seed,
-            schemes=spec.schemes,
-            gbu_to_gfu_power_ratio=spec.gbu_to_gfu_power_ratio,
-            workers=workers,
-        )
         cells = [_sweep_row_cells(row, spec) for row in rows]
         header = SWEEP_COLUMNS
     written = [out]
@@ -501,14 +499,24 @@ def _cmd_run(args) -> int:
             raise UsageError("--p0g0-db, --psgk-db and --grid apply to zone runs only")
         specs = [_override_zone(spec, overrides) for spec in specs]
 
+    # a run is one zone grid or sweeps sharing one (trials, seed); one engine call
+    # draws each block once for all of its sweeps
+    results = [None] * len(specs)
+    if specs[0].kind == "sweep":
+        requests = [
+            SweepRequest(s.base_config, s.axis, s.grid, s.schemes, s.gbu_to_gfu_power_ratio)
+            for s in specs
+        ]
+        results = sweeps(requests, specs[0].trials, specs[0].seed, args.workers)
+
     out = args.out or default_out
     multi = len(specs) > 1
-    for spec in specs:
+    for spec, rows in zip(specs, results):
         path = _output_path(out, spec, multi)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        for written in _execute_spec(spec, path, args.fmt, not args.no_timestamp, args.workers):
+        for written in _execute_spec(spec, rows, path, args.fmt, not args.no_timestamp):
             print(f"wrote {written}")
     return 0
 

@@ -4,13 +4,20 @@ Trials are partitioned into fixed blocks of 65536; block ``b`` draws from a
 counter-based generator keyed by ``(seed, b)``, so trial ``i`` sees the same
 gains no matter how many workers run or how the work is scheduled. Tallies
 are integers and their aggregation is associative, which makes the estimate
-a pure function of (config, scheme, trials, seed). A sweep draws each block
-once per user count and runs every grid point and both schemes on it.
+a pure function of (config, scheme, trials, seed).
+
+One engine call runs every config of one or more sweeps, whatever their user
+counts, and draws each block once, ``Kmax + 1`` columns wide. The generator
+fills the row-major draw in memory order and the exponential transform is
+elementwise, so block ``b``'s ``(n, K + 1)`` draw is bit for bit the first
+``n (K + 1)`` values of its widest draw: each K reads that prefix, and its
+estimates are the same as if it had been drawn alone.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
-for it: the row-major draw, its column-major copy and the per-trial scratch,
-reused by every block and config. The GBU-side terms of a block depend only
-on (P0, eps0, eps_s), so they are computed once for all configs sharing those.
+for it: the widest row-major draw, one ``Kmax + 1``-wide column-major buffer
+that takes each K's prefix in turn, and the per-trial scratch, reused by
+every block, K and config. The GBU-side terms of a block depend only on
+(K, P0, eps0, eps_s), so they are computed once for all configs sharing those.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "Scheme",
     "CaseTallies",
     "OutageEstimate",
+    "SweepRequest",
     "SweepRow",
     "SWEEP_AXES",
     "WORKERS_ENV_VAR",
@@ -39,6 +47,7 @@ __all__ = [
     "evaluate_noma_trials",
     "estimate_outage",
     "sweep",
+    "sweeps",
 ]
 
 BLOCK_SIZE = 1 << 16
@@ -109,7 +118,8 @@ class _GbuTerms(NamedTuple):
     so every config sharing those three reads them: the admission threshold
     tau_hat = P0 g0 / eps0 - 1, the Case III mask and its complement, the
     interference 1 + P0 g0, the least received GFU power decodable first
-    eps_s (1 + P0 g0), the GBU outage flag, and the Case III and GBU outage counts."""
+    eps_s (1 + P0 g0), the GBU outage flag, the Case III and GBU outage counts,
+    and, for K >= 2, the window tau_hat > eps_s where some GFU may be decoded last."""
 
     tau_hat: np.ndarray
     case3: np.ndarray
@@ -119,11 +129,12 @@ class _GbuTerms(NamedTuple):
     gbu: np.ndarray
     n_case3: int
     n_gbu: int
+    window: np.ndarray | None
 
 
 _FLOAT_SCRATCH = ("best_gain", "tau_hat", "interference", "first_floor", "best")
 _BOOL_SCRATCH = (
-    "case3", "not_case3", "gbu", "case1", "case2", "decode_first",
+    "case3", "not_case3", "gbu", "window", "case1", "case2", "decode_first",
     "out_case1", "out_case3", "rsma_case2", "noma_case2",
 )
 
@@ -168,6 +179,7 @@ def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> _GbuTerms:
         gbu=gbu,
         n_case3=np.count_nonzero(case3),
         n_gbu=np.count_nonzero(gbu),
+        window=np.greater(tau_hat, config.eps_s, out=s.window) if config.num_gfus > 1 else None,
     )
 
 
@@ -176,7 +188,7 @@ def _outage_masks(
 ) -> _Masks:
     """The case partition and the outage rules of both schemes, written into ``s``.
 
-    ``g`` holds ``_gbu_terms`` for this config's (P0, eps0, eps_s);
+    ``g`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s);
     ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in any
     order. The outage tests are exact algebraic rearrangements of the per-case
     rate-versus-target comparisons, not approximations. The schemes share the
@@ -199,11 +211,13 @@ def _outage_masks(
     rsma_case2 = np.less(split, (1.0 + config.eps0) * (1.0 + es), out=s.rsma_case2)
     rsma_case2 &= case2
     # Without splitting, Case II may instead decode last a GFU under the threshold;
-    # that works iff some GFU has received power in [eps_s, tau_hat). The strongest
-    # GFU is above the threshold, so it never passes and row order is irrelevant.
+    # that works iff some GFU has received power in [eps_s, tau_hat), which is empty
+    # outside the window. The strongest GFU is above the threshold, so it never
+    # passes and row order is irrelevant.
     noma_case2 = np.logical_and(case2, decode_first, out=s.noma_case2)
-    if gains_gfu.shape[1] > 1:
-        candidates = np.flatnonzero(noma_case2)
+    if g.window is not None:
+        # decode_first is not read again, so its buffer takes the rows to test
+        candidates = np.flatnonzero(np.logical_and(noma_case2, g.window, out=decode_first))
         if candidates.size:
             tau_candidates = g.tau_hat[candidates]
             decodable_last = np.zeros(candidates.size, dtype=bool)
@@ -270,7 +284,8 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
     """Add every config's tallies on one drawn block to ``cases`` and ``gbu``.
 
     ``gains`` is column-major with the GBU last; ``groups`` lists the configs
-    that share (P0, eps0, eps_s), whose GBU-side terms are computed once.
+    of its user count that share (P0, eps0, eps_s), whose GBU-side terms are
+    computed once.
     """
     rows = gains.shape[0]
     gain_gbu, gains_gfu = gains[:, -1], gains[:, :-1]
@@ -292,8 +307,10 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
 
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
     """Tallies of a contiguous run of blocks on one workspace, allocated here once:
-    the row-major draw, its column-major copy and the per-trial scratch."""
-    rows, cols = min(BLOCK_SIZE, trials), configs[0].num_gfus + 1
+    the widest row-major draw, the column-major buffer that takes each user
+    count's prefix of it, and the per-trial scratch. ``groups`` maps each user
+    count to its GBU-side groups."""
+    rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
     draw = np.empty((rows, cols))
     # column-major, so each user's gains and the GBU's are contiguous
     gains = np.empty((rows, cols), order="F")
@@ -302,24 +319,29 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple
     gbu = np.zeros(len(configs), dtype=np.int64)
     for block in blocks:
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        sample_gain_matrix(n, cols, _block_generator(seed, block), out=draw[:n])
-        np.copyto(gains[:n], draw[:n])
-        _run_block(configs, groups, gains[:n], _prefix(scratch, n), cases, gbu)
+        flat = sample_gain_matrix(n, cols, _block_generator(seed, block), out=draw[:n]).reshape(-1)
+        s = _prefix(scratch, n)
+        for k, k_groups in groups.items():
+            # the (n, k + 1) draw of this block is the first n (k + 1) values of the widest
+            np.copyto(gains[:n, : k + 1], flat[: n * (k + 1)].reshape(n, k + 1))
+            _run_block(configs, k_groups, gains[:n, : k + 1], s, cases, gbu)
     return cases, gbu
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> tuple:
     """Per-config integer tallies over ``trials``: a (3, 3) array (case occurrences,
-    then each scheme's GFU outages per case) and the GBU outage count. All configs
-    share one ``num_gfus``. Each worker runs a contiguous chunk of the blocks;
-    integer sums make the result independent of ``workers``."""
+    then each scheme's GFU outages per case) and the GBU outage count. Configs
+    may have any ``num_gfus``; each block is drawn once for all of them. Each
+    worker runs a contiguous chunk of the blocks; integer sums make the result
+    independent of ``workers``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    shared: dict[tuple[float, float, float], list[int]] = {}
+    shared: dict[int, dict[tuple[float, float, float], list[int]]] = {}
     for i, c in enumerate(configs):
-        shared.setdefault((c.power_gbu, c.target_rate_gbu, c.target_rate_gfu), []).append(i)
-    groups = list(shared.values())
+        key = (c.power_gbu, c.target_rate_gbu, c.target_rate_gfu)
+        shared.setdefault(c.num_gfus, {}).setdefault(key, []).append(i)
+    groups = {k: list(k_groups.values()) for k, k_groups in shared.items()}
     tasks = min(workers, n_blocks)
     bounds = [n_blocks * t // tasks for t in range(tasks + 1)]
 
@@ -451,6 +473,88 @@ def _analytic_columns(config: SystemConfig) -> tuple[float, float, float, str | 
     return exact, highsnr, asymptote, "; ".join(notes) or None
 
 
+class SweepRequest(NamedTuple):
+    """One one-axis sweep of a ``sweeps`` call: the arguments of ``sweep`` that
+    are not shared by the whole call."""
+
+    base_config: SystemConfig
+    axis: str
+    grid: tuple[float, ...]
+    schemes: tuple[Scheme, ...] = (Scheme.CR_RSMA_SGF, Scheme.CR_NOMA_SGF)
+    gbu_to_gfu_power_ratio: float | None = None
+
+
+def sweeps(
+    requests, trials: int, seed: int, workers: int | None = None
+) -> list[list[SweepRow]]:
+    """Run several ``SweepRequest`` sweeps on one engine pass; one row list per request.
+
+    Every config of every request, whatever its user count, reads the same
+    blocks, each drawn once. The rows are those ``sweep`` returns for each
+    request alone: an estimate depends only on (config, scheme, trials, seed).
+    Every request is checked before any block is drawn.
+    """
+    requests = [
+        SweepRequest(base, axis, tuple(grid), tuple(Scheme(s) for s in schemes), ratio)
+        for base, axis, grid, schemes, ratio in requests
+    ]
+    for request in requests:
+        if not request.grid:
+            raise ValueError("sweep grid must be nonempty")
+        if request.axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {request.axis!r}; expected one of {SWEEP_AXES}")
+        if not request.schemes:
+            raise ValueError("sweep schemes must be nonempty")
+    workers = _resolve_workers(workers)
+
+    # (request, grid index) -> config or the reason there is none
+    configs: dict[tuple[int, int], SystemConfig] = {}
+    errors: dict[tuple[int, int], str] = {}
+    for r, (base, axis, grid, _, ratio) in enumerate(requests):
+        for i, value in enumerate(grid):
+            try:
+                configs[r, i] = _config_on_axis(base, axis, value, ratio)
+            except (ValueError, TypeError) as err:
+                errors[r, i] = str(err)
+    tallies = {}
+    if configs:
+        cases, gbu = _simulate(list(configs.values()), trials, seed, workers)
+        tallies = dict(zip(configs, zip(cases, gbu)))
+
+    results = []
+    for r, request in enumerate(requests):
+        rows: list[SweepRow] = []
+        for i, value in enumerate(request.grid):
+            config = configs.get((r, i))
+            estimates = [(None, None)]
+            if config is not None:
+                estimates = [
+                    (s, _estimate(s, trials, seed, *tallies[r, i])) for s in request.schemes
+                ]
+            for scheme, estimate in estimates:
+                exact = highsnr = asymptote = None
+                note = errors.get((r, i))
+                # the analytic columns are the rate-splitting outage; the baseline's is not derived
+                if scheme is Scheme.CR_RSMA_SGF:
+                    exact, highsnr, asymptote, note = _analytic_columns(config)
+                rows.append(
+                    SweepRow(
+                        axis=request.axis,
+                        axis_value=float(value),
+                        scheme=scheme,
+                        config=config,
+                        estimate=estimate,
+                        analytic_exact=exact,
+                        analytic_highsnr=highsnr,
+                        analytic_asymptote=asymptote,
+                        unresolved=estimate is not None and not estimate.statistically_resolved,
+                        error=note,
+                    )
+                )
+        results.append(rows)
+    return results
+
+
 def sweep(
     base_config: SystemConfig,
     axis: str,
@@ -468,56 +572,8 @@ def sweep(
     the seed, so schemes are compared on identical channel draws. Grid
     values that produce an invalid configuration yield an error row and the
     sweep continues. The analytic values are the rate-splitting scheme's;
-    baseline rows leave them (and their error note) empty.
+    baseline rows leave them (and their error note) empty. This is the
+    one-request case of ``sweeps``.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("sweep grid must be nonempty")
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    schemes = tuple(Scheme(s) for s in schemes)
-    if not schemes:
-        raise ValueError("sweep schemes must be nonempty")
-    workers = _resolve_workers(workers)
-
-    configs: dict[int, SystemConfig] = {}
-    errors: dict[int, str] = {}
-    for i, value in enumerate(grid):
-        try:
-            configs[i] = _config_on_axis(base_config, axis, value, gbu_to_gfu_power_ratio)
-        except (ValueError, TypeError) as err:
-            errors[i] = str(err)
-    # block-outer: each K's blocks are drawn once and shared by its grid points and schemes
-    tallies: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in sorted({config.num_gfus for config in configs.values()}):
-        points = [i for i, config in configs.items() if config.num_gfus == k]
-        cases, gbu = _simulate([configs[i] for i in points], trials, seed, workers)
-        tallies.update(zip(points, zip(cases, gbu)))
-
-    rows: list[SweepRow] = []
-    for i, value in enumerate(grid):
-        config = configs.get(i)
-        estimates = [(None, None)]
-        if config is not None:
-            estimates = [(s, _estimate(s, trials, seed, *tallies[i])) for s in schemes]
-        for scheme, estimate in estimates:
-            exact = highsnr = asymptote = None
-            note = errors.get(i)
-            # the analytic columns are the rate-splitting outage; the baseline's is not derived
-            if scheme is Scheme.CR_RSMA_SGF:
-                exact, highsnr, asymptote, note = _analytic_columns(config)
-            rows.append(
-                SweepRow(
-                    axis=axis,
-                    axis_value=float(value),
-                    scheme=scheme,
-                    config=config,
-                    estimate=estimate,
-                    analytic_exact=exact,
-                    analytic_highsnr=highsnr,
-                    analytic_asymptote=asymptote,
-                    unresolved=estimate is not None and not estimate.statistically_resolved,
-                    error=note,
-                )
-            )
-    return rows
+    request = SweepRequest(base_config, axis, grid, schemes, gbu_to_gfu_power_ratio)
+    return sweeps([request], trials, seed, workers)[0]

@@ -45,8 +45,9 @@ def region_corners(p_gbu: float, p_gfu: float) -> RegionCorners:
     The sum rate equals gbu_decoded_first + gfu_alone and equally
     gbu_alone + gfu_decoded_first: decoding order trades the same total.
     """
-    if p_gbu < 0.0 or p_gfu < 0.0:
-        raise ValueError("received powers must be >= 0")
+    # written so that NaN fails it too
+    if not (0.0 <= p_gbu < math.inf and 0.0 <= p_gfu < math.inf):
+        raise ValueError(f"received powers must be finite and >= 0, got {p_gbu!r}, {p_gfu!r}")
     return RegionCorners(
         gbu_alone=math.log2(1.0 + p_gbu),
         gfu_alone=math.log2(1.0 + p_gfu),

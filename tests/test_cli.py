@@ -279,6 +279,14 @@ class TestUsageErrors:
         assert main(["run", "--config", cfg, flag, value, "--out", out]) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag", ["--p0g0-db", "--psgk-db"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_zone_power(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "zone.csv")
+        assert main(["run", "zone", flag, value, "--grid", "4", "--out", out]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_worker_count(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         out = str(tmp_path / "x.csv")

@@ -110,6 +110,23 @@ class TestSampling:
         assert gains.tobytes() == sample_gain_matrix(rows, 6, philox()).tobytes()
         assert np.isnan(buf[rows:]).all()
 
+    @pytest.mark.parametrize("rows", [65536, 1001, 1])
+    def test_narrow_draw_is_the_prefix_of_the_wide_one(self, rows):
+        # a full, a partial and a one-row block: the Monte Carlo engine reads every
+        # user count's block from the widest draw
+        def philox():
+            return np.random.Generator(np.random.Philox(key=(np.uint64(5), np.uint64(2))))
+
+        kmax = 8
+        wide = sample_gain_matrix(rows, kmax + 1, philox())
+        for k in range(1, kmax + 1):
+            narrow = sample_gain_matrix(rows, k + 1, philox())
+            prefix = wide.reshape(-1)[: rows * (k + 1)].reshape(rows, k + 1)
+            assert narrow.tobytes() == prefix.tobytes()
+            if rows > 1 and k < kmax:
+                # the leading columns of the wide draw are other values
+                assert narrow.tobytes() != wide[:, : k + 1].tobytes()
+
     def test_out_buffer_must_match_the_draw(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):

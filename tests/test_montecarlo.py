@@ -4,20 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgfsim.baselines import cr_noma_outage_sample
+from sgfsim.baselines import cr_noma_outage_sample, cr_noma_rate
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import (
     BLOCK_SIZE,
     MIN_RESOLVED_OUTAGES,
     WORKERS_ENV_VAR,
     Scheme,
+    SweepRequest,
     _evaluate_trials,
+    _gbu_terms,
     _resolve_workers,
+    _scratch,
     _simulate,
     estimate_outage,
     evaluate_noma_trials,
     evaluate_rsma_trials,
     sweep,
+    sweeps,
 )
 from sgfsim.protocol import CaseLabel, classify_case, evaluate_transmission
 
@@ -85,6 +89,20 @@ def loop_tallies(cfg, trials, seed):
     return occurrences, outages, gbu
 
 
+# two full blocks and a one-row partial one
+ENGINE_TRIALS = 2 * BLOCK_SIZE + 1
+
+
+def assert_rows_match_loop(rows, trials, seed):
+    for row in rows:
+        occurrences, outages, gbu = loop_tallies(row.config, trials, seed)
+        tallies = row.estimate.case_tallies
+        assert tallies.occurrences == tuple(int(x) for x in occurrences)
+        assert tallies.gfu_outages == tuple(int(x) for x in outages[row.scheme])
+        assert row.estimate.gbu_outage_prob == gbu / trials
+        assert row.estimate == estimate_outage(row.config, row.scheme, trials, seed, workers=1)
+
+
 class TestEstimateOutage:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -116,8 +134,9 @@ class TestEstimateOutage:
         )
 
     def test_configs_share_gbu_terms_only_when_all_gbu_side_inputs_match(self):
-        # the GBU-side terms are keyed by (P0, GBU rate, GFU rate); a change of any
-        # one of them, or of the GFU power alone, must not reuse another's terms
+        # the GBU-side terms are keyed by (K, P0, GBU rate, GFU rate); a change of
+        # any one of them, or of the GFU power alone, must not reuse another's terms.
+        # Each K reads its own prefix of the block, so its GBU gains differ too
         base = config(num_gfus=3, power_gbu=100.0, power_gfu=30.0, rate_gbu=1.5, rate_gfu=1.0)
         configs = [
             base,
@@ -125,6 +144,8 @@ class TestEstimateOutage:
             replace(base, target_rate_gbu=2.5),
             replace(base, power_gbu=300.0),
             replace(base, power_gfu=300.0),
+            replace(base, num_gfus=1),
+            replace(base, num_gfus=5),
             base,
         ]
         cases, gbu = _simulate(configs, BLOCK_SIZE + 1, 8, workers=1)
@@ -220,6 +241,39 @@ class TestVectorisedKernels:
                     np.testing.assert_array_equal(got, want)
                 for got, want in zip(noma, (fused[0], fused[2], fused[3])):
                     np.testing.assert_array_equal(got, want)
+
+    def test_decode_last_window_is_exact(self):
+        # eps0 = 3 > eps_s = 1 and P0 = eps0, so tau_hat = g0 - 1 is exact. Hand-made
+        # Case II rows whose strongest GFU cannot be decoded first, then a random block:
+        cfg = config(num_gfus=3, power_gbu=3.0, power_gfu=1.0, rate_gbu=2.0, rate_gfu=1.0)
+        made = np.array(
+            [
+                [3.0, 0.5, 1.5, 5.0],  # tau_hat = 2 in (eps_s, eps0]: 1.5 is decoded last
+                [3.0, 0.5, 1.0, 5.0],  # the same with a GFU at eps_s exactly
+                [3.0, 0.5, 0.7, 5.0],  # tau_hat = 2, but no GFU reaches eps_s
+                [2.0, 0.5, 0.9, 4.0],  # tau_hat = eps_s: no GFU can be decoded last
+                [1.5, 0.2, 0.4, 3.0],  # tau_hat = 0.5 < eps_s
+            ]
+        )
+        rng = np.random.default_rng(77)
+        g0 = np.concatenate([made[:, 0], rng.exponential(size=5000)])
+        gfu = np.concatenate([made[:, 1:], rng.exponential(size=(5000, 3))])
+        _, noma_out, _ = evaluate_noma_trials(cfg, g0, np.asfortranarray(gfu))
+        for i in range(len(g0)):
+            real = ChannelRealization(float(g0[i]), tuple(sorted(float(g) for g in gfu[i])))
+            rate, _ = cr_noma_rate(cfg, real)
+            assert bool(noma_out[i]) == (rate < cfg.target_rate_gfu), i
+        assert noma_out[:5].tolist() == [False, False, True, True, True]
+
+        window = _gbu_terms(cfg, g0, _scratch(len(g0))).window
+        # decode-last candidates: Case II rows whose strongest GFU cannot be decoded first
+        p0g0 = cfg.power_gbu * g0
+        tau_hat, best = p0g0 / cfg.eps0 - 1.0, cfg.power_gfu * gfu.max(axis=1)
+        candidates = (tau_hat > 0.0) & (best > tau_hat) & (best < cfg.eps_s * (1.0 + p0g0))
+        assert window[:5].tolist() == [True, True, True, False, False]
+        assert candidates[:5].all()
+        # the loop runs on candidates on both sides; the window leaves some out
+        assert (candidates & window).any() and (candidates & ~window).any()
 
     @pytest.mark.parametrize("num_gfus", [1, 2, 5, 20])
     def test_kernel_takes_rows_in_any_order(self, num_gfus):
@@ -326,13 +380,15 @@ class TestSweep:
             ("num_gfus", [1.0, 4.0, 2.0, 8.0, 4.0]),
             ("gbu_power_db", [20.0, 30.0, 20.0]),
             ("target_rate", [1.0, 3.0, 2.0]),
+            ("num_gfus", [2.0, 1.0, 4.0, 3.0, 2.0]),
         ],
     )
     def test_engine_matches_block_by_block_loop(self, axis, grid, workers):
         # two full blocks and a one-row partial one; each worker reuses its buffers
-        # for every block, config and GBU-side group, and the repeated GBU power
-        # shares its GBU-side terms across a config of another group
-        trials, seed = 2 * BLOCK_SIZE + 1, 21
+        # for every block, user count, config and GBU-side group, the repeated GBU
+        # power shares its GBU-side terms across a config of another group, and each
+        # user count reads its prefix of the block drawn at the largest
+        trials, seed = ENGINE_TRIALS, 21
         rows = sweep(
             SystemConfig.from_db(3, 15.0, 10.0, 3.0, 2.0),
             axis=axis,
@@ -343,13 +399,26 @@ class TestSweep:
             workers=workers,
         )
         assert len(rows) == 2 * len(grid)
-        for row in rows:
-            occurrences, outages, gbu = loop_tallies(row.config, trials, seed)
-            tallies = row.estimate.case_tallies
-            assert tallies.occurrences == tuple(int(x) for x in occurrences)
-            assert tallies.gfu_outages == tuple(int(x) for x in outages[row.scheme])
-            assert row.estimate.gbu_outage_prob == gbu / trials
-            assert row.estimate == estimate_outage(row.config, row.scheme, trials, seed, workers=1)
+        assert_rows_match_loop(rows, trials, seed)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_call_serves_requests_of_different_user_counts(self, workers):
+        trials, seed = ENGINE_TRIALS, 22
+        requests = [
+            SweepRequest(SystemConfig.from_db(5, 15.0, 10.0, 3.0, 2.0), "gfu_power_db", (0.0, 20.0)),
+            SweepRequest(
+                SystemConfig.from_db(2, 30.0, 18.2, 2.5, 1.5),
+                "gbu_power_db",
+                (20.0, 30.0),
+                (Scheme.CR_NOMA_SGF,),
+                db_to_linear(5.0),
+            ),
+        ]
+        results = sweeps(requests, trials, seed, workers=workers)
+        assert [len(rows) for rows in results] == [4, 2]
+        for request, rows in zip(requests, results):
+            assert rows == sweep(*request[:3], trials, seed, *request[3:], workers=1)
+            assert_rows_match_loop(rows, trials, seed)
 
     def test_single_user_rows_use_single_user_analytics(self):
         from sgfsim.analytic import outage_diversity_asymptote, outage_quadrature
@@ -370,6 +439,10 @@ class TestSweep:
             sweep(config(), axis="gfu_power_db", grid=[], trials=10, seed=1)
         with pytest.raises(ValueError):
             sweep(config(), axis="bandwidth", grid=[1.0], trials=10, seed=1)
+        # every request is checked before any block is drawn
+        good = SweepRequest(config(), "gfu_power_db", (10.0,))
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            sweeps([good, good._replace(axis="bandwidth")], trials=10, seed=1)
 
     def test_rejects_empty_schemes(self):
         with pytest.raises(ValueError, match="schemes must be nonempty"):

@@ -35,6 +35,15 @@ class TestRegionCorners:
         with pytest.raises(ValueError):
             region_corners(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_power(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            region_corners(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            region_corners(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            classify_grid(1.0, bad, 4)
+
 
 class TestClassifyRatePair:
     def setup_method(self):
