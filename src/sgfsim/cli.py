@@ -453,7 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers",
         type=int,
-        help="sweep worker threads (default: $SGFSIM_WORKERS, else 1); output does not depend on it",
+        help=(
+            "sweep worker threads (default: $SGFSIM_WORKERS, else 1); with a CPU to spare, "
+            "each also uses one helper thread that draws ahead; output does not depend on it"
+        ),
     )
     run.add_argument("--p0g0-db", type=float, help="zone runs: received GBU power in dB")
     run.add_argument("--psgk-db", type=float, help="zone runs: received GFU power in dB")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class SystemConfig:
     """Static parameters of one group: user count, transmit SNRs, target rates.
 
     The derived thresholds (``eps0``, ``eps_s``, ``eta0``, ``eta_s``) are
-    recomputed from the primary fields on every access so they can never
-    drift out of sync.
+    computed from the primary fields on first access and cached; the fields
+    are frozen, so the two can never drift out of sync.
     """
 
     num_gfus: int
@@ -80,22 +81,22 @@ class SystemConfig:
             target_rate_gfu=target_rate_gfu,
         )
 
-    @property
+    @cached_property
     def eps0(self) -> float:
         """SNR threshold for the GBU target rate: 2**rate - 1."""
         return 2.0 ** self.target_rate_gbu - 1.0
 
-    @property
+    @cached_property
     def eps_s(self) -> float:
         """SNR threshold for the GFU target rate: 2**rate - 1."""
         return 2.0 ** self.target_rate_gfu - 1.0
 
-    @property
+    @cached_property
     def eta0(self) -> float:
         """GBU gain threshold eps0 / power_gbu."""
         return self.eps0 / self.power_gbu
 
-    @property
+    @cached_property
     def eta_s(self) -> float:
         """GFU gain threshold eps_s / power_gfu."""
         return self.eps_s / self.power_gfu
@@ -109,13 +110,14 @@ class ChannelRealization:
     gains_gfu: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.gain_gbu < 0.0:
+        # the guards are written so that NaN fails them too
+        if not (0.0 <= self.gain_gbu):
             raise ValueError(f"gain_gbu must be >= 0, got {self.gain_gbu!r}")
         if len(self.gains_gfu) < 1:
             raise ValueError("gains_gfu must contain at least one gain")
         prev = 0.0
         for g in self.gains_gfu:
-            if g < prev:
+            if not (prev <= g):
                 raise ValueError("gains_gfu must be sorted ascending and >= 0")
             prev = g
 
@@ -154,12 +156,10 @@ def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> Chann
     """Sample one fading block: K GFU gains (returned sorted) plus the GBU gain."""
     if num_gfus < 1:
         raise ValueError(f"num_gfus must be >= 1, got {num_gfus}")
-    row = sample_gain_matrix(1, num_gfus + 1, rng)[0]
-    gfu = np.sort(row[:-1])
-    return ChannelRealization(
-        gain_gbu=float(row[-1]),
-        gains_gfu=tuple(float(g) for g in gfu),
-    )
+    row = sample_gain_matrix(1, num_gfus + 1, rng)[0].tolist()
+    gbu = row.pop()
+    row.sort()
+    return ChannelRealization(gain_gbu=gbu, gains_gfu=tuple(row))
 
 
 def sinr_triplet(
@@ -171,10 +171,11 @@ def sinr_triplet(
     the GFU's second stream; each decoded signal is cancelled before the
     next stage. Returns (first stream, GBU, second stream).
     """
+    # written so that NaN fails it too
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if gain_gbu < 0.0 or gain_gfu < 0.0:
-        raise ValueError("channel gains must be >= 0")
+    if not (0.0 <= gain_gbu and 0.0 <= gain_gfu):
+        raise ValueError(f"channel gains must be >= 0, got {gain_gbu!r}, {gain_gfu!r}")
     p_gbu = config.power_gbu * gain_gbu
     p_gfu = config.power_gfu * gain_gfu
     residual = (1.0 - alpha) * p_gfu
@@ -189,7 +190,7 @@ def achievable_rates(
 ) -> tuple[float, float, float]:
     """Shannon rates log2(1 + SINR) for each SIC stage, in bits/channel use."""
     for value in (sinr_s1, sinr_gbu, sinr_s2):
-        if value < 0.0:
+        if not (0.0 <= value):
             raise ValueError(f"SINR must be >= 0, got {value!r}")
     return (
         math.log2(1.0 + sinr_s1),

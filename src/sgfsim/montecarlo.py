@@ -18,6 +18,12 @@ for it: the widest row-major draw, one ``Kmax + 1``-wide column-major buffer
 that takes each K's prefix in turn, and the per-trial scratch, reused by
 every block, K and config. The GBU-side terms of a block depend only on
 (K, P0, eps0, eps_s), so they are computed once for all configs sharing those.
+
+When the process has a usable CPU beyond its workers, each worker draws block
+``b + 1`` on one helper thread, into a second draw buffer, while it works on
+block ``b``: the generator fill and the exponential transform release the
+interpreter lock. Every block is still drawn by the same function from its own
+``(seed, b)`` generator, so the tallies do not depend on where it was drawn.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
@@ -305,26 +312,59 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
             ]
 
 
-def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
+def _has_spare_core(workers: int) -> bool:
+    """Whether ``workers`` threads leave one of the CPUs this process may run on
+    (its affinity set where the platform has one) for a helper that draws ahead."""
+    if hasattr(os, "sched_getaffinity"):
+        return workers < len(os.sched_getaffinity(0))
+    return workers < (os.cpu_count() or 1)
+
+
+def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor | None):
+    """``draw(0)``, ..., ``draw(count - 1)`` in order. With a ``helper``, each next
+    draw runs on it while the caller works on the one just yielded, so ``draw(i)``
+    must not write what ``draw(i - 1)`` returned; a draw that raises raises here."""
+    if helper is None:
+        for i in range(count):
+            yield draw(i)
+        return
+    pending = helper.submit(draw, 0)
+    for i in range(1, count + 1):
+        drawn = pending.result()
+        if i < count:
+            pending = helper.submit(draw, i)
+        yield drawn
+
+
+def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, prefetch: bool) -> tuple:
     """Tallies of a contiguous run of blocks on one workspace, allocated here once:
     the widest row-major draw, the column-major buffer that takes each user
     count's prefix of it, and the per-trial scratch. ``groups`` maps each user
-    count to its GBU-side groups."""
+    count to its GBU-side groups. With ``prefetch``, a helper thread draws each
+    next block into a second draw buffer while this one is worked on."""
     rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
-    draw = np.empty((rows, cols))
+    draws = [np.empty((rows, cols)) for _ in range(2 if prefetch else 1)]
     # column-major, so each user's gains and the GBU's are contiguous
     gains = np.empty((rows, cols), order="F")
     scratch = _scratch(rows)
     cases = np.zeros((len(configs), 3, 3), dtype=np.int64)
     gbu = np.zeros(len(configs), dtype=np.int64)
-    for block in blocks:
+
+    def draw(i: int) -> np.ndarray:
+        block = blocks[i]
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        flat = sample_gain_matrix(n, cols, _block_generator(seed, block), out=draw[:n]).reshape(-1)
-        s = _prefix(scratch, n)
-        for k, k_groups in groups.items():
-            # the (n, k + 1) draw of this block is the first n (k + 1) values of the widest
-            np.copyto(gains[:n, : k + 1], flat[: n * (k + 1)].reshape(n, k + 1))
-            _run_block(configs, k_groups, gains[:n, : k + 1], s, cases, gbu)
+        out = draws[i % len(draws)][:n]
+        return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
+
+    helper = ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") if prefetch else None
+    with helper or nullcontext():
+        for drawn in _drawn_blocks(draw, len(blocks), helper):
+            n, flat = drawn.shape[0], drawn.reshape(-1)
+            s = _prefix(scratch, n)
+            for k, k_groups in groups.items():
+                # the (n, k + 1) draw of this block is the first n (k + 1) values of the widest
+                np.copyto(gains[:n, : k + 1], flat[: n * (k + 1)].reshape(n, k + 1))
+                _run_block(configs, k_groups, gains[:n, : k + 1], s, cases, gbu)
     return cases, gbu
 
 
@@ -332,8 +372,9 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     """Per-config integer tallies over ``trials``: a (3, 3) array (case occurrences,
     then each scheme's GFU outages per case) and the GBU outage count. Configs
     may have any ``num_gfus``; each block is drawn once for all of them. Each
-    worker runs a contiguous chunk of the blocks; integer sums make the result
-    independent of ``workers``."""
+    worker runs a contiguous chunk of the blocks, with a helper thread drawing
+    ahead when a CPU is spare; integer sums make the result independent of
+    ``workers`` and of the helper."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -344,9 +385,11 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     groups = {k: list(k_groups.values()) for k, k_groups in shared.items()}
     tasks = min(workers, n_blocks)
     bounds = [n_blocks * t // tasks for t in range(tasks + 1)]
+    prefetch = _has_spare_core(tasks)
 
     def run(t: int) -> tuple:
-        return _run_blocks(configs, groups, trials, seed, range(bounds[t], bounds[t + 1]))
+        blocks = range(bounds[t], bounds[t + 1])
+        return _run_blocks(configs, groups, trials, seed, blocks, prefetch)
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:

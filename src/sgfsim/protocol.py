@@ -71,10 +71,27 @@ def interference_threshold(config: SystemConfig, gain_gbu: float) -> tuple[float
     which the GBU still decodes at its target rate; the broadcast value
     clips it at zero.
     """
-    if gain_gbu < 0.0:
+    # written so that NaN fails it too
+    if not (0.0 <= gain_gbu):
         raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
     tau_hat = config.power_gbu * gain_gbu / config.eps0 - 1.0
     return tau_hat, max(0.0, tau_hat)
+
+
+def _decide(
+    config: SystemConfig, realization: ChannelRealization
+) -> tuple[CaseLabel, float, float, float, float]:
+    """The case, both thresholds and the (alpha, beta) split of one block, from
+    one ``interference_threshold`` call; see ``classify_case`` and ``allocate``."""
+    tau_hat, tau = interference_threshold(config, realization.gain_gbu)
+    if tau == 0.0:
+        return CaseLabel.CASE_III, tau_hat, tau, 1.0, 1.0
+    received_best = config.power_gfu * realization.gain_best
+    if received_best <= tau:
+        return CaseLabel.CASE_I, tau_hat, tau, 0.0, 0.0
+    alpha = 1.0 - tau_hat / received_best
+    beta = 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu
+    return CaseLabel.CASE_II, tau_hat, tau, min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
 
 
 def classify_case(config: SystemConfig, realization: ChannelRealization) -> CaseLabel:
@@ -83,25 +100,7 @@ def classify_case(config: SystemConfig, realization: ChannelRealization) -> Case
     tau == 0 (including the measure-zero boundary tau_hat == 0) is Case III;
     received GFU power exactly equal to a positive tau counts as Case I.
     """
-    _, tau = interference_threshold(config, realization.gain_gbu)
-    if tau == 0.0:
-        return CaseLabel.CASE_III
-    if config.power_gfu * realization.gain_best <= tau:
-        return CaseLabel.CASE_I
-    return CaseLabel.CASE_II
-
-
-def _allocate(
-    config: SystemConfig, realization: ChannelRealization, case: CaseLabel
-) -> tuple[float, float]:
-    if case is CaseLabel.CASE_I:
-        return 0.0, 0.0
-    if case is CaseLabel.CASE_III:
-        return 1.0, 1.0
-    tau_hat, _ = interference_threshold(config, realization.gain_gbu)
-    alpha = 1.0 - tau_hat / (config.power_gfu * realization.gain_best)
-    beta = 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu
-    return min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
+    return _decide(config, realization)[0]
 
 
 def allocate(
@@ -115,14 +114,16 @@ def allocate(
     fall below zero when the threshold already carries more rate than the
     target, so it is clamped to [0, 1] (outage decisions never consult it).
     """
-    if case is not classify_case(config, realization):
+    actual, _, _, alpha, beta = _decide(config, realization)
+    if case is not actual:
         raise ValueError(f"case {case} is inconsistent with the supplied realization")
-    return _allocate(config, realization, case)
+    return alpha, beta
 
 
 def gbu_oma_outage(config: SystemConfig, gain_gbu: float) -> bool:
     """Would the GBU be in outage transmitting alone? Boundary counts as success."""
-    if gain_gbu < 0.0:
+    # written so that NaN fails it too
+    if not (0.0 <= gain_gbu):
         raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
     return gain_gbu < config.eta0
 
@@ -137,9 +138,7 @@ def evaluate_transmission(
     (total < target), which is the exact rearrangement of the first-stream
     test and is unaffected by the rate-split clamp.
     """
-    case = classify_case(config, realization)
-    alpha, beta = _allocate(config, realization, case)
-    tau_hat, tau = interference_threshold(config, realization.gain_gbu)
+    case, tau_hat, tau, alpha, beta = _decide(config, realization)
     sinrs = sinr_triplet(config, realization.gain_gbu, realization.gain_best, alpha)
     rate_s1, rate_gbu_chain, rate_s2 = achievable_rates(*sinrs)
     rate_total = rate_s1 + rate_s2

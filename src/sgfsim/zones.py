@@ -68,8 +68,9 @@ def classify_rate_pair(
 
 
 def _classify(c: RegionCorners, target_gbu: float, target_gfu: float) -> ZoneLabel:
-    if target_gbu <= 0.0 or target_gfu <= 0.0:
-        raise ValueError("target rates must be > 0")
+    # written so that NaN fails it too
+    if not (0.0 < target_gbu and 0.0 < target_gfu):
+        raise ValueError(f"target rates must be > 0, got {target_gbu!r}, {target_gfu!r}")
     gbu_first_ok = target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone
     gfu_first_ok = target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first
     rsma_ok = (

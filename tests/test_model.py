@@ -52,6 +52,17 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(**overrides)
 
+    def test_derived_thresholds_are_cached_values(self):
+        cfg = make_config(target_rate_gbu=1.5, target_rate_gfu=2.5, power_gbu=7.0, power_gfu=3.0)
+        assert cfg.eps0 == 2.0**1.5 - 1.0
+        assert cfg.eps_s == 2.0**2.5 - 1.0
+        assert cfg.eta0 == (2.0**1.5 - 1.0) / 7.0
+        assert cfg.eta_s == (2.0**2.5 - 1.0) / 3.0
+        assert {"eps0", "eps_s", "eta0", "eta_s"} <= vars(cfg).keys()
+        # the cache is no field: equality, hashing and repr see the fields alone
+        fresh = make_config(target_rate_gbu=1.5, target_rate_gfu=2.5, power_gbu=7.0, power_gfu=3.0)
+        assert fresh == cfg and hash(fresh) == hash(cfg) and repr(fresh) == repr(cfg)
+
     def test_db_helpers_roundtrip(self):
         assert linear_to_db(db_to_linear(17.3)) == pytest.approx(17.3)
         with pytest.raises(ValueError):
@@ -67,6 +78,14 @@ class TestChannelRealization:
         with pytest.raises(ValueError):
             ChannelRealization(1.0, ())
 
+    @pytest.mark.parametrize(
+        "gain_gbu, gains_gfu",
+        [(math.nan, (1.0, 2.0)), (1.0, (math.nan, 2.0)), (1.0, (1.0, math.nan))],
+    )
+    def test_rejects_nan_gains(self, gain_gbu, gains_gfu):
+        with pytest.raises(ValueError):
+            ChannelRealization(gain_gbu, gains_gfu)
+
     def test_best_gain(self):
         real = ChannelRealization(0.5, (0.1, 0.7, 2.0))
         assert real.gain_best == 2.0
@@ -81,6 +100,14 @@ class TestSampling:
         assert list(real.gains_gfu) == sorted(real.gains_gfu)
         assert all(g >= 0.0 for g in real.gains_gfu)
         assert real.gain_gbu >= 0.0
+
+    @pytest.mark.parametrize("num_gfus", [1, 2, 5])
+    def test_realization_is_the_sorted_row_of_one_draw(self, num_gfus):
+        row = sample_gain_matrix(1, num_gfus + 1, np.random.default_rng(8))[0]
+        real = sample_channel_realization(num_gfus, np.random.default_rng(8))
+        assert real.gain_gbu == row[-1]
+        assert real.gains_gfu == tuple(np.sort(row[:-1]).tolist())
+        assert all(type(g) is float for g in (real.gain_gbu, *real.gains_gfu))
 
     def test_rejects_zero_users(self):
         with pytest.raises(ValueError):
@@ -190,6 +217,14 @@ class TestSinrChain:
         with pytest.raises(ValueError):
             sinr_triplet(make_config(), -1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "gain_gbu, gain_gfu, alpha",
+        [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan)],
+    )
+    def test_nan_rejected(self, gain_gbu, gain_gfu, alpha):
+        with pytest.raises(ValueError):
+            sinr_triplet(make_config(), gain_gbu, gain_gfu, alpha)
+
     def test_sum_rate_conservation(self):
         # the SIC chain always splits the same total rate, whatever the split
         rng = np.random.default_rng(3)
@@ -222,6 +257,13 @@ class TestAchievableRates:
     def test_negative_sinr_rejected(self):
         with pytest.raises(ValueError):
             achievable_rates(-0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_sinr_rejected(self, position):
+        sinrs = [1.0, 1.0, 1.0]
+        sinrs[position] = math.nan
+        with pytest.raises(ValueError):
+            achievable_rates(*sinrs)
 
     def test_monotone_in_sinr(self):
         values = [0.0, 0.5, 1.0, 4.0, 100.0]

@@ -1,9 +1,12 @@
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sgfsim import montecarlo
 from sgfsim.baselines import cr_noma_outage_sample, cr_noma_rate
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import (
@@ -202,6 +205,73 @@ class TestWorkerCount:
     def test_bad_explicit_count(self, workers):
         with pytest.raises(ValueError, match="workers"):
             _resolve_workers(workers)
+
+
+def record_draw_threads(monkeypatch) -> list[tuple[int, str]]:
+    """Wrap the engine's draw to record (block, thread name) for every block drawn."""
+    draws, sample = [], montecarlo.sample_gain_matrix
+
+    def recorded(rows, cols, rng, out=None):
+        block = int(rng.bit_generator.state["state"]["key"][1])
+        draws.append((block, threading.current_thread().name))
+        return sample(rows, cols, rng, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_gain_matrix", recorded)
+    return draws
+
+
+class TestPrefetch:
+    """A helper thread draws each next block only where a CPU is spare; the
+    tallies are those of the inline path either way."""
+
+    def test_spare_core_means_fewer_workers_than_usable_cpus(self, monkeypatch):
+        # the affinity set, not the machine's CPU count, bounds the usable CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert montecarlo._has_spare_core(1)
+        assert not montecarlo._has_spare_core(2)
+        assert not montecarlo._has_spare_core(8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert not montecarlo._has_spare_core(1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("trials", [1000, BLOCK_SIZE + 1, 3 * BLOCK_SIZE])
+    def test_helper_and_inline_paths_tally_alike(self, monkeypatch, trials, workers):
+        # three user counts read their prefixes of the widest draw, and the last
+        # config has a GBU-side group of its own
+        configs = [
+            SystemConfig.from_db(k, 15.0, ps, 3.0, 2.0) for k in (1, 5, 2) for ps in (0.0, 20.0)
+        ] + [SystemConfig.from_db(5, 30.0, 18.2, 2.5, 1.5)]
+        n_blocks = -(-trials // BLOCK_SIZE)
+        draws = record_draw_threads(monkeypatch)
+        tallies = {}
+        for spare in (True, False):
+            monkeypatch.setattr(montecarlo, "_has_spare_core", lambda tasks: spare)
+            draws.clear()
+            tallies[spare] = _simulate(configs, trials, 23, workers)
+            assert sorted(block for block, _ in draws) == list(range(n_blocks))
+            on_helper = [name.startswith("sgfsim-draw") for _, name in draws]
+            assert all(on_helper) if spare else not any(on_helper)
+        (cases, gbu), (inline_cases, inline_gbu) = tallies[True], tallies[False]
+        assert np.array_equal(cases, inline_cases)
+        assert np.array_equal(gbu, inline_gbu)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_draw_error_propagates_and_leaves_no_thread(self, monkeypatch, spare, workers):
+        monkeypatch.setattr(montecarlo, "_has_spare_core", lambda tasks: spare)
+        sample = montecarlo.sample_gain_matrix
+
+        def failing(rows, cols, rng, out=None):
+            if rng.bit_generator.state["state"]["key"][1] == 1:
+                raise MemoryError("draw of block 1 failed")
+            return sample(rows, cols, rng, out=out)
+
+        monkeypatch.setattr(montecarlo, "sample_gain_matrix", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="block 1"):
+            estimate_outage(config(), trials=3 * BLOCK_SIZE, seed=4, workers=workers)
+        assert threading.active_count() == threads
 
 
 class TestVectorisedKernels:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ class TestInterferenceThreshold:
         tau_hat, tau = interference_threshold(cfg, 1.0)
         assert tau_hat == pytest.approx(0.0)
         assert tau == 0.0
+
+
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError):
+            interference_threshold(config(), math.nan)
 
 
 class TestClassifyCase:
@@ -98,6 +104,10 @@ class TestGbuOmaOutage:
     def test_boundary_counts_as_success(self):
         assert not gbu_oma_outage(config(power_gbu=4.0), 0.25)
 
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError):
+            gbu_oma_outage(config(), math.nan)
+
     def test_matches_exponential_cdf(self):
         cfg = config(power_gbu=10.0, rate_gbu=1.0)
         rng = np.random.default_rng(21)
@@ -112,6 +122,13 @@ class TestGbuOmaOutage:
 
 
 class TestEvaluateTransmission:
+    def test_nan_gbu_gain_rejected(self):
+        # a NaN gain once read as Case III with neither user in outage;
+        # ChannelRealization rejects it, and so does the protocol on a bare record
+        nan_block = SimpleNamespace(gain_gbu=math.nan, gains_gfu=(1.0, 2.0), gain_best=2.0)
+        with pytest.raises(ValueError):
+            evaluate_transmission(config(), nan_block)
+
     def test_case_two_example(self):
         cfg = config(power_gbu=4.0, power_gfu=10.0)
         real = ChannelRealization(1.0, (0.35, 1.0))  # tau_hat = 3

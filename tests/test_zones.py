@@ -78,6 +78,12 @@ class TestClassifyRatePair:
         with pytest.raises(ValueError):
             self.classify(0.0, 1.0)
 
+    @pytest.mark.parametrize("targets", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_target_rejected(self, targets):
+        # a NaN target once classified as OUTAGE
+        with pytest.raises(ValueError):
+            classify_rate_pair(1.0, 1.0, *targets)
+
     def test_rsma_only_triangle_nonempty_for_positive_powers(self):
         rng = np.random.default_rng(52)
         for _ in range(200):
