@@ -454,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         help=(
-            "sweep worker threads (default: $SGFSIM_WORKERS, else 1); with a CPU to spare, "
-            "each also uses one helper thread that draws ahead; output does not depend on it"
+            "sweep worker threads (default: $SGFSIM_WORKERS, else 1); each also uses one "
+            "helper thread that draws ahead; output does not depend on it"
         ),
     )
     run.add_argument("--p0g0-db", type=float, help="zone runs: received GBU power in dB")

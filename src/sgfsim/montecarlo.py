@@ -19,11 +19,11 @@ that takes each K's prefix in turn, and the per-trial scratch, reused by
 every block, K and config. The GBU-side terms of a block depend only on
 (K, P0, eps0, eps_s), so they are computed once for all configs sharing those.
 
-When the process has a usable CPU beyond its workers, each worker draws block
-``b + 1`` on one helper thread, into a second draw buffer, while it works on
-block ``b``: the generator fill and the exponential transform release the
-interpreter lock. Every block is still drawn by the same function from its own
-``(seed, b)`` generator, so the tallies do not depend on where it was drawn.
+Each worker draws block ``b + 1`` on one helper thread, into a second draw
+buffer, while it works on block ``b``: the generator fill and the exponential
+transform release the interpreter lock. Every block is still drawn by the same
+function from its own ``(seed, b)`` generator, so the tallies do not depend on
+where it was drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
@@ -312,38 +311,28 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
             ]
 
 
-def _has_spare_core(workers: int) -> bool:
-    """Whether ``workers`` threads leave one of the CPUs this process may run on
-    (its affinity set where the platform has one) for a helper that draws ahead."""
-    if hasattr(os, "sched_getaffinity"):
-        return workers < len(os.sched_getaffinity(0))
-    return workers < (os.cpu_count() or 1)
-
-
-def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor | None):
-    """``draw(0)``, ..., ``draw(count - 1)`` in order. With a ``helper``, each next
-    draw runs on it while the caller works on the one just yielded, so ``draw(i)``
-    must not write what ``draw(i - 1)`` returned; a draw that raises raises here."""
-    if helper is None:
-        for i in range(count):
-            yield draw(i)
-        return
-    pending = helper.submit(draw, 0)
-    for i in range(1, count + 1):
-        drawn = pending.result()
-        if i < count:
-            pending = helper.submit(draw, i)
+def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
+    """``draw(0)``, ..., ``draw(count - 1)`` in order. The first is drawn here; each
+    next one runs on ``helper`` while the caller works on the one just yielded, so
+    ``draw(i)`` must not write what ``draw(i - 1)`` returned. A draw that raises
+    raises here."""
+    drawn = draw(0)
+    for i in range(1, count):
+        pending = helper.submit(draw, i)
         yield drawn
+        drawn = pending.result()
+    yield drawn
 
 
-def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, prefetch: bool) -> tuple:
+def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
     """Tallies of a contiguous run of blocks on one workspace, allocated here once:
     the widest row-major draw, the column-major buffer that takes each user
     count's prefix of it, and the per-trial scratch. ``groups`` maps each user
-    count to its GBU-side groups. With ``prefetch``, a helper thread draws each
-    next block into a second draw buffer while this one is worked on."""
+    count to its GBU-side groups. From the second block on, a helper thread draws
+    each block into the other of two draw buffers while the previous one is
+    worked on; a single block is drawn here, into one."""
     rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
-    draws = [np.empty((rows, cols)) for _ in range(2 if prefetch else 1)]
+    draws = [np.empty((rows, cols)) for _ in range(min(2, len(blocks)))]
     # column-major, so each user's gains and the GBU's are contiguous
     gains = np.empty((rows, cols), order="F")
     scratch = _scratch(rows)
@@ -356,8 +345,8 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, prefetch
         out = draws[i % len(draws)][:n]
         return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
 
-    helper = ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") if prefetch else None
-    with helper or nullcontext():
+    # the executor starts its thread on the first submit, so one block starts none
+    with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
         for drawn in _drawn_blocks(draw, len(blocks), helper):
             n, flat = drawn.shape[0], drawn.reshape(-1)
             s = _prefix(scratch, n)
@@ -373,8 +362,8 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     then each scheme's GFU outages per case) and the GBU outage count. Configs
     may have any ``num_gfus``; each block is drawn once for all of them. Each
     worker runs a contiguous chunk of the blocks, with a helper thread drawing
-    ahead when a CPU is spare; integer sums make the result independent of
-    ``workers`` and of the helper."""
+    ahead; integer sums make the result independent of ``workers`` and of
+    where a block was drawn."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -385,11 +374,10 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     groups = {k: list(k_groups.values()) for k, k_groups in shared.items()}
     tasks = min(workers, n_blocks)
     bounds = [n_blocks * t // tasks for t in range(tasks + 1)]
-    prefetch = _has_spare_core(tasks)
 
     def run(t: int) -> tuple:
         blocks = range(bounds[t], bounds[t + 1])
-        return _run_blocks(configs, groups, trials, seed, blocks, prefetch)
+        return _run_blocks(configs, groups, trials, seed, blocks)
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:

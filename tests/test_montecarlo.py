@@ -1,5 +1,5 @@
 import math
-import os
+import sys
 import threading
 from dataclasses import replace
 
@@ -220,46 +220,53 @@ def record_draw_threads(monkeypatch) -> list[tuple[int, str]]:
     return draws
 
 
-class TestPrefetch:
-    """A helper thread draws each next block only where a CPU is spare; the
-    tallies are those of the inline path either way."""
-
-    def test_spare_core_means_fewer_workers_than_usable_cpus(self, monkeypatch):
-        # the affinity set, not the machine's CPU count, bounds the usable CPUs
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert montecarlo._has_spare_core(1)
-        assert not montecarlo._has_spare_core(2)
-        assert not montecarlo._has_spare_core(8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert not montecarlo._has_spare_core(1)
+class TestDrawAhead:
+    """Each worker draws the first block of its chunk itself and every later one
+    on a helper thread; the tallies are those of blocks drawn one by one."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("trials", [1000, BLOCK_SIZE + 1, 3 * BLOCK_SIZE])
-    def test_helper_and_inline_paths_tally_alike(self, monkeypatch, trials, workers):
+    def test_tallies_match_blocks_drawn_one_by_one(self, monkeypatch, trials, workers):
         # three user counts read their prefixes of the widest draw, and the last
         # config has a GBU-side group of its own
         configs = [
             SystemConfig.from_db(k, 15.0, ps, 3.0, 2.0) for k in (1, 5, 2) for ps in (0.0, 20.0)
         ] + [SystemConfig.from_db(5, 30.0, 18.2, 2.5, 1.5)]
         n_blocks = -(-trials // BLOCK_SIZE)
+        tasks = min(workers, n_blocks)
+        chunk_starts = {n_blocks * t // tasks for t in range(tasks)}
         draws = record_draw_threads(monkeypatch)
-        tallies = {}
-        for spare in (True, False):
-            monkeypatch.setattr(montecarlo, "_has_spare_core", lambda tasks: spare)
-            draws.clear()
-            tallies[spare] = _simulate(configs, trials, 23, workers)
-            assert sorted(block for block, _ in draws) == list(range(n_blocks))
-            on_helper = [name.startswith("sgfsim-draw") for _, name in draws]
-            assert all(on_helper) if spare else not any(on_helper)
-        (cases, gbu), (inline_cases, inline_gbu) = tallies[True], tallies[False]
-        assert np.array_equal(cases, inline_cases)
-        assert np.array_equal(gbu, inline_gbu)
+        threads = threading.active_count()
+        cases, gbu = _simulate(configs, trials, 23, workers)
+        assert threading.active_count() == threads
+        assert sorted(block for block, _ in draws) == list(range(n_blocks))
+        for block, name in draws:
+            assert name.startswith("sgfsim-draw") == (block not in chunk_starts)
+        for i, cfg in enumerate(configs):
+            occurrences, outages, gbu_count = loop_tallies(cfg, trials, 23)
+            expected = [occurrences, outages[Scheme.CR_RSMA_SGF], outages[Scheme.CR_NOMA_SGF]]
+            assert cases[i].tolist() == [row.tolist() for row in expected]
+            assert gbu[i] == gbu_count
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("spare", [True, False])
-    def test_draw_error_propagates_and_leaves_no_thread(self, monkeypatch, spare, workers):
-        monkeypatch.setattr(montecarlo, "_has_spare_core", lambda tasks: spare)
+    def test_tallies_hold_with_more_threads_than_cores_switching_often(self):
+        # three workers and their helpers, switching threads every microsecond: a draw
+        # that wrote a buffer still being read would change the tallies
+        cfg = SystemConfig.from_db(5, 15.0, 20.0, 3.0, 2.0)
+        trials = 9 * BLOCK_SIZE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cases, gbu = _simulate([cfg], trials, 31, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        occurrences, outages, gbu_count = loop_tallies(cfg, trials, 31)
+        expected = [occurrences, outages[Scheme.CR_RSMA_SGF], outages[Scheme.CR_NOMA_SGF]]
+        assert cases[0].tolist() == [row.tolist() for row in expected]
+        assert gbu[0] == gbu_count
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_draw_error_propagates_and_leaves_no_thread(self, monkeypatch, workers):
+        # block 1 is drawn on a helper at one worker and by its worker at two or three
         sample = montecarlo.sample_gain_matrix
 
         def failing(rows, cols, rng, out=None):
@@ -272,6 +279,20 @@ class TestPrefetch:
         with pytest.raises(MemoryError, match="block 1"):
             estimate_outage(config(), trials=3 * BLOCK_SIZE, seed=4, workers=workers)
         assert threading.active_count() == threads
+
+    def test_kernel_error_waits_for_the_pending_draw(self, monkeypatch):
+        draws = record_draw_threads(monkeypatch)
+
+        def failing(*args):
+            raise FloatingPointError("kernel failed")
+
+        monkeypatch.setattr(montecarlo, "_run_block", failing)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="kernel failed"):
+            estimate_outage(config(), trials=3 * BLOCK_SIZE, seed=4, workers=1)
+        assert threading.active_count() == threads
+        # block 1 was being drawn when block 0's kernel raised; block 2 never started
+        assert sorted(block for block, _ in draws) == [0, 1]
 
 
 class TestVectorisedKernels:
