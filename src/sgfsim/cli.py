@@ -1,13 +1,15 @@
 """Experiment runner: presets, config-file sweeps, zone grids, validation.
 
-Results are CSVs (optionally mirrored to JSON) with a deterministic body;
-the only run-dependent line is a leading ``# generated_at=`` comment that
-``--no-timestamp`` removes. Sweep presets that carry several user counts or
-SNR settings write one file per sub-configuration, suffixed with the
-sub-configuration label; all sweeps of one run share one Monte Carlo pass,
-which draws each block once for every user count. Metadata comment lines
-record every parameter and whether it came from the reproduced setup
-(``caption``/``text``) or was a local choice (``choice``).
+Every experiment is a config file; a preset is one whose text ships in
+``_PRESETS``. Results are CSVs (optionally mirrored to JSON) with a
+deterministic body; the only run-dependent line is a leading
+``# generated_at=`` comment that ``--no-timestamp`` removes. An experiment
+with several sub-configurations (user counts or SNR settings) writes one
+file per sub-configuration, suffixed with its label; all sweeps of one run
+share one Monte Carlo pass, which draws each block once for every user
+count. Metadata comment lines record every parameter and whether it came
+from the reproduced setup (``caption``/``text``) or was a local choice
+(``choice``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import configparser
 import csv
 import datetime
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .model import SystemConfig, db_to_linear
 from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, sweeps
@@ -30,10 +31,8 @@ from .zones import classify_grid
 
 __all__ = ["ExperimentSpec", "PRESET_NAMES", "build_parser", "main"]
 
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "zone")
 DEFAULT_TRIALS = 10**6
 DEFAULT_SEED = 1234
-_RATIO_15_DB = 10.0 * math.log10(15.0)
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -54,274 +53,274 @@ SWEEP_COLUMNS = [
 ]
 ZONE_COLUMNS = ["target_gbu", "target_gfu", "zone_label"]
 
-BOTH_SCHEMES = (Scheme.CR_RSMA_SGF, Scheme.CR_NOMA_SGF)
-# the power-controlled baseline variant is intentionally absent: its
-# allocation rule is not specified by this artifact's scope
-PC_BASELINE_NOTE = (
-    "cr-noma-sgf-pc",
-    "omitted: power-control allocation rule out of scope",
-    "choice",
-)
+# Each preset is the text of a config file. The grid replaces the base value of
+# the swept quantity, and a locked ratio that of the GFU power. The ratio is
+# linear: no dB float converts to exactly 15.0, and the last bit of every
+# locked GFU power reaches the output.
+_PRESETS = {
+    "fig3": """
+[system]
+gbu_power_db = 30
+gfu_power_db = 18.24
+target_rate_gbu = 2.5
+target_rate_gfu = 1.5
+[sweep]
+axis = gbu_power_db
+grid = 20 25 30 35 40 45 50
+gbu_to_gfu_power_ratio = 15
+[sweep.k1]
+num_gfus = 1
+[sweep.k5]
+num_gfus = 5
+[metadata]
+preset = caption fig3
+num_gfus = caption
+target_rate_gbu = caption
+target_rate_gfu = caption
+gfu_power = caption gbu_power/15
+gbu_power_db_grid = choice 20:50:5
+cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
+""",
+    "fig4": """
+[system]
+gbu_power_db = 15
+gfu_power_db = 0
+target_rate_gbu = 3
+target_rate_gfu = 3
+[sweep]
+axis = gfu_power_db
+grid = 0 5 10 15 20 25 30 35 40 45
+[sweep.k1]
+num_gfus = 1
+[sweep.k5]
+num_gfus = 5
+[metadata]
+preset = caption fig4
+num_gfus = text
+target_rate_gbu = caption
+target_rate_gfu = caption
+gbu_power_db = text
+gfu_power_db_grid = text 0:45:5
+cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
+""",
+    "fig5": """
+[system]
+gbu_power_db = 30
+gfu_power_db = 18.24
+target_rate_gbu = 2
+target_rate_gfu = 1.5
+[sweep]
+axis = gbu_power_db
+grid = 20 25 30 35 40 45 50
+schemes = cr-rsma-sgf
+gbu_to_gfu_power_ratio = 15
+[sweep.k1]
+num_gfus = 1
+[sweep.k2]
+num_gfus = 2
+[sweep.k4]
+num_gfus = 4
+[metadata]
+preset = text fig5
+num_gfus = choice
+target_rate_gbu = text
+target_rate_gfu = text
+gfu_power = text gbu_power/15
+gbu_power_db_grid = choice 20:50:5
+""",
+    "fig6": """
+[system]
+num_gfus = 5
+gbu_power_db = 10
+gfu_power_db = 15
+target_rate_gbu = 1
+target_rate_gfu = 1
+[sweep]
+axis = target_rate
+grid = 0.5 1 1.5 2 2.5 3 3.5 4 4.5 5 5.5 6
+[metadata]
+preset = text fig6
+num_gfus = choice
+gbu_power_db = text
+gfu_power_db = text
+target_rate = text swept jointly for both users
+target_rate_grid = choice 0.5:6:0.5
+cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
+""",
+    "fig7": """
+[system]
+num_gfus = 1
+target_rate_gbu = 1.5
+target_rate_gfu = 2
+[sweep]
+axis = num_gfus
+grid = 1 2 3 4 5 6 7 8
+[sweep.a]
+gbu_power_db = 20.0
+gfu_power_db = 10.0
+[sweep.b]
+gbu_power_db = 10.0
+gfu_power_db = 20.0
+[metadata]
+preset = text fig7
+target_rate_gbu = text
+target_rate_gfu = text
+gbu_power_db = text
+gfu_power_db = text
+num_gfus_grid = choice 1:8:1
+cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
+# the source lists the first SNR pair twice; this second pair is a documented
+# substitute, not a reproduced value
+[metadata.b]
+gbu_power_db = choice
+gfu_power_db = choice
+""",
+    "zone": """
+[zone]
+p0g0_db = 8
+psgk_db = 15
+grid = 200
+[metadata]
+preset = caption zone
+p0g0_db = caption
+psgk_db = caption
+grid = choice
+""",
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+_SYSTEM_KEYS = {"num_gfus", "gbu_power_db", "gfu_power_db", "target_rate_gbu", "target_rate_gfu"}
+_SWEEP_KEYS = {"axis", "grid", "schemes", "gbu_to_gfu_power_ratio", "gbu_to_gfu_power_ratio_db"}
+# section -> the keys it may hold; None: any key, as a metadata key names its line
+_SECTION_KEYS = {
+    "run": {"trials", "seed"},
+    "zone": {"p0g0_db", "psgk_db", "grid"},
+    "system": _SYSTEM_KEYS,
+    "sweep": _SWEEP_KEYS,
+    "metadata": None,
+}
+# where a metadata line says its value came from
+_SOURCES = ("caption", "text", "choice")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One executable experiment: a sweep or a zone grid."""
+    """One executable experiment: a sweep (the sweep fields set) or a zone grid
+    (the zone fields set)."""
 
     label: str
     kind: str  # "sweep" | "zone"
     trials: int
     seed: int
+    metadata: tuple[tuple[str, str, str], ...]
     base_config: SystemConfig | None = None
     axis: str | None = None
     grid: tuple[float, ...] = ()
-    schemes: tuple[Scheme, ...] = BOTH_SCHEMES
+    schemes: tuple[Scheme, ...] = ()
     gbu_to_gfu_power_ratio: float | None = None
-    zone_gbu_power_db: float = 8.0
-    zone_gfu_power_db: float = 15.0
-    zone_grid_n: int = 200
-    metadata: tuple[tuple[str, str, str], ...] = field(default_factory=tuple)
-
-
-def _drange(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(round((stop - start) / step)) + 1
-    return tuple(start + i * step for i in range(count))
-
-
-def _preset_fig3(trials: int, seed: int) -> list[ExperimentSpec]:
-    grid = _drange(20.0, 50.0, 5.0)
-    specs = []
-    for k in (1, 5):
-        specs.append(
-            ExperimentSpec(
-                label=f"k{k}",
-                kind="sweep",
-                trials=trials,
-                seed=seed,
-                base_config=SystemConfig.from_db(k, 30.0, 30.0 - _RATIO_15_DB, 2.5, 1.5),
-                axis="gbu_power_db",
-                grid=grid,
-                gbu_to_gfu_power_ratio=15.0,
-                metadata=(
-                    ("preset", "fig3", "caption"),
-                    ("num_gfus", str(k), "caption"),
-                    ("target_rate_gbu", "2.5", "caption"),
-                    ("target_rate_gfu", "1.5", "caption"),
-                    ("gfu_power", "gbu_power/15", "caption"),
-                    ("gbu_power_db_grid", "20:50:5", "choice"),
-                    PC_BASELINE_NOTE,
-                ),
-            )
-        )
-    return specs
-
-
-def _preset_fig4(trials: int, seed: int) -> list[ExperimentSpec]:
-    grid = _drange(0.0, 45.0, 5.0)
-    specs = []
-    for k in (1, 5):
-        specs.append(
-            ExperimentSpec(
-                label=f"k{k}",
-                kind="sweep",
-                trials=trials,
-                seed=seed,
-                base_config=SystemConfig.from_db(k, 15.0, 0.0, 3.0, 3.0),
-                axis="gfu_power_db",
-                grid=grid,
-                metadata=(
-                    ("preset", "fig4", "caption"),
-                    ("num_gfus", str(k), "text"),
-                    ("target_rate_gbu", "3", "caption"),
-                    ("target_rate_gfu", "3", "caption"),
-                    ("gbu_power_db", "15", "text"),
-                    ("gfu_power_db_grid", "0:45:5", "text"),
-                    PC_BASELINE_NOTE,
-                ),
-            )
-        )
-    return specs
-
-
-def _preset_fig5(trials: int, seed: int) -> list[ExperimentSpec]:
-    grid = _drange(20.0, 50.0, 5.0)
-    specs = []
-    for k in (1, 2, 4):
-        specs.append(
-            ExperimentSpec(
-                label=f"k{k}",
-                kind="sweep",
-                trials=trials,
-                seed=seed,
-                base_config=SystemConfig.from_db(k, 30.0, 30.0 - _RATIO_15_DB, 2.0, 1.5),
-                axis="gbu_power_db",
-                grid=grid,
-                schemes=(Scheme.CR_RSMA_SGF,),
-                gbu_to_gfu_power_ratio=15.0,
-                metadata=(
-                    ("preset", "fig5", "text"),
-                    ("num_gfus", str(k), "choice"),
-                    ("target_rate_gbu", "2", "text"),
-                    ("target_rate_gfu", "1.5", "text"),
-                    ("gfu_power", "gbu_power/15", "text"),
-                    ("gbu_power_db_grid", "20:50:5", "choice"),
-                ),
-            )
-        )
-    return specs
-
-
-def _preset_fig6(trials: int, seed: int) -> list[ExperimentSpec]:
-    grid = _drange(0.5, 6.0, 0.5)
-    return [
-        ExperimentSpec(
-            label="",
-            kind="sweep",
-            trials=trials,
-            seed=seed,
-            base_config=SystemConfig.from_db(5, 10.0, 15.0, 1.0, 1.0),
-            axis="target_rate",
-            grid=grid,
-            metadata=(
-                ("preset", "fig6", "text"),
-                ("num_gfus", "5", "choice"),
-                ("gbu_power_db", "10", "text"),
-                ("gfu_power_db", "15", "text"),
-                ("target_rate", "swept jointly for both users", "text"),
-                ("target_rate_grid", "0.5:6:0.5", "choice"),
-                PC_BASELINE_NOTE,
-            ),
-        )
-    ]
-
-
-def _preset_fig7(trials: int, seed: int) -> list[ExperimentSpec]:
-    grid = tuple(float(k) for k in range(1, 9))
-    settings = [
-        ("a", 20.0, 10.0, "text"),
-        # the source lists the first SNR pair twice; this second pair is a
-        # documented substitute, not a reproduced value
-        ("b", 10.0, 20.0, "choice"),
-    ]
-    specs = []
-    for label, p0_db, ps_db, source in settings:
-        specs.append(
-            ExperimentSpec(
-                label=label,
-                kind="sweep",
-                trials=trials,
-                seed=seed,
-                base_config=SystemConfig.from_db(1, p0_db, ps_db, 1.5, 2.0),
-                axis="num_gfus",
-                grid=grid,
-                metadata=(
-                    ("preset", "fig7", "text"),
-                    ("target_rate_gbu", "1.5", "text"),
-                    ("target_rate_gfu", "2", "text"),
-                    ("gbu_power_db", str(p0_db), source),
-                    ("gfu_power_db", str(ps_db), source),
-                    ("num_gfus_grid", "1:8:1", "choice"),
-                    PC_BASELINE_NOTE,
-                ),
-            )
-        )
-    return specs
-
-
-def _preset_zone(trials: int, seed: int) -> list[ExperimentSpec]:
-    return [
-        ExperimentSpec(
-            label="",
-            kind="zone",
-            trials=trials,
-            seed=seed,
-            zone_gbu_power_db=8.0,
-            zone_gfu_power_db=15.0,
-            zone_grid_n=200,
-            metadata=(
-                ("preset", "zone", "caption"),
-                ("p0g0_db", "8", "caption"),
-                ("psgk_db", "15", "caption"),
-                ("grid", "200", "choice"),
-            ),
-        )
-    ]
-
-
-_PRESETS = {
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
-    "zone": _preset_zone,
-}
+    zone_gbu_power_db: float | None = None
+    zone_gfu_power_db: float | None = None
+    zone_grid_n: int | None = None
 
 
 class UsageError(Exception):
     pass
 
 
-def _load_config_file(path: str, trials: int | None, seed: int | None) -> list[ExperimentSpec]:
-    """Specs of an INI experiment; ``trials`` and ``seed``, when given, beat its
-    ``[run]`` section, which beats the built-in defaults."""
+def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> list[ExperimentSpec]:
+    """The specs of a preset or of the INI file at ``path``.
+
+    ``overrides`` maps sections to ``{key: text}`` that beat the experiment's
+    own values, as ``--trials``/``--seed`` beat ``[run]``; ``[run]`` beats the
+    built-in defaults. Each ``[sweep.<label>]`` section is one sweep, its keys
+    over those of ``[system]`` and ``[sweep]``. A ``[metadata]`` (and
+    ``[metadata.<label>]``) line ``key = source [value]`` takes, without a
+    value, the sub-configuration's raw value of ``key``.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"cannot read config file {path!r}")
     try:
-        if trials is None:
-            trials = parser.getint("run", "trials", fallback=DEFAULT_TRIALS)
-        if seed is None:
-            seed = parser.getint("run", "seed", fallback=DEFAULT_SEED)
-        if parser.has_section("zone"):
-            zone = parser["zone"]
-            return [
-                ExperimentSpec(
-                    label="",
-                    kind="zone",
-                    trials=trials,
-                    seed=seed,
-                    zone_gbu_power_db=float(zone.get("p0g0_db", 8.0)),
-                    zone_gfu_power_db=float(zone.get("psgk_db", 15.0)),
-                    zone_grid_n=int(zone.get("grid", 200)),
-                    metadata=(("config_file", path, "choice"),),
+        if preset:
+            parser.read_string(_PRESETS[preset])
+            head = ()
+        elif parser.read(path):
+            head = (("config_file", path, "choice"),)
+        else:
+            raise UsageError(f"cannot read config file {path!r}")
+        if overrides.get("zone") and not parser.has_section("zone"):
+            raise UsageError("--p0g0-db, --psgk-db and --grid apply to zone runs only")
+        parser.read_dict({section: kv for section, kv in overrides.items() if kv})
+
+        labels = [s[len("sweep.") :] for s in parser.sections() if s.startswith("sweep.")]
+        allowed = dict(_SECTION_KEYS)
+        for label in labels:
+            allowed[f"sweep.{label}"] = _SYSTEM_KEYS | _SWEEP_KEYS
+            allowed[f"metadata.{label}"] = None
+        for section in parser.sections():
+            if section not in allowed:
+                raise UsageError(f"unknown section [{section}]")
+            unknown = allowed[section] is not None and set(parser[section]) - allowed[section]
+            if unknown:
+                raise UsageError(f"unknown key(s) {sorted(unknown)} in [{section}]")
+        zone = parser.has_section("zone")
+        if zone and (labels or parser.has_section("system") or parser.has_section("sweep")):
+            raise UsageError("a [zone] run cannot share its file with sweep sections")
+
+        def merged(*sections):
+            """The keys of the given sections that exist; a later section wins."""
+            return {k: v for s in sections if parser.has_section(s) for k, v in parser[s].items()}
+
+        trials = parser.getint("run", "trials", fallback=DEFAULT_TRIALS)
+        seed = parser.getint("run", "seed", fallback=DEFAULT_SEED)
+        specs = []
+        for label in labels or [""]:
+            values = merged("zone", "system", "sweep", f"sweep.{label}")
+            metadata = list(head)
+            for key, line in merged("metadata", f"metadata.{label}").items():
+                source, *value = line.split(None, 1)
+                if source not in _SOURCES:
+                    raise UsageError(f"metadata {key!r}: source must be one of {_SOURCES}")
+                metadata.append((key, value[0] if value else values[key], source))
+            common = dict(label=label, trials=trials, seed=seed, metadata=tuple(metadata))
+            if zone:
+                specs.append(
+                    ExperimentSpec(
+                        kind="zone",
+                        zone_gbu_power_db=float(values.get("p0g0_db", 8.0)),
+                        zone_gfu_power_db=float(values.get("psgk_db", 15.0)),
+                        zone_grid_n=int(values.get("grid", 200)),
+                        **common,
+                    )
                 )
-            ]
-        # required keys are read through the parser so a missing one raises
-        base = SystemConfig.from_db(
-            num_gfus=parser.getint("system", "num_gfus"),
-            gbu_power_db=parser.getfloat("system", "gbu_power_db"),
-            gfu_power_db=parser.getfloat("system", "gfu_power_db"),
-            target_rate_gbu=parser.getfloat("system", "target_rate_gbu"),
-            target_rate_gfu=parser.getfloat("system", "target_rate_gfu"),
-        )
-        sweep_section = parser["sweep"]
-        axis = parser.get("sweep", "axis")
-        if axis not in SWEEP_AXES:
-            raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-        grid = tuple(float(v) for v in parser.get("sweep", "grid").split())
-        schemes = tuple(
-            Scheme(v) for v in sweep_section.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
-        )
-        ratio_db = sweep_section.getfloat("gbu_to_gfu_power_ratio_db", fallback=None)
-        ratio = db_to_linear(ratio_db) if ratio_db is not None else None
-        return [
-            ExperimentSpec(
-                label="",
-                kind="sweep",
-                trials=trials,
-                seed=seed,
-                base_config=base,
-                axis=axis,
-                grid=grid,
-                schemes=schemes,
-                gbu_to_gfu_power_ratio=ratio,
-                metadata=(("config_file", path, "choice"),),
+                continue
+            if values["axis"] not in SWEEP_AXES:
+                raise UsageError(f"axis must be one of {SWEEP_AXES}, got {values['axis']!r}")
+            ratio = values.get("gbu_to_gfu_power_ratio")
+            if "gbu_to_gfu_power_ratio_db" in values:
+                if ratio is not None:
+                    raise UsageError("give one of gbu_to_gfu_power_ratio and its _db form")
+                ratio = db_to_linear(float(values["gbu_to_gfu_power_ratio_db"]))
+            specs.append(
+                ExperimentSpec(
+                    kind="sweep",
+                    base_config=SystemConfig.from_db(
+                        num_gfus=int(values["num_gfus"]),
+                        gbu_power_db=float(values["gbu_power_db"]),
+                        gfu_power_db=float(values["gfu_power_db"]),
+                        target_rate_gbu=float(values["target_rate_gbu"]),
+                        target_rate_gfu=float(values["target_rate_gfu"]),
+                    ),
+                    axis=values["axis"],
+                    grid=tuple(float(v) for v in values["grid"].split()),
+                    schemes=tuple(
+                        Scheme(v) for v in values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
+                    ),
+                    gbu_to_gfu_power_ratio=None if ratio is None else float(ratio),
+                    **common,
+                )
             )
-        ]
+        return specs
     except (KeyError, ValueError, configparser.Error) as err:
-        raise UsageError(f"invalid config file {path!r}: {err}") from err
+        raise UsageError(f"invalid config file {preset or path!r}: {err}") from err
 
 
 def _fmt(value) -> str:
@@ -469,38 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# zone flag (its argparse dest and metadata key) -> the spec field it sets
-_ZONE_FIELDS = {
-    "p0g0_db": "zone_gbu_power_db",
-    "psgk_db": "zone_gfu_power_db",
-    "grid": "zone_grid_n",
-}
-
-
-def _override_zone(spec: ExperimentSpec, overrides: dict) -> ExperimentSpec:
-    """Apply zone flags; each overridden value replaces its metadata line as a choice."""
-    lines = {key: (key, value, source) for key, value, source in spec.metadata}
-    lines.update((key, (key, _fmt(value), "choice")) for key, value in overrides.items())
-    fields = {_ZONE_FIELDS[key]: value for key, value in overrides.items()}
-    return replace(spec, metadata=tuple(lines.values()), **fields)
-
-
 def _cmd_run(args) -> int:
     if bool(args.preset) == bool(args.config):
         raise UsageError("exactly one of a preset name or --config is required")
-    if args.preset:
-        trials = DEFAULT_TRIALS if args.trials is None else args.trials
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        specs = _PRESETS[args.preset](trials, seed)
-        default_out = f"{args.preset}.csv"
-    else:
-        specs = _load_config_file(args.config, args.trials, args.seed)
-        default_out = "results.csv"
-    overrides = {key: getattr(args, key) for key in _ZONE_FIELDS if getattr(args, key) is not None}
-    if overrides:
-        if specs[0].kind != "zone":
-            raise UsageError("--p0g0-db, --psgk-db and --grid apply to zone runs only")
-        specs = [_override_zone(spec, overrides) for spec in specs]
+
+    def flags(*keys):
+        return {key: _fmt(getattr(args, key)) for key in keys if getattr(args, key) is not None}
+
+    # an overridden zone value is recorded as a local choice
+    zone = flags("p0g0_db", "psgk_db", "grid")
+    overrides = {
+        "run": flags("trials", "seed"),
+        "zone": zone,
+        "metadata": dict.fromkeys(zone, "choice"),
+    }
+    specs = _load_experiment(args.preset, args.config, overrides)
+    default_out = f"{args.preset}.csv" if args.preset else "results.csv"
 
     # a run is one zone grid or sweeps sharing one (trials, seed); one engine call
     # draws each block once for all of its sweeps

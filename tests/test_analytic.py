@@ -97,8 +97,8 @@ def series_warns_or_matches_quadrature(cfg, rel=1e-9):
 
 def preset_points():
     """Every grid point of every sweep preset, as the sweep builds it."""
-    for build in cli._PRESETS.values():
-        for spec in build(1000, 1):
+    for name in cli.PRESET_NAMES:
+        for spec in cli._load_experiment(name, None, {}):
             if spec.kind == "sweep":
                 for value in spec.grid:
                     yield _config_on_axis(

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from sgfsim import cli
 from sgfsim.cli import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -54,6 +55,20 @@ MONTE_CARLO_COLUMNS = (
 )
 # Monte Carlo cells of `sgfsim run fig7 --trials 140000 --seed 3`, both files
 FIG7_MONTE_CARLO_SHA256 = "677794aa9f060cba24d3feb07a6f072c2324a246856a45f88e4deb057b43afab"
+# every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
+PRESET_FILE_SHA256 = {
+    "fig3_k1.csv": "b9eba4463ff71c0a51412947e27b01b0832a3f4db4e921f63e3fef4f5558955d",
+    "fig3_k5.csv": "526c654e9647d97452667a1298cecc29d6064796029458c8960dc94163132b6a",
+    "fig4_k1.csv": "65fcdcf38384f1106ce0c91c55ce7e3c4c674f819e379f978a874158c9d21cb5",
+    "fig4_k5.csv": "5f7b32170e8f164ef3400560827a3cd9ca9902ac28eea43eb51dc070b540f7c5",
+    "fig5_k1.csv": "285a1c5a4e1f661cb89f75f542fd6b8c8a3b02af4a2cfedf6da130cc06c216ab",
+    "fig5_k2.csv": "7d61712d21c808d025e087e167f6ac6b8aaf18ca6a054d233d5f7cba166155ce",
+    "fig5_k4.csv": "e576f02460f3268e1b4dc4a62e58468c8485ef4c653a47b436e2e4602fa6c60a",
+    "fig6.csv": "745894687732dad57c5f3a5166549d6a95389363b7e93b880cf5350200a216d6",
+    "fig7_a.csv": "d80e7cbb550e02e2db5191c14503984c690c2997bbbbe36d30396ad5c533a47e",
+    "fig7_b.csv": "202a6ebb62c82358f41bf3e06311c4cee177b3421d182b30712953d037fdeb16",
+    "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
+}
 
 
 def read_csv(path):
@@ -147,6 +162,29 @@ class TestRunWithConfigFile:
         assert len(payload["rows"]) == 6
         assert set(payload["rows"][0]) == set(SWEEP_COLUMNS)
 
+    def test_sub_configurations_match_separate_runs(self, tmp_path):
+        # two [sweep.<label>] sections share one engine pass; each file holds the
+        # rows of the same sweep run on its own
+        system, run = SWEEP_CONFIG.split("[run]")
+        text = system.replace("num_gfus = 2\n", "") + (
+            "[sweep.k1]\nnum_gfus = 1\n[sweep.k3]\nnum_gfus = 3\n"
+            "[metadata]\nnum_gfus = choice\n[run]" + run
+        )
+        cfg, out = write_config(tmp_path, text), str(tmp_path / "both.csv")
+        assert main(["run", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        for k in (1, 3):
+            text = SWEEP_CONFIG.replace("num_gfus = 2", f"num_gfus = {k}")
+            alone = write_config(tmp_path, text, f"k{k}.ini")
+            single = str(tmp_path / f"alone{k}.csv")
+            assert main(["run", "--config", alone, "--out", single, "--no-timestamp"]) == 0
+            comments, header, rows = read_csv(str(tmp_path / f"both_k{k}.csv"))
+            assert f"# num_gfus={k} source=choice\n" in comments
+            assert (header, rows) == read_csv(single)[1:]
+        assert sorted(n for n in os.listdir(tmp_path) if n.startswith("both")) == [
+            "both_k1.csv",
+            "both_k3.csv",
+        ]
+
     def test_zone_config(self, tmp_path):
         cfg = write_config(tmp_path, ZONE_CONFIG)
         out = str(tmp_path / "zone.csv")
@@ -216,11 +254,42 @@ class TestRunWithPresets:
                 digest.update((",".join(row[i] for i in cols) + "\n").encode())
         assert digest.hexdigest() == FIG7_MONTE_CARLO_SHA256
 
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_files_are_pinned(self, tmp_path, preset):
+        # metadata lines included: a moved parameter, source or rounding shows here
+        out = str(tmp_path / f"{preset}.csv")
+        argv = ["run", preset, "--trials", "3000", "--seed", "3", "--out", out, "--no-timestamp"]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in os.listdir(tmp_path)
+        }
+        assert digests == {
+            name: digest
+            for name, digest in PRESET_FILE_SHA256.items()
+            if name.partition("_")[0].removesuffix(".csv") == preset
+        }
+
     def test_choice_parameters_are_marked(self, tmp_path):
         out = str(tmp_path / "fig7.csv")
         main(["run", "fig7", "--trials", "500", "--seed", "4", "--out", out, "--no-timestamp"])
         comments, _, _ = read_csv(str(tmp_path / "fig7_b.csv"))
         assert any("gbu_power_db=10" in c and "source=choice" in c for c in comments)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_text_as_config_file(self, tmp_path, preset):
+        # a preset is a config file: run from a copy, only the config_file line differs
+        cfg = write_config(tmp_path, cli._PRESETS[preset])
+        runs = {}
+        for name, source in (("preset", [preset]), ("config", ["--config", cfg])):
+            (tmp_path / name).mkdir()
+            out = str(tmp_path / name / f"{preset}.csv")
+            argv = ["run", *source, "--trials", "2000", "--seed", "5", "--out", out]
+            assert main([*argv, "--no-timestamp"]) == 0
+            runs[name] = {f: (tmp_path / name / f).read_text() for f in os.listdir(tmp_path / name)}
+        assert sorted(runs["config"]) == sorted(runs["preset"])
+        for name, text in runs["preset"].items():
+            assert runs["config"][name] == f"# config_file={cfg} source=choice\n" + text
 
     def test_preset_names_stable(self):
         assert PRESET_NAMES == ("fig3", "fig4", "fig5", "fig6", "fig7", "zone")
@@ -241,6 +310,52 @@ class TestUsageErrors:
         bad = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = bandwidth")
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", cfg]) == 2
+
+    def test_unknown_section_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG + "[swep]\naxis = num_gfus\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown section [swep]" in capsys.readouterr().err
+
+    def test_unknown_key_in_config(self, tmp_path, capsys):
+        # a misspelt ratio key would otherwise run the sweep unlocked
+        bad = SWEEP_CONFIG.replace("schemes =", "gbu_to_gfu_power_ratio_bd = 11.76\nschemes =")
+        cfg = write_config(tmp_path, bad)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "gbu_to_gfu_power_ratio_bd" in capsys.readouterr().err
+
+    def test_zone_and_sweep_sections_in_one_config(self, tmp_path, capsys):
+        system, _ = SWEEP_CONFIG.split("[sweep]")
+        cfg = write_config(tmp_path, ZONE_CONFIG + system)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert "[zone]" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_both_ratio_keys_in_config(self, tmp_path, capsys):
+        both = "gbu_to_gfu_power_ratio = 15\ngbu_to_gfu_power_ratio_db = 11.76\nschemes ="
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("schemes =", both))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "gbu_to_gfu_power_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["axis = num_gfus\n" + SWEEP_CONFIG, SWEEP_CONFIG + "[run]\nseed = 3\n"],
+        ids=["no-section-header", "duplicate-section"],
+    )
+    def test_unparsable_config(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "invalid config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("num_gfus = cited", "source must be one of"), ("speed = choice", "'speed'")],
+        ids=["unknown-source", "no-value"],
+    )
+    def test_bad_metadata_line(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, SWEEP_CONFIG + f"[metadata]\n{line}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key",
