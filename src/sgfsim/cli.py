@@ -23,11 +23,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .model import SystemConfig, db_to_linear
+from .model import SystemConfig, db_to_linear, linear_to_db
 from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, sweeps
 # perfbench traces sweeps by the name ``cli.sweep``; runs go through ``sweeps``
 from .montecarlo import sweep  # noqa: F401
-from .zones import classify_grid
+from .zones import ZoneLabel, classify_grid
 
 __all__ = ["ExperimentSpec", "PRESET_NAMES", "build_parser", "main"]
 
@@ -53,15 +53,13 @@ SWEEP_COLUMNS = [
 ]
 ZONE_COLUMNS = ["target_gbu", "target_gfu", "zone_label"]
 
-# Each preset is the text of a config file. The grid replaces the base value of
-# the swept quantity, and a locked ratio that of the GFU power. The ratio is
+# Each preset is the text of a config file. It leaves out the swept key, and the
+# GFU power under a locked ratio: the grid sets them at every point. The ratio is
 # linear: no dB float converts to exactly 15.0, and the last bit of every
 # locked GFU power reaches the output.
 _PRESETS = {
     "fig3": """
 [system]
-gbu_power_db = 30
-gfu_power_db = 18.24
 target_rate_gbu = 2.5
 target_rate_gfu = 1.5
 [sweep]
@@ -84,7 +82,6 @@ cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
     "fig4": """
 [system]
 gbu_power_db = 15
-gfu_power_db = 0
 target_rate_gbu = 3
 target_rate_gfu = 3
 [sweep]
@@ -105,8 +102,6 @@ cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
 """,
     "fig5": """
 [system]
-gbu_power_db = 30
-gfu_power_db = 18.24
 target_rate_gbu = 2
 target_rate_gfu = 1.5
 [sweep]
@@ -133,8 +128,6 @@ gbu_power_db_grid = choice 20:50:5
 num_gfus = 5
 gbu_power_db = 10
 gfu_power_db = 15
-target_rate_gbu = 1
-target_rate_gfu = 1
 [sweep]
 axis = target_rate
 grid = 0.5 1 1.5 2 2.5 3 3.5 4 4.5 5 5.5 6
@@ -149,7 +142,6 @@ cr-noma-sgf-pc = choice omitted: power-control allocation rule out of scope
 """,
     "fig7": """
 [system]
-num_gfus = 1
 target_rate_gbu = 1.5
 target_rate_gfu = 2
 [sweep]
@@ -201,6 +193,8 @@ _SECTION_KEYS = {
 }
 # where a metadata line says its value came from
 _SOURCES = ("caption", "text", "choice")
+# the [system] keys a sweep axis sets at every grid point
+_AXIS_KEYS = {"target_rate": ("target_rate_gbu", "target_rate_gfu")}
 
 
 @dataclass(frozen=True)
@@ -235,7 +229,9 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
     built-in defaults. Each ``[sweep.<label>]`` section is one sweep, its keys
     over those of ``[system]`` and ``[sweep]``. A ``[metadata]`` (and
     ``[metadata.<label>]``) line ``key = source [value]`` takes, without a
-    value, the sub-configuration's raw value of ``key``.
+    value, the sub-configuration's raw value of ``key``. The ``[system]`` keys
+    the grid sets (and ``gfu_power_db`` under a locked ratio on a GBU power
+    sweep) may be left out; their base then comes from the grid's first value.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -279,6 +275,8 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
                 source, *value = line.split(None, 1)
                 if source not in _SOURCES:
                     raise UsageError(f"metadata {key!r}: source must be one of {_SOURCES}")
+                if not value and key not in values:
+                    raise UsageError(f"metadata {key!r} has no value and names no key given")
                 metadata.append((key, value[0] if value else values[key], source))
             common = dict(label=label, trials=trials, seed=seed, metadata=tuple(metadata))
             if zone:
@@ -292,13 +290,23 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
                     )
                 )
                 continue
-            if values["axis"] not in SWEEP_AXES:
-                raise UsageError(f"axis must be one of {SWEEP_AXES}, got {values['axis']!r}")
+            axis = values["axis"]
+            if axis not in SWEEP_AXES:
+                raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
             ratio = values.get("gbu_to_gfu_power_ratio")
             if "gbu_to_gfu_power_ratio_db" in values:
                 if ratio is not None:
                     raise UsageError("give one of gbu_to_gfu_power_ratio and its _db form")
                 ratio = db_to_linear(float(values["gbu_to_gfu_power_ratio_db"]))
+            ratio = None if ratio is None else float(ratio)
+            grid = tuple(float(v) for v in values["grid"].split())
+            # the sweep replaces these base values at every grid point
+            if grid:
+                for key in _AXIS_KEYS.get(axis, (axis,)):
+                    values.setdefault(key, grid[0])
+                if axis == "gbu_power_db" and ratio is not None:
+                    locked = float(values["gbu_power_db"]) - linear_to_db(ratio)
+                    values.setdefault("gfu_power_db", locked)
             specs.append(
                 ExperimentSpec(
                     kind="sweep",
@@ -309,12 +317,12 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
                         target_rate_gbu=float(values["target_rate_gbu"]),
                         target_rate_gfu=float(values["target_rate_gfu"]),
                     ),
-                    axis=values["axis"],
-                    grid=tuple(float(v) for v in values["grid"].split()),
+                    axis=axis,
+                    grid=grid,
                     schemes=tuple(
                         Scheme(v) for v in values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
                     ),
-                    gbu_to_gfu_power_ratio=None if ratio is None else float(ratio),
+                    gbu_to_gfu_power_ratio=ratio,
                     **common,
                 )
             )
@@ -362,7 +370,9 @@ def _sweep_row_cells(row: SweepRow, spec: ExperimentSpec) -> list[str]:
     ]
 
 
-def _write_csv(path: str, metadata, header, cells_rows, timestamp: bool) -> None:
+def _write_csv(path: str, metadata, header, timestamp: bool, cells_rows=(), body="") -> None:
+    """Write the comment lines and header, then ``cells_rows`` through ``csv.writer``
+    and ``body``, lines already formatted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if timestamp:
             now = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -372,6 +382,7 @@ def _write_csv(path: str, metadata, header, cells_rows, timestamp: bool) -> None
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(cells_rows)
+        fh.write(body)
 
 
 def _write_json_mirror(path: str, metadata, header, cells_rows) -> None:
@@ -391,15 +402,19 @@ def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
     return f"{stem}_{spec.label}{ext or '.csv'}"
 
 
-def _zone_cells(spec: ExperimentSpec) -> list[list[str]]:
+def _zone_lines(spec: ExperimentSpec) -> list[str]:
+    """The CSV body lines of a zone grid. No cell needs quoting: each is a float
+    repr or a label value."""
     grid = classify_grid(
         db_to_linear(spec.zone_gbu_power_db),
         db_to_linear(spec.zone_gfu_power_db),
         spec.zone_grid_n,
     )
-    # the grid_n**2 pairs take their targets from grid_n values; format each once
-    text = {t: _fmt(t) for t in {t for t_gbu, t_gfu, _ in grid for t in (t_gbu, t_gfu)}}
-    return [[text[t_gbu], text[t_gfu], label.value] for t_gbu, t_gfu, label in grid]
+    # the grid_n**2 cells take their targets from the grid_n of the first row;
+    # format each once
+    target = {t: _fmt(t) + "," for t in {t_gfu for _, t_gfu, _ in grid[: spec.zone_grid_n]}}
+    label_text = {label: label.value + "\n" for label in ZoneLabel}
+    return [target[t_gbu] + target[t_gfu] + label_text[label] for t_gbu, t_gfu, label in grid]
 
 
 def _execute_spec(
@@ -412,13 +427,15 @@ def _execute_spec(
         ("seed", str(spec.seed), "choice"),
     )
     if spec.kind == "zone":
-        cells = _zone_cells(spec)
         header = ZONE_COLUMNS
+        lines = _zone_lines(spec)
+        _write_csv(out, run_meta, header, timestamp, body="".join(lines))
+        cells = [line[:-1].split(",") for line in lines] if fmt == "json" else None
     else:
-        cells = [_sweep_row_cells(row, spec) for row in rows]
         header = SWEEP_COLUMNS
+        cells = [_sweep_row_cells(row, spec) for row in rows]
+        _write_csv(out, run_meta, header, timestamp, cells_rows=cells)
     written = [out]
-    _write_csv(out, run_meta, header, cells, timestamp)
     if fmt == "json":
         json_path = os.path.splitext(out)[0] + ".json"
         _write_json_mirror(json_path, run_meta, header, cells)

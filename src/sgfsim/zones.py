@@ -12,8 +12,10 @@ independent of fading statistics and of the silence rule.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 __all__ = ["ZoneLabel", "RegionCorners", "region_corners", "classify_rate_pair", "classify_grid"]
 
@@ -71,13 +73,19 @@ def _classify(c: RegionCorners, target_gbu: float, target_gfu: float) -> ZoneLab
     # written so that NaN fails it too
     if not (0.0 < target_gbu and 0.0 < target_gfu):
         raise ValueError(f"target rates must be > 0, got {target_gbu!r}, {target_gfu!r}")
-    gbu_first_ok = target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone
-    gfu_first_ok = target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first
-    rsma_ok = (
-        target_gbu <= c.gbu_alone
-        and target_gfu <= c.gfu_alone
-        and target_gbu + target_gfu <= c.sum_rate
+    return _label(
+        gbu_first_ok=target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone,
+        gfu_first_ok=target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first,
+        rsma_ok=(
+            target_gbu <= c.gbu_alone
+            and target_gfu <= c.gfu_alone
+            and target_gbu + target_gfu <= c.sum_rate
+        ),
     )
+
+
+def _label(gbu_first_ok: bool, gfu_first_ok: bool, rsma_ok: bool) -> ZoneLabel:
+    """The label of a pair from which regions hold it; the baseline's orders come first."""
     if gbu_first_ok and gfu_first_ok:
         return ZoneLabel.NOMA_EITHER
     if gbu_first_ok:
@@ -93,15 +101,37 @@ def classify_grid(p_gbu: float, p_gfu: float, grid_n: int) -> list[tuple[float, 
     """Classify a uniform grid_n x grid_n grid of target pairs.
 
     Grid points are i * sum_rate / grid_n for i = 1..grid_n on both axes, so
-    the grid covers every region corner.
+    the grid covers every region corner. The cells are those
+    ``classify_rate_pair`` gives pair by pair, GBU target outer.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    corners = region_corners(p_gbu, p_gfu)
-    step = corners.sum_rate / grid_n
+    c = region_corners(p_gbu, p_gfu)
+    step = c.sum_rate / grid_n
+    if not step > 0.0:
+        raise ValueError(
+            f"received powers {p_gbu!r}, {p_gfu!r} give sum rate {c.sum_rate!r}: "
+            "the grid needs a positive sum rate"
+        )
     points = [step * (i + 1) for i in range(grid_n)]
-    return [
-        (t_gbu, t_gfu, _classify(corners, t_gbu, t_gfu))
-        for t_gbu in points
-        for t_gfu in points
-    ]
+    # Along a row the GFU targets ascend, so each GFU-side test of _classify holds
+    # on a prefix of them: the row is at most four runs of one label. The same
+    # float comparisons find where each prefix ends.
+    gfu_alone_end = bisect_right(points, c.gfu_alone)
+    gfu_first_end = bisect_right(points, c.gfu_decoded_first)
+    cells: list[tuple[float, float, ZoneLabel]] = []
+    for t_gbu in points:
+        gbu_first_row = t_gbu <= c.gbu_decoded_first
+        gfu_first_row = t_gbu <= c.gbu_alone
+        # float addition is monotone, so t_gbu + t_gfu <= sum_rate holds on a prefix too
+        sum_end = bisect_right(points, c.sum_rate, key=t_gbu.__add__)
+        cuts = sorted({0, gfu_alone_end, gfu_first_end, sum_end, grid_n})
+        for start, end in zip(cuts, cuts[1:]):
+            label = _label(
+                gbu_first_ok=gbu_first_row and start < gfu_alone_end,
+                gfu_first_ok=gfu_first_row and start < gfu_first_end,
+                rsma_ok=gfu_first_row and start < gfu_alone_end and start < sum_end,
+            )
+            n = end - start
+            cells += zip(repeat(t_gbu, n), points[start:end], repeat(label, n))
+    return cells

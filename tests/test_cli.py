@@ -69,6 +69,11 @@ PRESET_FILE_SHA256 = {
     "fig7_b.csv": "202a6ebb62c82358f41bf3e06311c4cee177b3421d182b30712953d037fdeb16",
     "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
 }
+# `sgfsim run zone --grid 40 --format json --no-timestamp`: the CSV and its JSON mirror
+ZONE_JSON_MIRROR_SHA256 = {
+    "zone.csv": "26436779ba06bc1a580f4a5a8175e64966316a662c14bf676ea71436f0b619f7",
+    "zone.json": "29c38584f2bce2c7c9cc99cf3d00d7616ea53eb1fc4f52368859c33617837312",
+}
 
 
 def read_csv(path):
@@ -185,6 +190,43 @@ class TestRunWithConfigFile:
             "both_k3.csv",
         ]
 
+    @pytest.mark.parametrize(
+        "axis, grid, omitted, extra",
+        [
+            ("gfu_power_db", "5 10 15", ["gfu_power_db"], ""),
+            ("gbu_power_db", "20 30", ["gbu_power_db"], ""),
+            (
+                "gbu_power_db",
+                "20 30",
+                ["gbu_power_db", "gfu_power_db"],
+                "gbu_to_gfu_power_ratio = 15\n",
+            ),
+            ("target_rate", "0.5 1.5", ["target_rate_gbu", "target_rate_gfu"], ""),
+            ("num_gfus", "1 3", ["num_gfus"], ""),
+        ],
+        ids=["gfu-power", "gbu-power", "locked-ratio", "target-rate", "num-gfus"],
+    )
+    def test_keys_the_grid_sets_are_optional(self, tmp_path, axis, grid, omitted, extra):
+        # the grid replaces the base value of the swept key (and of the GFU power
+        # under a locked ratio) at every point, so leaving it out changes no byte
+        full = (
+            SWEEP_CONFIG.replace("axis = gfu_power_db", f"axis = {axis}\n{extra}")
+            .replace("grid = 5 10 15", f"grid = {grid}")
+            .replace("trials = 5000", "trials = 2000")
+        )
+        lines = full.splitlines(keepends=True)
+        short = "".join(line for line in lines if line.split(" =")[0] not in omitted)
+        assert len(short.splitlines()) == len(lines) - len(omitted)
+        files = []
+        for name, text in (("full", full), ("short", short)):
+            cfg = write_config(tmp_path, text, f"{name}.ini")
+            files.append(tmp_path / f"{name}.csv")
+            argv = ["run", "--config", cfg, "--out", str(files[-1]), "--no-timestamp"]
+            assert main(argv) == 0
+        head, _, body = files[0].read_text().partition("\n")
+        assert head == f"# config_file={tmp_path / 'full.ini'} source=choice"
+        assert files[1].read_text() == f"# config_file={tmp_path / 'short.ini'} source=choice\n" + body
+
     def test_zone_config(self, tmp_path):
         cfg = write_config(tmp_path, ZONE_CONFIG)
         out = str(tmp_path / "zone.csv")
@@ -269,6 +311,16 @@ class TestRunWithPresets:
             for name, digest in PRESET_FILE_SHA256.items()
             if name.partition("_")[0].removesuffix(".csv") == preset
         }
+
+    def test_zone_json_mirror_is_pinned(self, tmp_path):
+        out = str(tmp_path / "zone.csv")
+        argv = ["run", "zone", "--grid", "40", "--format", "json", "--no-timestamp", "--out", out]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in os.listdir(tmp_path)
+        }
+        assert digests == ZONE_JSON_MIRROR_SHA256
 
     def test_choice_parameters_are_marked(self, tmp_path):
         out = str(tmp_path / "fig7.csv")
@@ -370,12 +422,25 @@ class TestUsageErrors:
         ],
     )
     def test_missing_required_key_in_config(self, tmp_path, capsys, key):
-        lines = SWEEP_CONFIG.splitlines(keepends=True)
+        # a key is required unless the grid sets it; SWEEP_CONFIG sweeps the GFU power
+        text = SWEEP_CONFIG
+        if key == "gfu_power_db":
+            text = text.replace("axis = gfu_power_db", "axis = gbu_power_db")
+        lines = text.splitlines(keepends=True)
         kept = [line for line in lines if not line.startswith(f"{key} =")]
         assert len(kept) == len(lines) - 1
         cfg = write_config(tmp_path, "".join(kept))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "invalid config file" in capsys.readouterr().err
+
+    def test_metadata_line_naming_an_omitted_key(self, tmp_path, capsys):
+        # the grid sets the GFU power, but a metadata line cannot read it from [system]
+        text = SWEEP_CONFIG.replace("gfu_power_db = 10\n", "") + "[metadata]\ngfu_power_db = text\n"
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert "metadata 'gfu_power_db' has no value and names no key given" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_empty_schemes_in_config(self, tmp_path, capsys):
         bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
@@ -400,6 +465,16 @@ class TestUsageErrors:
         out = str(tmp_path / "zone.csv")
         assert main(["run", "zone", flag, value, "--grid", "4", "--out", out]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_zone_sum_rate_rounding_to_zero(self, tmp_path, capsys):
+        # no target rate was given: the message names the powers and the sum rate
+        out = str(tmp_path / "zone.csv")
+        argv = ["run", "zone", "--p0g0-db", "-400", "--psgk-db", "-400", "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "received powers 1e-40, 1e-40 give sum rate 0.0" in err
+        assert "target rates" not in err
         assert not os.path.exists(out)
 
     def test_bad_worker_count(self, tmp_path, monkeypatch, capsys):

@@ -125,3 +125,65 @@ class TestClassifyGrid:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             classify_grid(1.0, 1.0, 0)
+
+
+def pairwise_grid(p_gbu, p_gfu, grid_n):
+    """The grid classified pair by pair, each pair through ``classify_rate_pair``."""
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    step = region_corners(p_gbu, p_gfu).sum_rate / grid_n
+    points = [step * (i + 1) for i in range(grid_n)]
+    return [(a, b, classify_rate_pair(p_gbu, p_gfu, a, b)) for a in points for b in points]
+
+
+GRID_SIZES = (1, 2, 3, 7, 200, 333)
+
+
+class TestGridMatchesPairwise:
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(54)
+        on_corner = on_sum_face = 0
+        sizes = set()
+        for draw in range(300):
+            p_gbu, p_gfu = (db_to_linear(float(v)) for v in rng.uniform(-20.0, 50.0, 2))
+            if draw % 10 == 0:
+                # one user silent: its corners coincide with the sum rate, which the
+                # last grid point can hit exactly
+                p_gbu, p_gfu = (0.0, p_gfu) if draw % 20 else (p_gbu, 0.0)
+            # the pairwise reference costs ~3 us a cell: few draws get a large grid
+            grid_n = int(rng.choice(GRID_SIZES, p=[0.245] * 4 + [0.01] * 2))
+            sizes.add(grid_n)
+            cells = classify_grid(p_gbu, p_gfu, grid_n)
+            assert cells == pairwise_grid(p_gbu, p_gfu, grid_n)
+            c = region_corners(p_gbu, p_gfu)
+            corners = {c.gbu_alone, c.gfu_alone, c.gbu_decoded_first, c.gfu_decoded_first}
+            on_corner += sum(t_gfu in corners for _, t_gfu, _ in cells[:grid_n])
+            on_sum_face += sum(a + b == c.sum_rate for a, b, _ in cells)
+        # every size and the inclusive edges were exercised
+        assert sizes == set(GRID_SIZES)
+        assert on_corner > 0
+        assert on_sum_face > 0
+
+    @pytest.mark.parametrize(
+        "p_gbu, p_gfu, grid_n",
+        [
+            (1.0, 1.0, 0),
+            (1.0, 1.0, -3),
+            (math.nan, 1.0, 4),
+            (1.0, math.inf, 4),
+            (-1.0, 1.0, 4),
+            (0.0, 0.0, 5),
+            (1e-40, 1e-40, 3),
+        ],
+        ids=["zero-grid", "negative-grid", "nan-power", "inf-power", "negative-power",
+             "silent", "sum-rate-rounds-to-zero"],
+    )
+    def test_raises_where_pairwise_raised(self, p_gbu, p_gfu, grid_n):
+        with pytest.raises(ValueError):
+            pairwise_grid(p_gbu, p_gfu, grid_n)
+        with pytest.raises(ValueError):
+            classify_grid(p_gbu, p_gfu, grid_n)
+
+    def test_zero_sum_rate_names_the_powers(self):
+        with pytest.raises(ValueError, match=r"received powers 1e-40, 1e-40 give sum rate 0\.0"):
+            classify_grid(1e-40, 1e-40, 3)
