@@ -26,6 +26,7 @@ exactly, so it does not cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -195,11 +196,16 @@ class OutageBreakdown:
 
 
 def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreakdown:
-    p1 = _clip_probability(p1, "case-I probability")
-    p2 = tuple(
-        _clip_probability(t, f"case-II probability (k={k})") for k, t in enumerate(p2_terms)
-    )
-    p3 = _clip_probability(p3, "case-III probability")
+    if all(0.0 <= t <= 1.0 for t in (p1, *p2_terms, p3)):
+        # in range, so clipping is abs: it maps -0.0 to 0.0 and keeps the rest
+        p1, p2, p3 = abs(p1), tuple(map(abs, p2_terms)), abs(p3)
+    else:
+        # clip each value, so that the error names the first one out of range
+        p1 = _clip_probability(p1, "case-I probability")
+        p2 = tuple(
+            _clip_probability(t, f"case-II probability (k={k})") for k, t in enumerate(p2_terms)
+        )
+        p3 = _clip_probability(p3, "case-III probability")
     total = _clip_probability(math.fsum((p1, *p2, p3)), "total outage probability")
     return OutageBreakdown(p_case1=p1, p_case2_terms=p2, p_case3=p3, total=total)
 
@@ -303,6 +309,20 @@ def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, np.ndarray
 
 # the 64-node rule answers and the 48-node rule checks it
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
+_GAUSS_NODES_COMPLEMENT = 1.0 - _GAUSS_NODES
+
+
+@functools.cache
+def _order_table(big_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (K+1, 1) columns of k, K - k and C(K, k), k = 0..K, for
+    ``outage_quadrature``; they depend on K alone. C(K, k) overflows a double
+    from K = 1030 on, which raises ``OverflowError`` and caches nothing."""
+    ks = np.arange(big_k + 1)[:, None]
+    binomials = np.array([float(comb(big_k, k)) for k in range(big_k + 1)])[:, None]
+    table = (ks, big_k - ks, binomials)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
@@ -327,16 +347,16 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     e0, es = config.eps0, config.eps_s
     eta0, eta_s = config.eta0, config.eta_s
     try:
+        ks, rest, binomials = _order_table(big_k)
+
         # case III: x in [0, eta0]
         x = eta0 * u
         p3 = eta0 * ((-np.expm1(-eta_s * (1.0 + config.power_gbu * x))) ** big_k * np.exp(-x) @ w)
 
         # case-II buckets k = 0..K-1 and the case-I core, x in [eta0, x*]
-        a = eta_s * u
-        band = np.exp(-a) * -np.expm1(-(1.0 + e0) * eta_s * (1.0 - u))
-        ks = np.arange(big_k + 1)[:, None]
-        rows = (-np.expm1(-a)) ** ks * band ** (big_k - ks)
-        binomials = np.array([comb(big_k, k) for k in range(big_k + 1)], dtype=float)[:, None]
+        minus_a = -(eta_s * u)
+        band = np.exp(minus_a) * -np.expm1(-(1.0 + e0) * eta_s * _GAUSS_NODES_COMPLEMENT)
+        rows = (-np.expm1(minus_a)) ** ks * band**rest
         density = eta0 * es * np.exp(-eta0 * (1.0 + es * u))  # dx/du times exp(-x)
         terms = binomials * (rows @ (w * density[:, None]))
 
@@ -344,7 +364,9 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
         tail = (-expm1(-eta_s)) ** big_k * exp(-eta0 * (1.0 + es))
     except OverflowError as err:
         raise NumericalRangeError("quadrature overflowed double precision") from err
-    coarse, fine = (math.fsum((*terms[:, j].tolist(), tail, float(p3[j]))) for j in (0, 1))
+    # per rule: the K + 1 integrated rows and the case-III integral
+    columns, p3 = terms.T.tolist(), p3.tolist()
+    coarse, fine = (math.fsum((*columns[j], tail, p3[j])) for j in (0, 1))
     if fine < sys.float_info.min:
         raise NumericalRangeError(
             f"quadrature total {fine!r} is below the smallest normal double; no "
@@ -355,7 +377,7 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
             f"the 48- and 64-node rules disagree ({coarse!r} vs {fine!r}); "
             "the integrands vary too fast for a fixed quadrature rule here"
         )
-    return _build_breakdown(float(terms[big_k, 1]) + tail, terms[:big_k, 1].tolist(), float(p3[1]))
+    return _build_breakdown(columns[1][big_k] + tail, columns[1][:big_k], p3[1])
 
 
 def outage_highsnr(config: SystemConfig) -> float:

@@ -19,6 +19,7 @@ import configparser
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -293,12 +294,17 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
             axis = values["axis"]
             if axis not in SWEEP_AXES:
                 raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-            ratio = values.get("gbu_to_gfu_power_ratio")
-            if "gbu_to_gfu_power_ratio_db" in values:
+            ratio_key = "gbu_to_gfu_power_ratio"
+            ratio = values.get(ratio_key)
+            if f"{ratio_key}_db" in values:
                 if ratio is not None:
                     raise UsageError("give one of gbu_to_gfu_power_ratio and its _db form")
-                ratio = db_to_linear(float(values["gbu_to_gfu_power_ratio_db"]))
+                ratio_key += "_db"
+                ratio = db_to_linear(float(values[ratio_key]))
             ratio = None if ratio is None else float(ratio)
+            # written so that NaN fails it too
+            if ratio is not None and not 0.0 < ratio < math.inf:
+                raise UsageError(f"{ratio_key} must give a finite ratio > 0, got {ratio!r}")
             grid = tuple(float(v) for v in values["grid"].split())
             # the sweep replaces these base values at every grid point
             if grid:
@@ -385,14 +391,29 @@ def _write_csv(path: str, metadata, header, timestamp: bool, cells_rows=(), body
         fh.write(body)
 
 
-def _write_json_mirror(path: str, metadata, header, cells_rows) -> None:
-    payload = {
-        "metadata": [{"key": k, "value": v, "source": s} for k, v, s in metadata],
-        "rows": [dict(zip(header, cells)) for cells in cells_rows],
-    }
+def _json_objects(keys, columns) -> str:
+    """The JSON list of objects whose ``keys[i]`` values are ``columns[i]``, one
+    per object, as ``json.dumps`` with ``indent=1, sort_keys=True`` writes it at
+    depth one. Every value is a string; each distinct one is encoded once."""
+    if not columns or not columns[0]:
+        return "[]"
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # a key's own "%" must not read as a placeholder
+    item = ",\n".join(f"   {json.dumps(keys[i]).replace('%', '%%')}: %s" for i in order)
+    encoded = {cell: json.dumps(cell) for cell in set().union(*columns)}
+    values = zip(*([encoded[cell] for cell in columns[i]] for i in order))
+    return "[\n" + ",\n".join(map(f"  {{\n{item}\n  }}".__mod__, values)) + "\n ]"
+
+
+def _write_json_mirror(path: str, metadata, header, columns) -> None:
+    """Write ``json.dumps(payload, indent=1, sort_keys=True)`` and a newline, for the
+    payload of ``metadata`` objects and one object per row, whose ``header[i]``
+    cell is in ``columns[i]``. The fixed layout is written directly: the
+    encoder takes about a tenth of a second per 10,000 zone rows."""
+    meta = _json_objects(("key", "value", "source"), list(zip(*metadata)))
+    rows = _json_objects(header, columns)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n "metadata": {meta},\n "rows": {rows}\n}}\n')
 
 
 def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
@@ -428,17 +449,20 @@ def _execute_spec(
     )
     if spec.kind == "zone":
         header = ZONE_COLUMNS
-        lines = _zone_lines(spec)
-        _write_csv(out, run_meta, header, timestamp, body="".join(lines))
-        cells = [line[:-1].split(",") for line in lines] if fmt == "json" else None
+        body = "".join(_zone_lines(spec))
+        _write_csv(out, run_meta, header, timestamp, body=body)
+        # the body's cells row by row; every len(header)-th of them is one column
+        cells = body.replace("\n", ",").split(",")[:-1] if fmt == "json" else []
+        columns = [cells[i :: len(header)] for i in range(len(header))]
     else:
         header = SWEEP_COLUMNS
         cells = [_sweep_row_cells(row, spec) for row in rows]
         _write_csv(out, run_meta, header, timestamp, cells_rows=cells)
+        columns = list(zip(*cells))
     written = [out]
     if fmt == "json":
         json_path = os.path.splitext(out)[0] + ".json"
-        _write_json_mirror(json_path, run_meta, header, cells)
+        _write_json_mirror(json_path, run_meta, header, columns)
         written.append(json_path)
     return written
 

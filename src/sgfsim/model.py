@@ -34,8 +34,9 @@ def db_to_linear(value_db: float) -> float:
 
 
 def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        raise ValueError(f"dB conversion requires a positive value, got {value!r}")
+    # written so that NaN fails it too
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"dB conversion requires a finite positive value, got {value!r}")
     return 10.0 * math.log10(value)
 
 

@@ -536,6 +536,10 @@ def sweeps(
             raise ValueError(f"unknown sweep axis {request.axis!r}; expected one of {SWEEP_AXES}")
         if not request.schemes:
             raise ValueError("sweep schemes must be nonempty")
+        ratio = request.gbu_to_gfu_power_ratio
+        # written so that NaN fails it too
+        if ratio is not None and not 0.0 < ratio < math.inf:
+            raise ValueError(f"gbu_to_gfu_power_ratio must be finite and > 0, got {ratio!r}")
     workers = _resolve_workers(workers)
 
     # (request, grid index) -> config or the reason there is none

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -16,6 +17,9 @@ from sgfsim.analytic import (
     AnalyticTerms,
     ConditioningWarning,
     NumericalRangeError,
+    OutageBreakdown,
+    _build_breakdown,
+    _order_table,
     _series_sum,
     nu_kernel,
     outage_diversity_asymptote,
@@ -27,6 +31,10 @@ from sgfsim.analytic import (
 )
 from sgfsim.model import SystemConfig, db_to_linear
 from sgfsim.montecarlo import _config_on_axis
+
+
+# SHA-256 of TestOutageQuadrature.test_outputs_are_pinned's seeded outputs
+QUADRATURE_OUTPUT_SHA256 = "242221fd5b021b479270922b62fa9652e7487d35494ad5bdca38aeda870827c9"
 
 
 def config(num_gfus=2, power_gbu=10.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.0):
@@ -338,6 +346,33 @@ class TestOutageQuadrature:
         cfg = SystemConfig.from_db(1, db, db, 0.5, 0.5)
         assert outage_probability(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_outputs_are_pinned(self):
+        # repr of every breakdown, or the type and message of every raise, over
+        # 2,000 seeded configs wider than the README range (42 of them raise);
+        # pinned before the per-K tables and the one-pass range check went in
+        rng = np.random.default_rng(2718)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            k = int(rng.integers(1, 51))
+            gbu_db, gfu_db = rng.uniform(-10.0, 70.0, 2).tolist()
+            rate_gbu, rate_gfu = rng.uniform(0.1, 6.0, 2).tolist()
+            cfg = SystemConfig.from_db(k, gbu_db, gfu_db, rate_gbu, rate_gfu)
+            try:
+                text = repr(outage_quadrature(cfg))
+            except (ValueError, ArithmeticError) as err:
+                text = f"{type(err).__name__}: {err}"
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == QUADRATURE_OUTPUT_SHA256
+
+    def test_binomial_overflow_raises(self):
+        with pytest.raises(NumericalRangeError, match="^quadrature overflowed double precision$"):
+            outage_quadrature(SystemConfig.from_db(1100, 30, 20, 1, 1))
+
+    def test_per_k_tables_refuse_writes(self):
+        for column in _order_table(5):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 7
+
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sgfsim.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -529,3 +564,32 @@ class TestCompensatedSum:
         for terms in ([math.inf], [math.inf, -math.inf], [math.nan], [1e308, 1e308]):
             with pytest.raises(NumericalRangeError, match="synthetic series"):
                 _series_sum(terms, "synthetic series")
+
+
+class TestBuildBreakdown:
+    """The one-pass range check returns what the per-value clip returned, and
+    where a value fails it, raises the clip's error for the first such value."""
+
+    @pytest.mark.parametrize(
+        "p1,p2_terms,p3,message",
+        [
+            (math.nan, [0.1], 0.1, "^nonfinite value for case-I probability$"),
+            (0.1, [0.1, 0.1, math.inf], 0.1,
+             r"^nonfinite value for case-II probability \(k=2\)$"),
+            (0.1, [0.1, 1.5, -2.0], 0.1,
+             r"^case-II probability \(k=1\) = 1.5 lies outside \[0, 1\] beyond rounding tolerance$"),
+            (0.1, [0.1], -1e-3, r"^case-III probability = -0.001 lies outside"),
+            (0.6, [0.0], 0.6, r"^total outage probability = 1.2 lies outside"),
+        ],
+    )
+    def test_out_of_range_value_named(self, p1, p2_terms, p3, message):
+        with pytest.raises(NumericalRangeError, match=message):
+            _build_breakdown(p1, p2_terms, p3)
+
+    def test_rounding_excursions_clip(self):
+        breakdown = _build_breakdown(-0.0, [-1e-12, 1.0 + 1e-12], -0.0)
+        assert repr(breakdown) == repr(OutageBreakdown(0.0, (0.0, 1.0), 0.0, 1.0))
+
+    def test_in_range_values_pass_through(self):
+        breakdown = _build_breakdown(0.5, [0.0, 1e-300, 0.25], 0.125)
+        assert breakdown == OutageBreakdown(0.5, (0.0, 1e-300, 0.25), 0.125, 0.875)

@@ -243,6 +243,63 @@ class TestRunWithConfigFile:
         }
 
 
+def json_mirror_payload(metadata, header, columns):
+    return {
+        "metadata": [{"key": k, "value": v, "source": s} for k, v, s in metadata],
+        "rows": [dict(zip(header, cells)) for cells in zip(*columns)],
+    }
+
+
+class TestJsonMirrorWriter:
+    """The mirror writer emits what ``json.dumps(payload, indent=1, sort_keys=True)``
+    and a newline would."""
+
+    @pytest.mark.parametrize(
+        "metadata,header,columns",
+        [
+            pytest.param([("preset", "zone", "caption")], ZONE_COLUMNS, [[], [], []], id="no-rows"),
+            pytest.param([], SWEEP_COLUMNS, [], id="no-metadata-no-columns"),
+            pytest.param(
+                [("note", 'say "hi", then \\ go', "choice"), ("lieu", "Zürich 東京", "text")],
+                ["zeta", "alpha", 'quo"te', "b,c %s"],
+                [['"', "a\\b"], ["x,y", "%s"], ["ünï", "\u2603\n\t"], ["1.5", "1.5"]],
+                id="escapes",
+            ),
+        ],
+    )
+    def test_matches_the_encoder(self, tmp_path, metadata, header, columns):
+        path = tmp_path / "m.json"
+        cli._write_json_mirror(str(path), metadata, header, columns)
+        want = json.dumps(json_mirror_payload(metadata, header, columns), indent=1, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == want + "\n"
+
+    def test_sweep_mirror_with_error_notes(self, tmp_path, monkeypatch):
+        # K = 2.5 is an error row; at P0 = -10 dB, rate 6 the two Gauss rules disagree
+        text = (
+            SWEEP_CONFIG.replace("gbu_power_db = 20", "gbu_power_db = -10")
+            .replace("target_rate_gbu = 1.0", "target_rate_gbu = 6")
+            .replace("axis = gfu_power_db", "axis = num_gfus")
+            .replace("grid = 5 10 15", "grid = 5 2.5")
+        )
+        calls, writer = [], cli._write_json_mirror
+
+        def record(*args):
+            calls.append(args)
+            writer(*args)
+
+        monkeypatch.setattr(cli, "_write_json_mirror", record)
+        out = str(tmp_path / "sweep.csv")
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", out, "--format", "json", "--no-timestamp"]) == 0
+        (path, metadata, header, columns), = calls
+        errors = columns[header.index("error")]
+        assert "num_gfus must be an integer, got 2.5" in errors
+        assert any("48- and 64-node rules disagree" in e for e in errors)
+        want = json.dumps(json_mirror_payload(metadata, header, columns), indent=1, sort_keys=True)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == want + "\n"
+
+
 class TestRunWithPresets:
     def test_zone_preset_flags(self, tmp_path):
         out = str(tmp_path / "zone.csv")
@@ -388,6 +445,27 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace("schemes =", both))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "gbu_to_gfu_power_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "gbu_to_gfu_power_ratio = 0",
+            "gbu_to_gfu_power_ratio = -2",
+            "gbu_to_gfu_power_ratio = nan",
+            "gbu_to_gfu_power_ratio = inf",
+            "gbu_to_gfu_power_ratio_db = inf",
+            "gbu_to_gfu_power_ratio_db = -inf",
+        ],
+    )
+    @pytest.mark.parametrize("axis", ["gbu_power_db", "gfu_power_db"])
+    def test_bad_power_ratio_in_config(self, tmp_path, capsys, line, axis):
+        text = SWEEP_CONFIG.replace("schemes =", line + "\nschemes =")
+        cfg = write_config(tmp_path, text.replace("axis = gfu_power_db", f"axis = {axis}"))
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        key = line.split(" = ")[0]
+        assert f"{key} must give a finite ratio > 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "text",

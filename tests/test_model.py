@@ -68,6 +68,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             linear_to_db(0.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_linear_to_db_rejects_non_positive_or_non_finite(self, value):
+        with pytest.raises(ValueError, match="requires a finite positive value"):
+            linear_to_db(value)
+
 
 class TestChannelRealization:
     def test_requires_sorted_nonnegative(self):

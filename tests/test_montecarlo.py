@@ -539,6 +539,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="schemes must be nonempty"):
             sweep(config(), axis="gfu_power_db", grid=[10.0], trials=10, seed=1, schemes=())
 
+    @pytest.mark.parametrize("ratio", [0.0, -2.0, math.nan, math.inf])
+    def test_rejects_bad_power_ratio(self, ratio, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "_simulate", no_draw)
+        with pytest.raises(ValueError, match="gbu_to_gfu_power_ratio must be finite and > 0"):
+            sweep(config(), "gbu_power_db", [20, 30], 2000, 1, gbu_to_gfu_power_ratio=ratio)
+
     def test_deep_outage_rows_flagged_unresolved(self):
         rows = sweep(
             config(num_gfus=2, rate_gbu=1.0, rate_gfu=1.0),
