@@ -228,7 +228,8 @@ def outage_exact(config: SystemConfig) -> OutageBreakdown:
     series' condition number sum|t| / |sum t|. Where that bound exceeds 1e-10
     (large K, high SNR) a ``ConditioningWarning`` names the series and kappa;
     where no warning is emitted the total holds 1e-9 relative. An overflowing
-    or nonfinite series raises ``NumericalRangeError``.
+    or nonfinite series, or one whose Ps * eta0 is 0.0, raises
+    ``NumericalRangeError``.
     """
     _require_multi_user(config, "outage_exact")
     try:
@@ -237,6 +238,11 @@ def outage_exact(config: SystemConfig) -> OutageBreakdown:
         raise NumericalRangeError(
             "closed-form series overflowed double precision; the GFU power is "
             "too small for these thresholds"
+        ) from err
+    except ZeroDivisionError as err:
+        raise NumericalRangeError(
+            "closed-form series divides by Ps * eta0, which is 0.0 in double precision; "
+            "the GBU target rate is too small"
         ) from err
 
 

@@ -12,9 +12,10 @@ behaviour is plain orthogonal access, provided by
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .model import ChannelRealization, SystemConfig
-from .protocol import interference_threshold
+from .protocol import _CASE_I, _CASE_III, _check_gain_gbu, _decide
 
 __all__ = ["cr_noma_rate", "cr_noma_outage_sample"]
 
@@ -30,21 +31,26 @@ def cr_noma_rate(
     its interference is within budget) or the strongest user (decoded
     first); ties go to the strongest user.
     """
-    p0g0 = config.power_gbu * realization.gain_gbu
-    tau_hat, tau = interference_threshold(config, realization.gain_gbu)
+    gain_gbu = realization.gain_gbu
+    _check_gain_gbu(gain_gbu)
+    p0g0 = config.power_gbu * gain_gbu
     best = config.power_gfu * realization.gain_best
-    big_k = realization.num_gfus
+    gains = realization.gains_gfu
+    big_k = len(gains)
+    # the same three cases as the rate-splitting scheme
+    case, _, tau, _, _ = _decide(config, p0g0, best)
 
     rate_decode_first = math.log2(1.0 + best / (p0g0 + 1.0))
-    if tau == 0.0:
+    if case is _CASE_III:
         return rate_decode_first, big_k
-    if best <= tau:
+    if case is _CASE_I:
         return math.log2(1.0 + best), big_k
 
-    below = sum(1 for g in realization.gains_gfu if config.power_gfu * g < tau)
+    # the ascending gains put every received power below tau in a prefix
+    below = bisect_left(gains, tau, key=config.power_gfu.__mul__)
     if below == 0:
         return rate_decode_first, big_k
-    rate_decode_last = math.log2(1.0 + config.power_gfu * realization.gains_gfu[below - 1])
+    rate_decode_last = math.log2(1.0 + config.power_gfu * gains[below - 1])
     if rate_decode_last > rate_decode_first:
         return rate_decode_last, below
     return rate_decode_first, big_k

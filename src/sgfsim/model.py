@@ -30,7 +30,10 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB overflows double precision in linear scale") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -64,6 +67,9 @@ class SystemConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            # 2.0 ** rate, the SNR threshold plus one, overflows a double from 1024 on
+            if name.startswith("target_rate") and value >= 1024.0:
+                raise ValueError(f"{name} = {value!r} overflows its SNR threshold 2**rate - 1")
 
     @classmethod
     def from_db(
@@ -74,13 +80,13 @@ class SystemConfig:
         target_rate_gbu: float,
         target_rate_gfu: float,
     ) -> "SystemConfig":
-        return cls(
-            num_gfus=num_gfus,
-            power_gbu=db_to_linear(gbu_power_db),
-            power_gfu=db_to_linear(gfu_power_db),
-            target_rate_gbu=target_rate_gbu,
-            target_rate_gfu=target_rate_gfu,
-        )
+        powers = []
+        for name, value_db in (("gbu_power_db", gbu_power_db), ("gfu_power_db", gfu_power_db)):
+            try:
+                powers.append(db_to_linear(value_db))
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
+        return cls(num_gfus, *powers, target_rate_gbu, target_rate_gfu)
 
     @cached_property
     def eps0(self) -> float:
@@ -160,7 +166,14 @@ def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> Chann
     row = sample_gain_matrix(1, num_gfus + 1, rng)[0].tolist()
     gbu = row.pop()
     row.sort()
-    return ChannelRealization(gain_gbu=gbu, gains_gfu=tuple(row))
+    # -log1p(-u) of u in [0, 1) is finite and >= 0 and the row is now sorted,
+    # so the record is filled in without re-running __post_init__'s checks
+    # (by object.__setattr__, as the frozen __init__ does: touching __dict__
+    # would give each record its own dict, 2.6x the memory)
+    realization = object.__new__(ChannelRealization)
+    object.__setattr__(realization, "gain_gbu", gbu)
+    object.__setattr__(realization, "gains_gfu", tuple(row))
+    return realization
 
 
 def sinr_triplet(
@@ -177,22 +190,23 @@ def sinr_triplet(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     if not (0.0 <= gain_gbu and 0.0 <= gain_gfu):
         raise ValueError(f"channel gains must be >= 0, got {gain_gbu!r}, {gain_gfu!r}")
-    p_gbu = config.power_gbu * gain_gbu
-    p_gfu = config.power_gfu * gain_gfu
+    return _sic_sinrs(config.power_gbu * gain_gbu, config.power_gfu * gain_gfu, alpha)
+
+
+def _sic_sinrs(p_gbu: float, p_gfu: float, alpha: float) -> tuple[float, float, float]:
+    """``sinr_triplet`` from the received powers, unchecked."""
     residual = (1.0 - alpha) * p_gfu
-    sinr_s1 = alpha * p_gfu / (p_gbu + residual + 1.0)
-    sinr_gbu = p_gbu / (residual + 1.0)
-    sinr_s2 = residual
-    return sinr_s1, sinr_gbu, sinr_s2
+    return alpha * p_gfu / (p_gbu + residual + 1.0), p_gbu / (residual + 1.0), residual
 
 
 def achievable_rates(
     sinr_s1: float, sinr_gbu: float, sinr_s2: float
 ) -> tuple[float, float, float]:
     """Shannon rates log2(1 + SINR) for each SIC stage, in bits/channel use."""
-    for value in (sinr_s1, sinr_gbu, sinr_s2):
-        if not (0.0 <= value):
-            raise ValueError(f"SINR must be >= 0, got {value!r}")
+    # written so that NaN fails it too
+    if not (0.0 <= sinr_s1 and 0.0 <= sinr_gbu and 0.0 <= sinr_s2):
+        bad = next(v for v in (sinr_s1, sinr_gbu, sinr_s2) if not (0.0 <= v))
+        raise ValueError(f"SINR must be >= 0, got {bad!r}")
     return (
         math.log2(1.0 + sinr_s1),
         math.log2(1.0 + sinr_gbu),

@@ -22,10 +22,10 @@ rate, so across all cases its outage is exactly the orthogonal-access event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .model import ChannelRealization, SystemConfig, achievable_rates, sinr_triplet
+from .model import ChannelRealization, SystemConfig, _sic_sinrs, achievable_rates
 
 __all__ = [
     "CaseLabel",
@@ -46,8 +46,11 @@ class CaseLabel(Enum):
     CASE_III = "III"
 
 
-@dataclass(frozen=True)
-class TransmissionOutcome:
+# bound once: an attribute lookup on the Enum class costs more than the rest of a comparison
+_CASE_I, _CASE_II, _CASE_III = CaseLabel.CASE_I, CaseLabel.CASE_II, CaseLabel.CASE_III
+
+
+class TransmissionOutcome(NamedTuple):
     """Everything the protocol decides for one fading block."""
 
     case_label: CaseLabel
@@ -64,6 +67,17 @@ class TransmissionOutcome:
     gfu_outage: bool
 
 
+def _check_gain_gbu(gain_gbu: float) -> None:
+    # written so that NaN fails it too
+    if not (0.0 <= gain_gbu):
+        raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
+
+
+def _tau_hat(config: SystemConfig, p_gbu: float) -> float:
+    """The unclipped threshold for a received GBU power ``p_gbu``."""
+    return p_gbu / config.eps0 - 1.0
+
+
 def interference_threshold(config: SystemConfig, gain_gbu: float) -> tuple[float, float]:
     """Unclipped and broadcast interference thresholds for a GBU gain.
 
@@ -71,27 +85,35 @@ def interference_threshold(config: SystemConfig, gain_gbu: float) -> tuple[float
     which the GBU still decodes at its target rate; the broadcast value
     clips it at zero.
     """
-    # written so that NaN fails it too
-    if not (0.0 <= gain_gbu):
-        raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
-    tau_hat = config.power_gbu * gain_gbu / config.eps0 - 1.0
+    _check_gain_gbu(gain_gbu)
+    tau_hat = _tau_hat(config, config.power_gbu * gain_gbu)
     return tau_hat, max(0.0, tau_hat)
 
 
 def _decide(
-    config: SystemConfig, realization: ChannelRealization
+    config: SystemConfig, p_gbu: float, p_best: float
 ) -> tuple[CaseLabel, float, float, float, float]:
     """The case, both thresholds and the (alpha, beta) split of one block, from
-    one ``interference_threshold`` call; see ``classify_case`` and ``allocate``."""
-    tau_hat, tau = interference_threshold(config, realization.gain_gbu)
-    if tau == 0.0:
-        return CaseLabel.CASE_III, tau_hat, tau, 1.0, 1.0
-    received_best = config.power_gfu * realization.gain_best
-    if received_best <= tau:
-        return CaseLabel.CASE_I, tau_hat, tau, 0.0, 0.0
-    alpha = 1.0 - tau_hat / received_best
+    the received powers of the GBU and the strongest GFU, whose gains the caller
+    has checked; see ``classify_case`` and ``allocate``."""
+    tau_hat = _tau_hat(config, p_gbu)
+    # the broadcast threshold max(0, tau_hat): tau_hat is never NaN or -0.0 here
+    if tau_hat <= 0.0:
+        return _CASE_III, tau_hat, 0.0, 1.0, 1.0
+    if p_best <= tau_hat:
+        return _CASE_I, tau_hat, tau_hat, 0.0, 0.0
+    alpha = 1.0 - tau_hat / p_best
     beta = 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu
-    return CaseLabel.CASE_II, tau_hat, tau, min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
+    return _CASE_II, tau_hat, tau_hat, min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
+
+
+def _decide_block(
+    config: SystemConfig, realization: ChannelRealization
+) -> tuple[CaseLabel, float, float, float, float]:
+    """``_decide`` for one block, after the GBU-gain check."""
+    gain_gbu = realization.gain_gbu
+    _check_gain_gbu(gain_gbu)
+    return _decide(config, config.power_gbu * gain_gbu, config.power_gfu * realization.gain_best)
 
 
 def classify_case(config: SystemConfig, realization: ChannelRealization) -> CaseLabel:
@@ -100,7 +122,7 @@ def classify_case(config: SystemConfig, realization: ChannelRealization) -> Case
     tau == 0 (including the measure-zero boundary tau_hat == 0) is Case III;
     received GFU power exactly equal to a positive tau counts as Case I.
     """
-    return _decide(config, realization)[0]
+    return _decide_block(config, realization)[0]
 
 
 def allocate(
@@ -114,7 +136,7 @@ def allocate(
     fall below zero when the threshold already carries more rate than the
     target, so it is clamped to [0, 1] (outage decisions never consult it).
     """
-    actual, _, _, alpha, beta = _decide(config, realization)
+    actual, _, _, alpha, beta = _decide_block(config, realization)
     if case is not actual:
         raise ValueError(f"case {case} is inconsistent with the supplied realization")
     return alpha, beta
@@ -122,9 +144,7 @@ def allocate(
 
 def gbu_oma_outage(config: SystemConfig, gain_gbu: float) -> bool:
     """Would the GBU be in outage transmitting alone? Boundary counts as success."""
-    # written so that NaN fails it too
-    if not (0.0 <= gain_gbu):
-        raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
+    _check_gain_gbu(gain_gbu)
     return gain_gbu < config.eta0
 
 
@@ -138,36 +158,29 @@ def evaluate_transmission(
     (total < target), which is the exact rearrangement of the first-stream
     test and is unaffected by the rate-split clamp.
     """
-    case, tau_hat, tau, alpha, beta = _decide(config, realization)
-    sinrs = sinr_triplet(config, realization.gain_gbu, realization.gain_best, alpha)
-    rate_s1, rate_gbu_chain, rate_s2 = achievable_rates(*sinrs)
+    gain_gbu, gain_best = realization.gain_gbu, realization.gain_best
+    _check_gain_gbu(gain_gbu)
+    # written so that NaN fails it too
+    if not (0.0 <= gain_best):
+        raise ValueError(f"gain_best must be >= 0, got {gain_best!r}")
+    p_gbu = config.power_gbu * gain_gbu
+    p_best = config.power_gfu * gain_best
+    case, tau_hat, tau, alpha, beta = _decide(config, p_gbu, p_best)
+    # achievable_rates rejects the NaN SINR of an infinite gain
+    rate_s1, rate_gbu, rate_s2 = achievable_rates(*_sic_sinrs(p_gbu, p_best, alpha))
     rate_total = rate_s1 + rate_s2
 
     gfu_outage = rate_total < config.target_rate_gfu
-    gfu_silent = False
-    rate_gbu = rate_gbu_chain
-    if case is CaseLabel.CASE_II:
-        gfu_silent = gfu_outage
-        if gfu_silent:
+    gfu_silent = gbu_outage = False
+    if case is _CASE_II:
+        if gfu_outage:
             # admitted user backs off, the GBU transmits alone
-            rate_gbu = math.log2(1.0 + config.power_gbu * realization.gain_gbu)
-        gbu_outage = False
-    elif case is CaseLabel.CASE_I:
-        gbu_outage = False
-    else:
-        gbu_outage = gbu_oma_outage(config, realization.gain_gbu)
+            gfu_silent = True
+            rate_gbu = math.log2(1.0 + p_gbu)
+    elif case is _CASE_III:
+        gbu_outage = gbu_oma_outage(config, gain_gbu)
 
     return TransmissionOutcome(
-        case_label=case,
-        tau_hat=tau_hat,
-        tau=tau,
-        alpha=alpha,
-        beta=beta,
-        rate_gbu=rate_gbu,
-        rate_gfu_s1=rate_s1,
-        rate_gfu_s2=rate_s2,
-        rate_gfu_total=rate_total,
-        gfu_silent=gfu_silent,
-        gbu_outage=gbu_outage,
-        gfu_outage=gfu_outage,
+        case, tau_hat, tau, alpha, beta, rate_gbu, rate_s1, rate_s2, rate_total,
+        gfu_silent, gbu_outage, gfu_outage,
     )

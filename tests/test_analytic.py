@@ -196,6 +196,11 @@ class TestOutageExact:
         with pytest.raises(NumericalRangeError):
             outage_exact(SystemConfig(20, 1e6, 1.0, 6.0, 6.0))
 
+    def test_zero_eta0_reported_as_range_error(self):
+        # 2**1e-300 - 1 rounds to 0.0, so the series would divide by Ps * eta0 = 0.0
+        with pytest.raises(NumericalRangeError, match="divides by Ps \\* eta0"):
+            outage_exact(SystemConfig(2, 10.0, 10.0, 1e-300, 1.0))
+
     @pytest.mark.parametrize(
         "cfg,warns",
         [

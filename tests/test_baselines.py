@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestCrNomaRate:
                 checked += 1
                 if checked >= 20000:
                     break
+
+
+    @pytest.mark.parametrize("gain_gbu", [math.nan, -1.0])
+    def test_bad_gbu_gain_rejected_on_a_bare_record(self, gain_gbu):
+        block = SimpleNamespace(gain_gbu=gain_gbu, gains_gfu=(2.0, 10.0), gain_best=10.0, num_gfus=2)
+        with pytest.raises(ValueError, match="gain_gbu must be >= 0"):
+            cr_noma_rate(config(), block)
 
 
 class TestCrNomaOutageSample:

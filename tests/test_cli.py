@@ -447,6 +447,32 @@ class TestUsageErrors:
         assert "gbu_to_gfu_power_ratio" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("gbu_power_db = 20", "gbu_power_db = 4000"),
+            ("gfu_power_db = 10", "gfu_power_db = 4000"),
+            ("target_rate_gbu = 1.0", "target_rate_gbu = 1100"),
+            ("target_rate_gfu = 1.0", "target_rate_gfu = 1100"),
+        ],
+    )
+    def test_overflowing_value_in_config(self, tmp_path, capsys, old, new):
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert new.split(" = ")[0] in err and "overflows" in err
+        assert not os.path.exists(out)
+
+    def test_overflowing_grid_point_is_a_row_error(self, tmp_path):
+        # grid points are checked per row, so only that row carries the error
+        text = SWEEP_CONFIG.replace("grid = 5 10 15", "grid = 5 4000").replace("5000", "200")
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        errors = [row[header.index("error")] for row in rows]
+        assert errors == ["", "", "4000.0 dB overflows double precision in linear scale"]
+
+    @pytest.mark.parametrize(
         "line",
         [
             "gbu_to_gfu_power_ratio = 0",

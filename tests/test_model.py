@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(**overrides)
 
+    @pytest.mark.parametrize("name", ["target_rate_gbu", "target_rate_gfu"])
+    @pytest.mark.parametrize("rate", [1024.0, 1100.0])
+    def test_rejects_a_rate_whose_threshold_overflows(self, name, rate):
+        with pytest.raises(ValueError, match=f"^{name} = {rate!r} overflows"):
+            make_config(**{name: rate})
+        assert make_config(**{name: math.nextafter(1024.0, 0.0)})  # 2**rate - 1 still fits
+
+    @pytest.mark.parametrize("name", ["gbu_power_db", "gfu_power_db"])
+    def test_from_db_names_an_overflowing_power(self, name):
+        powers = {"gbu_power_db": 20.0, "gfu_power_db": 10.0, name: 4000.0}
+        with pytest.raises(ValueError, match=f"^{name}: 4000.0 dB overflows"):
+            SystemConfig.from_db(2, target_rate_gbu=1.0, target_rate_gfu=1.0, **powers)
+
     def test_derived_thresholds_are_cached_values(self):
         cfg = make_config(target_rate_gbu=1.5, target_rate_gfu=2.5, power_gbu=7.0, power_gfu=3.0)
         assert cfg.eps0 == 2.0**1.5 - 1.0
@@ -67,6 +81,10 @@ class TestSystemConfig:
         assert linear_to_db(db_to_linear(17.3)) == pytest.approx(17.3)
         with pytest.raises(ValueError):
             linear_to_db(0.0)
+
+    def test_db_to_linear_overflow_names_the_value(self):
+        with pytest.raises(ValueError, match="^4000.0 dB overflows double precision"):
+            db_to_linear(4000.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_linear_to_db_rejects_non_positive_or_non_finite(self, value):
@@ -105,6 +123,11 @@ class TestSampling:
         assert list(real.gains_gfu) == sorted(real.gains_gfu)
         assert all(g >= 0.0 for g in real.gains_gfu)
         assert real.gain_gbu >= 0.0
+        # the same frozen, hashable record as a checked construction
+        checked = ChannelRealization(real.gain_gbu, real.gains_gfu)
+        assert real == checked and hash(real) == hash(checked) and repr(real) == repr(checked)
+        with pytest.raises(FrozenInstanceError):
+            real.gain_gbu = 1.0
 
     @pytest.mark.parametrize("num_gfus", [1, 2, 5])
     def test_realization_is_the_sorted_row_of_one_draw(self, num_gfus):

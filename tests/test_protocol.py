@@ -1,10 +1,17 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sgfsim.model import ChannelRealization, SystemConfig, sample_gain_matrix
+from sgfsim.baselines import cr_noma_rate
+from sgfsim.model import (
+    ChannelRealization,
+    SystemConfig,
+    sample_channel_realization,
+    sample_gain_matrix,
+)
 from sgfsim.protocol import (
     CaseLabel,
     allocate,
@@ -12,6 +19,14 @@ from sgfsim.protocol import (
     evaluate_transmission,
     gbu_oma_outage,
     interference_threshold,
+)
+
+
+SCALAR_OUTPUT_SHA256 = "1044a278338aa1d0769f7fade0b7552c8548439119fa275158525d9a87a2c69e"
+
+OUTCOME_FIELDS = (
+    "case_label", "tau_hat", "tau", "alpha", "beta", "rate_gbu", "rate_gfu_s1",
+    "rate_gfu_s2", "rate_gfu_total", "gfu_silent", "gbu_outage", "gfu_outage",
 )
 
 
@@ -129,6 +144,18 @@ class TestEvaluateTransmission:
         with pytest.raises(ValueError):
             evaluate_transmission(config(), nan_block)
 
+    @pytest.mark.parametrize("gain_gbu, gain_best", [(-1.0, 2.0), (1.0, math.nan), (1.0, -2.0)])
+    def test_bad_gain_rejected_on_a_bare_record(self, gain_gbu, gain_best):
+        block = SimpleNamespace(gain_gbu=gain_gbu, gains_gfu=(1.0, gain_best), gain_best=gain_best)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            evaluate_transmission(config(), block)
+
+    @pytest.mark.parametrize("gain_gbu, gains_gfu", [(1.0, (0.5, math.inf)), (0.1, (0.5, math.inf))])
+    def test_infinite_gain_rejected(self, gain_gbu, gains_gfu):
+        # Case II and Case III: the residual (1 - alpha) * inf of alpha = 1 is NaN
+        with pytest.raises(ValueError, match="SINR must be >= 0"):
+            evaluate_transmission(config(), ChannelRealization(gain_gbu, gains_gfu))
+
     def test_case_two_example(self):
         cfg = config(power_gbu=4.0, power_gfu=10.0)
         real = ChannelRealization(1.0, (0.35, 1.0))  # tau_hat = 3
@@ -238,3 +265,39 @@ class TestProtocolInvariants:
                 outage.append(evaluate_transmission(cfg, real).gfu_outage)
             # once the best gain stops causing outage, growing it never restarts one
             assert outage == sorted(outage, reverse=True)
+
+
+def test_scalar_outputs_are_pinned():
+    # repr of every drawn gain, every TransmissionOutcome field and every
+    # cr_noma_rate result over seeded blocks plus hand-built boundary blocks;
+    # pinned before the one-pass scalar protocol went in
+    settings = [(30.0, 18.2, 2.5, 1.5), (20.0, 8.24, 2.5, 1.5), (15.0, 20.0, 3.0, 3.0), (10.0, 10.0, 1.0, 0.5)]
+    blocks = []
+    for k in (1, 2, 5, 8):
+        for i, (p0_db, ps_db, rate_gbu, rate_gfu) in enumerate(settings):
+            cfg = SystemConfig.from_db(k, p0_db, ps_db, rate_gbu, rate_gfu)
+            rng = np.random.default_rng(100 * k + i)
+            blocks += [(cfg, sample_channel_realization(k, rng)) for _ in range(400)]
+    # received power == tau (Case I edge, and a GFU exactly at tau for the baseline)
+    on_tau = config(num_gfus=2, power_gbu=4.0, power_gfu=1.0)
+    blocks += [(on_tau, ChannelRealization(1.0, (0.5, 3.0))), (on_tau, ChannelRealization(1.0, (3.0, 5.0)))]
+    # tau_hat == 0 exactly (eps0 = 3, P0 * g0 = 3)
+    zero = config(num_gfus=2, power_gbu=3.0, rate_gbu=2.0)
+    blocks += [(zero, ChannelRealization(1.0, (0.5, 2.0))), (zero, ChannelRealization(1.0, (0.0, 0.0)))]
+
+    digest = hashlib.sha256()
+    seen = set()
+    for cfg, real in blocks:
+        outcome = evaluate_transmission(cfg, real)
+        rate, admitted = cr_noma_rate(cfg, real)
+        texts = [repr(real.gain_gbu), repr(real.gains_gfu)]
+        texts += [repr(getattr(outcome, name)) for name in OUTCOME_FIELDS]
+        texts.append(repr((rate, admitted)))
+        digest.update("|".join(texts).encode() + b"\n")
+        seen.add(outcome.case_label)
+        if outcome.gfu_silent:
+            seen.add("silent")
+        if outcome.case_label is CaseLabel.CASE_II:
+            seen.add("decoded last" if admitted < real.num_gfus else "decoded first")
+    assert seen == {*CaseLabel, "silent", "decoded last", "decoded first"}
+    assert digest.hexdigest() == SCALAR_OUTPUT_SHA256
