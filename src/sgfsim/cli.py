@@ -183,7 +183,7 @@ grid = choice
 PRESET_NAMES = tuple(_PRESETS)
 
 _SYSTEM_KEYS = {"num_gfus", "gbu_power_db", "gfu_power_db", "target_rate_gbu", "target_rate_gfu"}
-_SWEEP_KEYS = {"axis", "grid", "schemes", "gbu_to_gfu_power_ratio", "gbu_to_gfu_power_ratio_db"}
+_SWEEP_KEYS = {"axis", "grid", "schemes", "gbu_to_gfu_power_ratio"}
 # section -> the keys it may hold; None: any key, as a metadata key names its line
 _SECTION_KEYS = {
     "run": {"trials", "seed"},
@@ -200,30 +200,23 @@ _AXIS_KEYS = {"target_rate": ("target_rate_gbu", "target_rate_gfu")}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One executable experiment: a sweep (the sweep fields set) or a zone grid
-    (the zone fields set)."""
+    """One output of a run: a sweep (``request`` set) or a zone grid (``zone`` set,
+    as received GBU power in dB, received GFU power in dB, points per axis)."""
 
     label: str
-    kind: str  # "sweep" | "zone"
-    trials: int
-    seed: int
     metadata: tuple[tuple[str, str, str], ...]
-    base_config: SystemConfig | None = None
-    axis: str | None = None
-    grid: tuple[float, ...] = ()
-    schemes: tuple[Scheme, ...] = ()
-    gbu_to_gfu_power_ratio: float | None = None
-    zone_gbu_power_db: float | None = None
-    zone_gfu_power_db: float | None = None
-    zone_grid_n: int | None = None
+    request: SweepRequest | None = None
+    zone: tuple[float, float, int] | None = None
 
 
 class UsageError(Exception):
     pass
 
 
-def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> list[ExperimentSpec]:
-    """The specs of a preset or of the INI file at ``path``.
+def _load_experiment(
+    preset: str | None, path: str | None, overrides: dict
+) -> tuple[int, int, list[ExperimentSpec]]:
+    """The trials, seed and specs of a preset or of the INI file at ``path``.
 
     ``overrides`` maps sections to ``{key: text}`` that beat the experiment's
     own values, as ``--trials``/``--seed`` beat ``[run]``; ``[run]`` beats the
@@ -279,32 +272,24 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
                 if not value and key not in values:
                     raise UsageError(f"metadata {key!r} has no value and names no key given")
                 metadata.append((key, value[0] if value else values[key], source))
-            common = dict(label=label, trials=trials, seed=seed, metadata=tuple(metadata))
             if zone:
-                specs.append(
-                    ExperimentSpec(
-                        kind="zone",
-                        zone_gbu_power_db=float(values.get("p0g0_db", 8.0)),
-                        zone_gfu_power_db=float(values.get("psgk_db", 15.0)),
-                        zone_grid_n=int(values.get("grid", 200)),
-                        **common,
-                    )
+                zone_grid = (
+                    float(values.get("p0g0_db", 8.0)),
+                    float(values.get("psgk_db", 15.0)),
+                    int(values.get("grid", 200)),
                 )
+                specs.append(ExperimentSpec(label, tuple(metadata), zone=zone_grid))
                 continue
             axis = values["axis"]
             if axis not in SWEEP_AXES:
                 raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-            ratio_key = "gbu_to_gfu_power_ratio"
-            ratio = values.get(ratio_key)
-            if f"{ratio_key}_db" in values:
-                if ratio is not None:
-                    raise UsageError("give one of gbu_to_gfu_power_ratio and its _db form")
-                ratio_key += "_db"
-                ratio = db_to_linear(float(values[ratio_key]))
+            ratio = values.get("gbu_to_gfu_power_ratio")
             ratio = None if ratio is None else float(ratio)
             # written so that NaN fails it too
             if ratio is not None and not 0.0 < ratio < math.inf:
-                raise UsageError(f"{ratio_key} must give a finite ratio > 0, got {ratio!r}")
+                raise UsageError(
+                    f"gbu_to_gfu_power_ratio must give a finite ratio > 0, got {ratio!r}"
+                )
             grid = tuple(float(v) for v in values["grid"].split())
             # the sweep replaces these base values at every grid point
             if grid:
@@ -313,26 +298,17 @@ def _load_experiment(preset: str | None, path: str | None, overrides: dict) -> l
                 if axis == "gbu_power_db" and ratio is not None:
                     locked = float(values["gbu_power_db"]) - linear_to_db(ratio)
                     values.setdefault("gfu_power_db", locked)
-            specs.append(
-                ExperimentSpec(
-                    kind="sweep",
-                    base_config=SystemConfig.from_db(
-                        num_gfus=int(values["num_gfus"]),
-                        gbu_power_db=float(values["gbu_power_db"]),
-                        gfu_power_db=float(values["gfu_power_db"]),
-                        target_rate_gbu=float(values["target_rate_gbu"]),
-                        target_rate_gfu=float(values["target_rate_gfu"]),
-                    ),
-                    axis=axis,
-                    grid=grid,
-                    schemes=tuple(
-                        Scheme(v) for v in values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
-                    ),
-                    gbu_to_gfu_power_ratio=ratio,
-                    **common,
-                )
+            base = SystemConfig.from_db(
+                num_gfus=int(values["num_gfus"]),
+                gbu_power_db=float(values["gbu_power_db"]),
+                gfu_power_db=float(values["gfu_power_db"]),
+                target_rate_gbu=float(values["target_rate_gbu"]),
+                target_rate_gfu=float(values["target_rate_gfu"]),
             )
-        return specs
+            schemes = tuple(map(Scheme, values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()))
+            request = SweepRequest(base, axis, grid, schemes, ratio)
+            specs.append(ExperimentSpec(label, tuple(metadata), request=request))
+        return trials, seed, specs
     except (KeyError, ValueError, configparser.Error) as err:
         raise UsageError(f"invalid config file {preset or path!r}: {err}") from err
 
@@ -349,7 +325,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sweep_row_cells(row: SweepRow, spec: ExperimentSpec) -> list[str]:
+def _sweep_row_cells(row: SweepRow, trials: int, seed: int) -> list[str]:
     est = row.estimate
     if est is not None:
         fracs = [occ / est.trials for occ in est.case_tallies.occurrences]
@@ -366,8 +342,8 @@ def _sweep_row_cells(row: SweepRow, spec: ExperimentSpec) -> list[str]:
         _fmt(row.analytic_exact),
         _fmt(row.analytic_highsnr),
         _fmt(row.analytic_asymptote),
-        _fmt(spec.trials),
-        _fmt(spec.seed),
+        _fmt(trials),
+        _fmt(seed),
         _fmt(fracs[0]),
         _fmt(fracs[1]),
         _fmt(fracs[2]),
@@ -423,40 +399,38 @@ def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
     return f"{stem}_{spec.label}{ext or '.csv'}"
 
 
-def _zone_lines(spec: ExperimentSpec) -> list[str]:
+def _zone_lines(p0g0_db: float, psgk_db: float, grid_n: int) -> list[str]:
     """The CSV body lines of a zone grid. No cell needs quoting: each is a float
     repr or a label value."""
-    grid = classify_grid(
-        db_to_linear(spec.zone_gbu_power_db),
-        db_to_linear(spec.zone_gfu_power_db),
-        spec.zone_grid_n,
-    )
+    grid = classify_grid(db_to_linear(p0g0_db), db_to_linear(psgk_db), grid_n)
     # the grid_n**2 cells take their targets from the grid_n of the first row;
     # format each once
-    target = {t: _fmt(t) + "," for t in {t_gfu for _, t_gfu, _ in grid[: spec.zone_grid_n]}}
+    target = {t: _fmt(t) + "," for t in {t_gfu for _, t_gfu, _ in grid[:grid_n]}}
     label_text = {label: label.value + "\n" for label in ZoneLabel}
     return [target[t_gbu] + target[t_gfu] + label_text[label] for t_gbu, t_gfu, label in grid]
 
 
 def _execute_spec(
-    spec: ExperimentSpec, rows: list[SweepRow] | None, out: str, fmt: str, timestamp: bool
+    spec: ExperimentSpec,
+    rows: list[SweepRow] | None,
+    trials: int,
+    seed: int,
+    out: str,
+    fmt: str,
+    timestamp: bool,
 ) -> list[str]:
     """Write one spec's file(s): a zone grid, or the sweep ``rows`` computed for it."""
-    run_meta = (
-        *spec.metadata,
-        ("trials", str(spec.trials), "choice"),
-        ("seed", str(spec.seed), "choice"),
-    )
-    if spec.kind == "zone":
+    run_meta = (*spec.metadata, ("trials", str(trials), "choice"), ("seed", str(seed), "choice"))
+    if spec.zone is not None:
         header = ZONE_COLUMNS
-        body = "".join(_zone_lines(spec))
+        body = "".join(_zone_lines(*spec.zone))
         _write_csv(out, run_meta, header, timestamp, body=body)
         # the body's cells row by row; every len(header)-th of them is one column
         cells = body.replace("\n", ",").split(",")[:-1] if fmt == "json" else []
         columns = [cells[i :: len(header)] for i in range(len(header))]
     else:
         header = SWEEP_COLUMNS
-        cells = [_sweep_row_cells(row, spec) for row in rows]
+        cells = [_sweep_row_cells(row, trials, seed) for row in rows]
         _write_csv(out, run_meta, header, timestamp, cells_rows=cells)
         columns = list(zip(*cells))
     written = [out]
@@ -493,9 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers",
         type=int,
+        default=1,
         help=(
-            "sweep worker threads (default: $SGFSIM_WORKERS, else 1); each also uses one "
-            "helper thread that draws ahead; output does not depend on it"
+            "sweep worker threads (default: 1); each also uses one helper thread "
+            "that draws ahead; output does not depend on it"
         ),
     )
     run.add_argument("--p0g0-db", type=float, help="zone runs: received GBU power in dB")
@@ -523,27 +498,23 @@ def _cmd_run(args) -> int:
         "zone": zone,
         "metadata": dict.fromkeys(zone, "choice"),
     }
-    specs = _load_experiment(args.preset, args.config, overrides)
+    trials, seed, specs = _load_experiment(args.preset, args.config, overrides)
     default_out = f"{args.preset}.csv" if args.preset else "results.csv"
 
     # a run is one zone grid or sweeps sharing one (trials, seed); one engine call
     # draws each block once for all of its sweeps
     results = [None] * len(specs)
-    if specs[0].kind == "sweep":
-        requests = [
-            SweepRequest(s.base_config, s.axis, s.grid, s.schemes, s.gbu_to_gfu_power_ratio)
-            for s in specs
-        ]
-        results = sweeps(requests, specs[0].trials, specs[0].seed, args.workers)
+    if specs[0].request is not None:
+        results = sweeps([s.request for s in specs], trials, seed, args.workers)
 
     out = args.out or default_out
-    multi = len(specs) > 1
+    multi, timestamp = len(specs) > 1, not args.no_timestamp
     for spec, rows in zip(specs, results):
         path = _output_path(out, spec, multi)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        for written in _execute_spec(spec, rows, path, args.fmt, not args.no_timestamp):
+        for written in _execute_spec(spec, rows, trials, seed, path, args.fmt, timestamp):
             print(f"wrote {written}")
     return 0
 

@@ -29,7 +29,6 @@ where it was drawn.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -48,7 +47,6 @@ __all__ = [
     "SweepRequest",
     "SweepRow",
     "SWEEP_AXES",
-    "WORKERS_ENV_VAR",
     "evaluate_rsma_trials",
     "evaluate_noma_trials",
     "estimate_outage",
@@ -59,7 +57,6 @@ __all__ = [
 BLOCK_SIZE = 1 << 16
 # below this many observed outages an estimate is flagged unresolved
 MIN_RESOLVED_OUTAGES = 10
-WORKERS_ENV_VAR = "SGFSIM_WORKERS"
 
 
 class Scheme(Enum):
@@ -282,7 +279,7 @@ _OUTAGE_ROW = {Scheme.CR_RSMA_SGF: 1, Scheme.CR_NOMA_SGF: 2}
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
-    key = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block))
+    key = (np.uint64(seed), np.uint64(block))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -364,8 +361,6 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     worker runs a contiguous chunk of the blocks, with a helper thread drawing
     ahead; integer sums make the result independent of ``workers`` and of
     where a block was drawn."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     shared: dict[int, dict[tuple[float, float, float], list[int]]] = {}
     for i, c in enumerate(configs):
@@ -387,18 +382,18 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """``workers`` if given, else the SGFSIM_WORKERS variable, else 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "")
-        if not raw:
-            return 1
-        if not raw.strip().isdecimal() or int(raw) < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-        return int(raw)
-    if workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    return workers
+def _check_run(trials: int, seed: int, workers: int) -> None:
+    """Reject run arguments the engine cannot honour: a trial or worker count that
+    is not an integer >= 1, or a seed that is not an integer in [0, 2**64), the
+    Philox key range (a seed outside it would alias one inside)."""
+    for name, value, low, high, bounds in (
+        ("trials", trials, 1, math.inf, ">= 1"),
+        ("seed", seed, 0, 2**64, "in [0, 2**64)"),
+        ("workers", workers, 1, math.inf, ">= 1"),
+    ):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and low <= value < high):
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _std_err(p: float, trials: int) -> float:
@@ -431,16 +426,16 @@ def estimate_outage(
     scheme: Scheme = Scheme.CR_RSMA_SGF,
     trials: int = 10**6,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> OutageEstimate:
     """Estimate GFU and GBU outage probabilities over seeded fading blocks.
 
     Bit-identical output for identical (config, scheme, trials, seed),
-    independent of ``workers`` (also settable via the SGFSIM_WORKERS
-    environment variable).
+    independent of ``workers``.
     """
     scheme = Scheme(scheme)
-    cases, gbu = _simulate([config], trials, seed, _resolve_workers(workers))
+    _check_run(trials, seed, workers)
+    cases, gbu = _simulate([config], trials, seed, workers)
     return _estimate(scheme, trials, seed, cases[0], gbu[0])
 
 
@@ -482,11 +477,10 @@ def _config_on_axis(
         return replace(base, power_gfu=db_to_linear(value))
     if axis == "target_rate":
         return replace(base, target_rate_gbu=value, target_rate_gfu=value)
-    if axis == "num_gfus":
-        if not float(value).is_integer():
-            raise ValueError(f"num_gfus must be an integer, got {value!r}")
-        return replace(base, num_gfus=int(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    # num_gfus, the last of SWEEP_AXES; sweeps checks the axis before any config
+    if not float(value).is_integer():
+        raise ValueError(f"num_gfus must be an integer, got {value!r}")
+    return replace(base, num_gfus=int(value))
 
 
 def _analytic_columns(config: SystemConfig) -> tuple[float, float, float, str | None]:
@@ -515,16 +509,15 @@ class SweepRequest(NamedTuple):
     gbu_to_gfu_power_ratio: float | None = None
 
 
-def sweeps(
-    requests, trials: int, seed: int, workers: int | None = None
-) -> list[list[SweepRow]]:
+def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[SweepRow]]:
     """Run several ``SweepRequest`` sweeps on one engine pass; one row list per request.
 
     Every config of every request, whatever its user count, reads the same
     blocks, each drawn once. The rows are those ``sweep`` returns for each
     request alone: an estimate depends only on (config, scheme, trials, seed).
-    Every request is checked before any block is drawn.
+    The run arguments and every request are checked before any block is drawn.
     """
+    _check_run(trials, seed, workers)
     requests = [
         SweepRequest(base, axis, tuple(grid), tuple(Scheme(s) for s in schemes), ratio)
         for base, axis, grid, schemes, ratio in requests
@@ -540,7 +533,6 @@ def sweeps(
         # written so that NaN fails it too
         if ratio is not None and not 0.0 < ratio < math.inf:
             raise ValueError(f"gbu_to_gfu_power_ratio must be finite and > 0, got {ratio!r}")
-    workers = _resolve_workers(workers)
 
     # (request, grid index) -> config or the reason there is none
     configs: dict[tuple[int, int], SystemConfig] = {}
@@ -598,7 +590,7 @@ def sweep(
     seed: int,
     schemes: tuple[Scheme, ...] = (Scheme.CR_RSMA_SGF, Scheme.CR_NOMA_SGF),
     gbu_to_gfu_power_ratio: float | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """Run a one-axis parameter sweep, one row per (grid value, scheme).
 

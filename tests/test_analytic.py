@@ -106,12 +106,12 @@ def series_warns_or_matches_quadrature(cfg, rel=1e-9):
 def preset_points():
     """Every grid point of every sweep preset, as the sweep builds it."""
     for name in cli.PRESET_NAMES:
-        for spec in cli._load_experiment(name, None, {}):
-            if spec.kind == "sweep":
-                for value in spec.grid:
-                    yield _config_on_axis(
-                        spec.base_config, spec.axis, value, spec.gbu_to_gfu_power_ratio
-                    )
+        _, _, specs = cli._load_experiment(name, None, {})
+        for request in (spec.request for spec in specs if spec.request is not None):
+            for value in request.grid:
+                yield _config_on_axis(
+                    request.base_config, request.axis, value, request.gbu_to_gfu_power_ratio
+                )
 
 
 class TestAnalyticTerms:

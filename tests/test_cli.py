@@ -118,15 +118,23 @@ class TestRunWithConfigFile:
         assert main(["run", "--config", cfg, "--out", out2, "--no-timestamp"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_workers_flag_overrides_env_and_keeps_bytes(self, tmp_path, monkeypatch):
+    def test_workers_flag_keeps_bytes(self, tmp_path):
         # three blocks, so more than one worker has work
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace("trials = 5000", "trials = 150000"))
-        monkeypatch.setenv("SGFSIM_WORKERS", "abc")
         outs = []
         for workers in ("1", "3"):
             outs.append(str(tmp_path / f"w{workers}.csv"))
             argv = ["run", "--config", cfg, "--out", outs[-1], "--no-timestamp", "--workers", workers]
             assert main(argv) == 0
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # the worker count has one home, --workers; no variable overrides or breaks a run
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        outs = [str(tmp_path / "plain.csv"), str(tmp_path / "env.csv")]
+        assert main(["run", "--config", cfg, "--out", outs[0], "--no-timestamp"]) == 0
+        monkeypatch.setenv("SGFSIM_WORKERS", "abc")
+        assert main(["run", "--config", cfg, "--out", outs[1], "--no-timestamp"]) == 0
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
     @pytest.mark.parametrize(
@@ -440,12 +448,6 @@ class TestUsageErrors:
         assert "[zone]" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_both_ratio_keys_in_config(self, tmp_path, capsys):
-        both = "gbu_to_gfu_power_ratio = 15\ngbu_to_gfu_power_ratio_db = 11.76\nschemes ="
-        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("schemes =", both))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "gbu_to_gfu_power_ratio" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -479,8 +481,6 @@ class TestUsageErrors:
             "gbu_to_gfu_power_ratio = -2",
             "gbu_to_gfu_power_ratio = nan",
             "gbu_to_gfu_power_ratio = inf",
-            "gbu_to_gfu_power_ratio_db = inf",
-            "gbu_to_gfu_power_ratio_db = -inf",
         ],
     )
     @pytest.mark.parametrize("axis", ["gbu_power_db", "gfu_power_db"])
@@ -489,8 +489,17 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, text.replace("axis = gfu_power_db", f"axis = {axis}"))
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 2
-        key = line.split(" = ")[0]
-        assert f"{key} must give a finite ratio > 0" in capsys.readouterr().err
+        assert "gbu_to_gfu_power_ratio must give a finite ratio > 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_power_ratio_in_db_is_an_unknown_key(self, tmp_path, capsys):
+        # the ratio lock has one key, the linear gbu_to_gfu_power_ratio
+        text = SWEEP_CONFIG.replace("schemes =", "gbu_to_gfu_power_ratio_db = 11.76\nschemes =")
+        cfg = write_config(tmp_path, text.replace("axis = gfu_power_db", "axis = gbu_power_db"))
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key(s) ['gbu_to_gfu_power_ratio_db']" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
@@ -581,11 +590,17 @@ class TestUsageErrors:
         assert "target rates" not in err
         assert not os.path.exists(out)
 
-    def test_bad_worker_count(self, tmp_path, monkeypatch, capsys):
+    def test_bad_worker_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out, "--workers", "0"]) == 1
         assert "workers" in capsys.readouterr().err
-        monkeypatch.setenv("SGFSIM_WORKERS", "-3")
-        assert main(["run", "--config", cfg, "--out", out]) == 1
-        assert "SGFSIM_WORKERS" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_key_range(self, tmp_path, capsys, seed):
+        # such a seed would draw the blocks of another seed while the CSV records it
+        out = str(tmp_path / "fig4.csv")
+        assert main(["run", "fig4", "--seed", seed, "--out", out]) == 1
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)

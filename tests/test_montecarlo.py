@@ -12,12 +12,10 @@ from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_
 from sgfsim.montecarlo import (
     BLOCK_SIZE,
     MIN_RESOLVED_OUTAGES,
-    WORKERS_ENV_VAR,
     Scheme,
     SweepRequest,
     _evaluate_trials,
     _gbu_terms,
-    _resolve_workers,
     _scratch,
     _simulate,
     estimate_outage,
@@ -182,29 +180,51 @@ class TestEstimateOutage:
         assert not est.statistically_resolved
 
 
+def forbid_draws(monkeypatch) -> None:
+    """Make any engine pass fail the test: the arguments must be rejected first."""
+
+    def no_draw(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(montecarlo, "_simulate", no_draw)
+
+
+def assert_rejected_before_any_draw(monkeypatch, name: str, value) -> None:
+    """``estimate_outage`` and ``sweeps`` each raise a ValueError naming ``name``
+    when that run argument is ``value``, before drawing a block."""
+    forbid_draws(monkeypatch)
+    args = {"trials": 1000, "seed": 1, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        estimate_outage(config(), **args)
+    with pytest.raises(ValueError, match=name):
+        sweeps([SweepRequest(config(), "gfu_power_db", (10.0,))], **args)
+
+
 class TestWorkerCount:
-    def test_unset_or_empty_means_one(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert _resolve_workers(None) == 1
-        monkeypatch.setenv(WORKERS_ENV_VAR, "")
-        assert _resolve_workers(None) == 1
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+    def test_bad_explicit_count(self, monkeypatch, workers):
+        assert_rejected_before_any_draw(monkeypatch, "workers", workers)
 
-    def test_env_value_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert _resolve_workers(None) == 3
-        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
-        assert _resolve_workers(2) == 2
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", " "])
-    def test_bad_env_value_names_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            _resolve_workers(None)
+class TestRunArguments:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.0, True])
+    def test_bad_seed(self, monkeypatch, seed):
+        # a seed outside [0, 2**64) would alias a seed inside it; a float or bool is no seed
+        assert_rejected_before_any_draw(monkeypatch, "seed", seed)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_bad_explicit_count(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            _resolve_workers(workers)
+    @pytest.mark.parametrize("trials", [0, 2.5])
+    def test_bad_trials(self, monkeypatch, trials):
+        assert_rejected_before_any_draw(monkeypatch, "trials", trials)
+
+    def test_key_range_ends_are_distinct_seeds(self):
+        first = estimate_outage(config(), trials=2000, seed=0)
+        last = estimate_outage(config(), trials=2000, seed=2**64 - 1)
+        assert first.case_tallies != last.case_tallies
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        assert estimate_outage(config(), trials=2000, seed=np.int64(5)) == estimate_outage(
+            config(), trials=2000, seed=5
+        )
 
 
 def record_draw_threads(monkeypatch) -> list[tuple[int, str]]:
@@ -541,10 +561,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("ratio", [0.0, -2.0, math.nan, math.inf])
     def test_rejects_bad_power_ratio(self, ratio, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(montecarlo, "_simulate", no_draw)
+        forbid_draws(monkeypatch)
         with pytest.raises(ValueError, match="gbu_to_gfu_power_ratio must be finite and > 0"):
             sweep(config(), "gbu_power_db", [20, 30], 2000, 1, gbu_to_gfu_power_ratio=ratio)
 
