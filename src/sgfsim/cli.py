@@ -25,10 +25,12 @@ import sys
 from dataclasses import dataclass
 
 from .model import SystemConfig, db_to_linear, linear_to_db
-from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, sweeps
+from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, check_run, sweeps
 # perfbench traces sweeps by the name ``cli.sweep``; runs go through ``sweeps``
 from .montecarlo import sweep  # noqa: F401
-from .zones import ZoneLabel, classify_grid
+from .zones import grid_runs
+# perfbench traces zone grids by the name ``cli.classify_grid``; runs go through ``grid_runs``
+from .zones import classify_grid  # noqa: F401
 
 __all__ = ["ExperimentSpec", "PRESET_NAMES", "build_parser", "main"]
 
@@ -399,15 +401,17 @@ def _output_path(out: str, spec: ExperimentSpec, multi: bool) -> str:
     return f"{stem}_{spec.label}{ext or '.csv'}"
 
 
-def _zone_lines(p0g0_db: float, psgk_db: float, grid_n: int) -> list[str]:
-    """The CSV body lines of a zone grid. No cell needs quoting: each is a float
-    repr or a label value."""
-    grid = classify_grid(db_to_linear(p0g0_db), db_to_linear(psgk_db), grid_n)
-    # the grid_n**2 cells take their targets from the grid_n of the first row;
-    # format each once
-    target = {t: _fmt(t) + "," for t in {t_gfu for _, t_gfu, _ in grid[:grid_n]}}
-    label_text = {label: label.value + "\n" for label in ZoneLabel}
-    return [target[t_gbu] + target[t_gfu] + label_text[label] for t_gbu, t_gfu, label in grid]
+def _zone_body(p0g0_db: float, psgk_db: float, grid_n: int) -> str:
+    """The CSV body of a zone grid, written run by run. No cell needs quoting: each
+    is a float repr or a label value."""
+    points, runs = grid_runs(db_to_linear(p0g0_db), db_to_linear(psgk_db), grid_n)
+    text = [_fmt(t) for t in points]
+    lines = []
+    for t_gbu, start, end, label in runs:
+        # the run's lines are head + text[i] + tail for i in start..end-1
+        head, tail = _fmt(t_gbu) + ",", "," + label.value + "\n"
+        lines.append(head + (tail + head).join(text[start:end]) + tail)
+    return "".join(lines)
 
 
 def _execute_spec(
@@ -423,7 +427,7 @@ def _execute_spec(
     run_meta = (*spec.metadata, ("trials", str(trials), "choice"), ("seed", str(seed), "choice"))
     if spec.zone is not None:
         header = ZONE_COLUMNS
-        body = "".join(_zone_lines(*spec.zone))
+        body = _zone_body(*spec.zone)
         _write_csv(out, run_meta, header, timestamp, body=body)
         # the body's cells row by row; every len(header)-th of them is one column
         cells = body.replace("\n", ",").split(",")[:-1] if fmt == "json" else []
@@ -499,6 +503,8 @@ def _cmd_run(args) -> int:
         "metadata": dict.fromkeys(zone, "choice"),
     }
     trials, seed, specs = _load_experiment(args.preset, args.config, overrides)
+    # zone runs record trials and seed too, so every run checks them before writing
+    check_run(trials, seed, args.workers)
     default_out = f"{args.preset}.csv" if args.preset else "results.csv"
 
     # a run is one zone grid or sweeps sharing one (trials, seed); one engine call

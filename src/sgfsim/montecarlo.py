@@ -49,6 +49,7 @@ __all__ = [
     "SWEEP_AXES",
     "evaluate_rsma_trials",
     "evaluate_noma_trials",
+    "check_run",
     "estimate_outage",
     "sweep",
     "sweeps",
@@ -382,7 +383,7 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
-def _check_run(trials: int, seed: int, workers: int) -> None:
+def check_run(trials: int, seed: int, workers: int) -> None:
     """Reject run arguments the engine cannot honour: a trial or worker count that
     is not an integer >= 1, or a seed that is not an integer in [0, 2**64), the
     Philox key range (a seed outside it would alias one inside)."""
@@ -434,7 +435,7 @@ def estimate_outage(
     independent of ``workers``.
     """
     scheme = Scheme(scheme)
-    _check_run(trials, seed, workers)
+    check_run(trials, seed, workers)
     cases, gbu = _simulate([config], trials, seed, workers)
     return _estimate(scheme, trials, seed, cases[0], gbu[0])
 
@@ -517,7 +518,7 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
     request alone: an estimate depends only on (config, scheme, trials, seed).
     The run arguments and every request are checked before any block is drawn.
     """
-    _check_run(trials, seed, workers)
+    check_run(trials, seed, workers)
     requests = [
         SweepRequest(base, axis, tuple(grid), tuple(Scheme(s) for s in schemes), ratio)
         for base, axis, grid, schemes, ratio in requests

@@ -15,9 +15,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
-__all__ = ["ZoneLabel", "RegionCorners", "region_corners", "classify_rate_pair", "classify_grid"]
+__all__ = [
+    "ZoneLabel", "RegionCorners", "region_corners", "classify_rate_pair", "classify_grid", "grid_runs"
+]
 
 
 class ZoneLabel(Enum):
@@ -46,16 +47,22 @@ def region_corners(p_gbu: float, p_gfu: float) -> RegionCorners:
 
     The sum rate equals gbu_decoded_first + gfu_alone and equally
     gbu_alone + gfu_decoded_first: decoding order trades the same total.
+    Powers whose sum overflows a double have no finite sum rate and are rejected.
     """
     # written so that NaN fails it too
     if not (0.0 <= p_gbu < math.inf and 0.0 <= p_gfu < math.inf):
         raise ValueError(f"received powers must be finite and >= 0, got {p_gbu!r}, {p_gfu!r}")
+    sum_rate = math.log2(1.0 + p_gbu + p_gfu)
+    if not sum_rate < math.inf:
+        raise ValueError(
+            f"received powers {p_gbu!r}, {p_gfu!r} give sum rate {sum_rate!r}: their sum overflows"
+        )
     return RegionCorners(
         gbu_alone=math.log2(1.0 + p_gbu),
         gfu_alone=math.log2(1.0 + p_gfu),
         gbu_decoded_first=math.log2(1.0 + p_gbu / (p_gfu + 1.0)),
         gfu_decoded_first=math.log2(1.0 + p_gfu / (p_gbu + 1.0)),
-        sum_rate=math.log2(1.0 + p_gbu + p_gfu),
+        sum_rate=sum_rate,
     )
 
 
@@ -98,11 +105,22 @@ def _label(gbu_first_ok: bool, gfu_first_ok: bool, rsma_ok: bool) -> ZoneLabel:
 
 
 def classify_grid(p_gbu: float, p_gfu: float, grid_n: int) -> list[tuple[float, float, ZoneLabel]]:
-    """Classify a uniform grid_n x grid_n grid of target pairs.
+    """The cells ``(t_gbu, t_gfu, label)`` of ``grid_runs``, GBU target outer: those
+    ``classify_rate_pair`` gives pair by pair."""
+    points, runs = grid_runs(p_gbu, p_gfu, grid_n)
+    return [(t_gbu, t_gfu, label) for t_gbu, start, end, label in runs
+            for t_gfu in points[start:end]]
+
+
+def grid_runs(
+    p_gbu: float, p_gfu: float, grid_n: int
+) -> tuple[list[float], list[tuple[float, int, int, ZoneLabel]]]:
+    """The grid points and the label runs of a uniform grid_n x grid_n grid.
 
     Grid points are i * sum_rate / grid_n for i = 1..grid_n on both axes, so
-    the grid covers every region corner. The cells are those
-    ``classify_rate_pair`` gives pair by pair, GBU target outer.
+    the grid covers every region corner. A run ``(t_gbu, start, end, label)``
+    says that the GFU targets ``points[start:end]`` of row ``t_gbu`` all take
+    ``label``. Rows come in ascending order, each tiled by its runs in order.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -119,7 +137,7 @@ def classify_grid(p_gbu: float, p_gfu: float, grid_n: int) -> list[tuple[float, 
     # float comparisons find where each prefix ends.
     gfu_alone_end = bisect_right(points, c.gfu_alone)
     gfu_first_end = bisect_right(points, c.gfu_decoded_first)
-    cells: list[tuple[float, float, ZoneLabel]] = []
+    runs: list[tuple[float, int, int, ZoneLabel]] = []
     for t_gbu in points:
         gbu_first_row = t_gbu <= c.gbu_decoded_first
         gfu_first_row = t_gbu <= c.gbu_alone
@@ -132,6 +150,5 @@ def classify_grid(p_gbu: float, p_gfu: float, grid_n: int) -> list[tuple[float, 
                 gfu_first_ok=gfu_first_row and start < gfu_first_end,
                 rsma_ok=gfu_first_row and start < gfu_alone_end and start < sum_end,
             )
-            n = end - start
-            cells += zip(repeat(t_gbu, n), points[start:end], repeat(label, n))
-    return cells
+            runs.append((t_gbu, start, end, label))
+    return points, runs

@@ -14,6 +14,8 @@ from sgfsim.cli import (
     ZONE_COLUMNS,
     main,
 )
+from sgfsim.model import db_to_linear
+from sgfsim.zones import classify_grid
 
 SWEEP_CONFIG = """
 [system]
@@ -306,6 +308,21 @@ class TestJsonMirrorWriter:
         want = json.dumps(json_mirror_payload(metadata, header, columns), indent=1, sort_keys=True)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == want + "\n"
+
+
+def zone_body_per_cell(p0g0_db, psgk_db, grid_n):
+    """The zone CSV body formatted cell by cell from ``classify_grid``."""
+    cells = classify_grid(db_to_linear(p0g0_db), db_to_linear(psgk_db), grid_n)
+    return "".join(f"{a!r},{b!r},{label.value}\n" for a, b, label in cells)
+
+
+@pytest.mark.parametrize(
+    "zone",
+    [(8.0, 15.0, 200), (8.0, 15.0, 1), (8.0, 15.0, 7), (30.0, -3.0, 50), (-20.0, 40.0, 13)],
+    ids=["preset", "grid-1", "grid-7", "gbu-stronger", "gfu-dominant"],
+)
+def test_zone_body_matches_per_cell_lines(zone):
+    assert cli._zone_body(*zone) == zone_body_per_cell(*zone)
 
 
 class TestRunWithPresets:
@@ -603,4 +620,29 @@ class TestUsageErrors:
         out = str(tmp_path / "fig4.csv")
         assert main(["run", "fig4", "--seed", seed, "--out", out]) == 1
         assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
+            ("--trials", "0", "trials must be an integer >= 1, got 0"),
+        ],
+        ids=["seed", "trials"],
+    )
+    def test_zone_run_checks_trials_and_seed(self, tmp_path, capsys, flag, value, message):
+        # a zone run records trials and seed, so it checks them as a sweep does
+        out = str(tmp_path / "zone.csv")
+        assert main(["run", "zone", "--grid", "3", flag, value, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_zone_sum_rate_overflow(self, tmp_path, capsys):
+        # each power is finite, their sum is not: the sum-rate face has no limit
+        out = str(tmp_path / "zone.csv")
+        argv = ["run", "zone", "--p0g0-db", "3082", "--psgk-db", "3082", "--grid", "2", "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "received powers 1.584893192461072e+308, 1.584893192461072e+308" in err
+        assert "sum rate inf" in err
         assert not os.listdir(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgfsim.model import db_to_linear
-from sgfsim.zones import ZoneLabel, classify_grid, classify_rate_pair, region_corners
+from sgfsim.zones import ZoneLabel, classify_grid, classify_rate_pair, grid_runs, region_corners
 
 NOMA_LABELS = (ZoneLabel.NOMA_GBU_FIRST, ZoneLabel.NOMA_GFU_FIRST, ZoneLabel.NOMA_EITHER)
 
@@ -43,6 +43,20 @@ class TestRegionCorners:
             region_corners(1.0, bad)
         with pytest.raises(ValueError, match="finite"):
             classify_grid(1.0, bad, 4)
+
+    def test_rejects_overflowing_sum_rate(self):
+        # each power is finite, but 1 + p_gbu + p_gfu is not
+        message = r"received powers 1\.5e\+308, 1\.5e\+308 give sum rate inf"
+        with pytest.raises(ValueError, match=message):
+            region_corners(1.5e308, 1.5e308)
+        with pytest.raises(ValueError, match=message):
+            classify_rate_pair(1.5e308, 1.5e308, 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            grid_runs(1.5e308, 1.5e308, 2)
+
+    def test_largest_finite_sum_is_accepted(self):
+        c = region_corners(1.5e308, 1.5e307)
+        assert c.sum_rate == pytest.approx(math.log2(1.65e308))
 
 
 class TestClassifyRatePair:
@@ -187,3 +201,34 @@ class TestGridMatchesPairwise:
     def test_zero_sum_rate_names_the_powers(self):
         with pytest.raises(ValueError, match=r"received powers 1e-40, 1e-40 give sum rate 0\.0"):
             classify_grid(1e-40, 1e-40, 3)
+
+
+def expand_runs(points, runs):
+    return [(t_gbu, t_gfu, label) for t_gbu, start, end, label in runs for t_gfu in points[start:end]]
+
+
+PRESET_POWERS = (db_to_linear(8.0), db_to_linear(15.0))
+POWER_PAIRS = (PRESET_POWERS, (3.7, 42.0), (0.0, 9.0), (9.0, 0.0), (1e4, 0.1))
+
+
+class TestGridRuns:
+    @pytest.mark.parametrize(
+        "p_gbu, p_gfu, grid_n",
+        [(*pair, n) for pair in POWER_PAIRS for n in (1, 2, 3, 7)] + [(*PRESET_POWERS, 200)],
+    )
+    def test_runs_tile_each_row_and_match_pairwise(self, p_gbu, p_gfu, grid_n):
+        points, runs = grid_runs(p_gbu, p_gfu, grid_n)
+        assert len(points) == grid_n
+        rows = {}
+        for t_gbu, start, end, _ in runs:
+            rows.setdefault(t_gbu, []).append((start, end))
+        # rows in ascending order, every grid point a row
+        assert list(rows) == points == sorted(set(points))
+        for spans in rows.values():
+            assert spans[0][0] == 0
+            assert spans[-1][1] == grid_n
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
+            assert all(start < end for start, end in spans)
+            assert len(spans) <= 4
+        assert expand_runs(points, runs) == pairwise_grid(p_gbu, p_gfu, grid_n)
+        assert expand_runs(points, runs) == classify_grid(p_gbu, p_gfu, grid_n)
