@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 
@@ -71,6 +72,20 @@ PRESET_FILE_SHA256 = {
     "fig7_b.csv": "202a6ebb62c82358f41bf3e06311c4cee177b3421d182b30712953d037fdeb16",
     "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
 }
+# the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
+# draws moves the two pins above and leaves this one
+PRESET_NON_MONTE_CARLO_SHA256 = {
+    "fig3_k1.csv": "ab46f72744444b69f0898cc4d5ebe44cfb17aabfa0d75baa73ba640ad7ab0a26",
+    "fig3_k5.csv": "823440566fabee97480f4b4c970d2b8cc4dda8365087456bbad1ba05dfdcf9ca",
+    "fig4_k1.csv": "8b5a638628081e25c4f0e2c38754f64fde271ea8d14a0042903079a0161367d1",
+    "fig4_k5.csv": "b2b012ecff3ae16bb41af0aefa59ef174b50ab26c643205cfb654f35430a8197",
+    "fig5_k1.csv": "f028a4589853ec14b5d9c47715f7456ecf3dff9a95488a43b1c4a7854725d78d",
+    "fig5_k2.csv": "eb15ec123b261a1b56b7638c91e15e4e80538a245e7d55024aa5ab2a619a5afb",
+    "fig5_k4.csv": "359020d901af5e20de8768a56b90f9fa25c8d4cf409ef7dd59d17c7a900856a9",
+    "fig6.csv": "17d756d5fd6432ee10acdcc08934219fe874639ecc967c89c37c2c957c6eb04a",
+    "fig7_a.csv": "de6692fae0fdedce99e16200ea0aa8ed565ef30312bde80885e244ff0dfe66a1",
+    "fig7_b.csv": "56e026fca3056a6bb610978d5334bac53ce90573be11688c260fefc511b792c7",
+}
 # `sgfsim run zone --grid 40 --format json --no-timestamp`: the CSV and its JSON mirror
 ZONE_JSON_MIRROR_SHA256 = {
     "zone.csv": "26436779ba06bc1a580f4a5a8175e64966316a662c14bf676ea71436f0b619f7",
@@ -89,6 +104,20 @@ def read_csv(path):
                 rows.append(line)
     parsed = list(csv.reader(rows))
     return comments, parsed[0], parsed[1:]
+
+
+def blank_monte_carlo_cells(path):
+    """The text of a sweep CSV with every Monte Carlo cell emptied and the rest kept."""
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    out = io.StringIO()
+    out.writelines(line for line in lines if line.startswith("#"))
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    blank = {header.index(c) for c in MONTE_CARLO_COLUMNS}
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([["" if i in blank else cell for i, cell in enumerate(row)] for row in rows])
+    return out.getvalue()
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -391,6 +420,22 @@ class TestRunWithPresets:
         assert digests == {
             name: digest
             for name, digest in PRESET_FILE_SHA256.items()
+            if name.partition("_")[0].removesuffix(".csv") == preset
+        }
+
+    @pytest.mark.parametrize("preset", [p for p in PRESET_NAMES if p != "zone"])
+    def test_preset_files_outside_monte_carlo_cells_are_pinned(self, tmp_path, preset):
+        # metadata, header, grid and analytic cells: the bytes no draw may move
+        out = str(tmp_path / f"{preset}.csv")
+        argv = ["run", preset, "--trials", "3000", "--seed", "3", "--out", out, "--no-timestamp"]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256(blank_monte_carlo_cells(tmp_path / name).encode()).hexdigest()
+            for name in os.listdir(tmp_path)
+        }
+        assert digests == {
+            name: digest
+            for name, digest in PRESET_NON_MONTE_CARLO_SHA256.items()
             if name.partition("_")[0].removesuffix(".csv") == preset
         }
 
