@@ -4,9 +4,9 @@ One grant-based user (GBU) and K grant-free users (GFUs) share a resource
 block. Channels are quasi-static Rayleigh: every power gain is a unit-mean
 exponential variate. A ``ChannelRealization`` (the scalar path) keeps the GFU
 gains in ascending order, so the admitted user is the last index; the Monte
-Carlo blocks leave ``sample_gain_matrix`` rows unsorted and take the row
-maximum. Noise variance is normalised to 1, so ``power_gbu`` / ``power_gfu``
-are transmit SNRs.
+Carlo blocks read ``sample_gain_matrix``'s user-by-user (column-major) draw
+unsorted and take the row maximum. Noise variance is normalised to 1, so
+``power_gbu`` / ``power_gfu`` are transmit SNRs.
 """
 
 from __future__ import annotations
@@ -143,20 +143,25 @@ def sample_gain_matrix(
 ) -> np.ndarray:
     """Draw a (rows, cols) matrix of unit-mean exponential power gains.
 
+    The generator fills the uniforms user by user: column ``j`` takes the
+    ``j``-th run of ``rows`` values, so the result is column-major, each
+    user's gains are contiguous and the first ``k`` columns are bit for bit
+    the (rows, k) draw. A one-row draw is the same in either layout.
     Inverse-CDF transform -ln(u) with u = 1 - random() in (0, 1], which
     guards against ln(0); it runs in place on the uniforms, bit for bit the
-    same as ``-np.log1p(-rng.random((rows, cols)))``. This is the single
+    same as ``-np.log1p(-rng.random((cols, rows))).T``. This is the single
     sampling path shared by the scalar API and the Monte Carlo blocks.
-    ``out``, a C-contiguous float64 (rows, cols) array, receives the draw
+    ``out``, an F-contiguous float64 (rows, cols) array, receives the draw
     (the same values as a fresh one) and is returned.
     """
     # the generator fills ``out`` in memory order, so any other layout reorders the draw
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    u = rng.random((rows, cols), out=out)
+    if out is not None and not out.flags.f_contiguous:
+        raise ValueError("out must be F-contiguous")
+    u = rng.random((cols, rows), out=None if out is None else out.T)
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    return np.negative(u, out=u)
+    np.negative(u, out=u)
+    return u.T if out is None else out
 
 
 def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> ChannelRealization:

@@ -7,17 +7,16 @@ are integers and their aggregation is associative, which makes the estimate
 a pure function of (config, scheme, trials, seed).
 
 One engine call runs every config of one or more sweeps, whatever their user
-counts, and draws each block once, ``Kmax + 1`` columns wide. The generator
-fills the row-major draw in memory order and the exponential transform is
-elementwise, so block ``b``'s ``(n, K + 1)`` draw is bit for bit the first
-``n (K + 1)`` values of its widest draw: each K reads that prefix, and its
-estimates are the same as if it had been drawn alone.
+counts, and draws each block once, ``Kmax + 1`` columns wide. The sampler
+fills the draw user by user and the exponential transform is elementwise, so
+block ``b``'s ``(n, K + 1)`` draw is bit for bit the first ``K + 1`` columns
+of its widest draw: each K reads those columns in place, and its estimates
+are the same as if it had been drawn alone.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
-for it: the widest row-major draw, one ``Kmax + 1``-wide column-major buffer
-that takes each K's prefix in turn, and the per-trial scratch, reused by
-every block, K and config. The GBU-side terms of a block depend only on
-(K, P0, eps0, eps_s), so they are computed once for all configs sharing those.
+for it: the widest draw and the per-trial scratch, reused by every block, K
+and config. The GBU-side terms of a block depend only on (K, P0, eps0,
+eps_s), so they are computed once for all configs sharing those.
 
 Each worker draws block ``b + 1`` on one helper thread, into a second draw
 buffer, while it works on block ``b``: the generator fill and the exponential
@@ -324,15 +323,12 @@ def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
 
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
     """Tallies of a contiguous run of blocks on one workspace, allocated here once:
-    the widest row-major draw, the column-major buffer that takes each user
-    count's prefix of it, and the per-trial scratch. ``groups`` maps each user
-    count to its GBU-side groups. From the second block on, a helper thread draws
-    each block into the other of two draw buffers while the previous one is
-    worked on; a single block is drawn here, into one."""
+    the widest draw and the per-trial scratch. ``groups`` maps each user count to
+    its GBU-side groups. From the second block on, a helper thread draws each
+    block into the other of two draw buffers while the previous one is worked on;
+    a single block is drawn here, into one."""
     rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
-    draws = [np.empty((rows, cols)) for _ in range(min(2, len(blocks)))]
-    # column-major, so each user's gains and the GBU's are contiguous
-    gains = np.empty((rows, cols), order="F")
+    draws = [np.empty(rows * cols) for _ in range(min(2, len(blocks)))]
     scratch = _scratch(rows)
     cases = np.zeros((len(configs), 3, 3), dtype=np.int64)
     gbu = np.zeros(len(configs), dtype=np.int64)
@@ -340,18 +336,17 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple
     def draw(i: int) -> np.ndarray:
         block = blocks[i]
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        out = draws[i % len(draws)][:n]
+        # column-major, so a partial block fills the leading (cols, n) slab
+        out = draws[i % len(draws)][: n * cols].reshape(cols, n).T
         return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
 
     # the executor starts its thread on the first submit, so one block starts none
     with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
         for drawn in _drawn_blocks(draw, len(blocks), helper):
-            n, flat = drawn.shape[0], drawn.reshape(-1)
-            s = _prefix(scratch, n)
+            s = _prefix(scratch, drawn.shape[0])
             for k, k_groups in groups.items():
-                # the (n, k + 1) draw of this block is the first n (k + 1) values of the widest
-                np.copyto(gains[:n, : k + 1], flat[: n * (k + 1)].reshape(n, k + 1))
-                _run_block(configs, k_groups, gains[:n, : k + 1], s, cases, gbu)
+                # the (n, k + 1) draw of this block is the first k + 1 columns of the widest
+                _run_block(configs, k_groups, drawn[:, : k + 1], s, cases, gbu)
     return cases, gbu
 
 

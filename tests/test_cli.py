@@ -57,19 +57,19 @@ MONTE_CARLO_COLUMNS = (
     "unresolved",
 )
 # Monte Carlo cells of `sgfsim run fig7 --trials 140000 --seed 3`, both files
-FIG7_MONTE_CARLO_SHA256 = "677794aa9f060cba24d3feb07a6f072c2324a246856a45f88e4deb057b43afab"
+FIG7_MONTE_CARLO_SHA256 = "27420d3d21a0671923b5901f41cfe65039a0b3769679da6d801de8dc4fe6d5a3"
 # every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
 PRESET_FILE_SHA256 = {
-    "fig3_k1.csv": "b9eba4463ff71c0a51412947e27b01b0832a3f4db4e921f63e3fef4f5558955d",
-    "fig3_k5.csv": "526c654e9647d97452667a1298cecc29d6064796029458c8960dc94163132b6a",
-    "fig4_k1.csv": "65fcdcf38384f1106ce0c91c55ce7e3c4c674f819e379f978a874158c9d21cb5",
-    "fig4_k5.csv": "5f7b32170e8f164ef3400560827a3cd9ca9902ac28eea43eb51dc070b540f7c5",
-    "fig5_k1.csv": "285a1c5a4e1f661cb89f75f542fd6b8c8a3b02af4a2cfedf6da130cc06c216ab",
-    "fig5_k2.csv": "7d61712d21c808d025e087e167f6ac6b8aaf18ca6a054d233d5f7cba166155ce",
-    "fig5_k4.csv": "e576f02460f3268e1b4dc4a62e58468c8485ef4c653a47b436e2e4602fa6c60a",
-    "fig6.csv": "745894687732dad57c5f3a5166549d6a95389363b7e93b880cf5350200a216d6",
-    "fig7_a.csv": "d80e7cbb550e02e2db5191c14503984c690c2997bbbbe36d30396ad5c533a47e",
-    "fig7_b.csv": "202a6ebb62c82358f41bf3e06311c4cee177b3421d182b30712953d037fdeb16",
+    "fig3_k1.csv": "62277700850915fba744f89415443c87e9c1ea805db6bfdec682efcf9e765160",
+    "fig3_k5.csv": "65860c2c81f89886b5ac5fa2f434bf47fe632e1323fc52c92958b30d8011af5d",
+    "fig4_k1.csv": "dd2cc97556108b7563259111dd973f08831a319b28ec21bd227fbdfa24edadc1",
+    "fig4_k5.csv": "96bd1c29da7530efb9ffc1145e7e29f579bc8ae68e183fa929e176daf2f810df",
+    "fig5_k1.csv": "beb054d93fa6f115be7a59489679f5af97268a741a1ab24a2a28e8b681901b84",
+    "fig5_k2.csv": "7fa3611705e89a108e4a1cbc60cad7518e49dc19119e05489c51147a898fa87d",
+    "fig5_k4.csv": "95db16e2928a660605a48c5b1213cd4e900a4ffd5fbae827fad49dc83403cba3",
+    "fig6.csv": "0840b7f62dc35b5129c88f13b87f4824fe01517e52522e9a1f3e6c63d654bf22",
+    "fig7_a.csv": "b9263e1dafd53da1d3a0f199a1bbe467d960e830d5b7bd7bc72ca2bdb4b7ee87",
+    "fig7_b.csv": "250e9974e04f451dcf58c8984e7459b1efe6d781899d77dbb84a3a9635cccdbd",
     "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the

@@ -146,29 +146,41 @@ class TestSampling:
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
 
-        gains = sample_gain_matrix(*shape, philox())
-        expected = -np.log1p(-philox().random(shape))
+        rows, cols = shape
+        gains = sample_gain_matrix(rows, cols, philox())
+        expected = -np.log1p(-philox().random((cols, rows))).T
         assert gains.shape == shape
+        assert gains.flags.f_contiguous
         assert gains.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("rows", [65536, 1001])
-    def test_out_buffer_matches_fresh_draw(self, rows):
-        # a full block and a prefix view sized for a partial one, both over stale values
+    @pytest.mark.parametrize("cols", [2, 6, 9])
+    def test_one_row_draw_is_the_row_major_draw(self, cols):
+        # the scalar path draws one row, which fills the same in either layout
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
 
-        buf = np.full((65536, 6), np.nan)
-        target = buf[:rows]
+        row_major = -np.log1p(-philox().random((1, cols)))
+        assert sample_gain_matrix(1, cols, philox()).tobytes() == row_major.tobytes()
+
+    @pytest.mark.parametrize("rows", [65536, 1001])
+    def test_out_buffer_matches_fresh_draw(self, rows):
+        # a full block and the leading (cols, rows) slab of a flat buffer sized for a
+        # partial one, both over stale values
+        def philox():
+            return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
+
+        buf = np.full(65536 * 6, np.nan)
+        target = buf[: rows * 6].reshape(6, rows).T
         gains = sample_gain_matrix(rows, 6, philox(), out=target)
         assert gains is target
         assert np.shares_memory(gains, buf)
         assert gains.tobytes() == sample_gain_matrix(rows, 6, philox()).tobytes()
-        assert np.isnan(buf[rows:]).all()
+        assert np.isnan(buf[rows * 6 :]).all()
 
     @pytest.mark.parametrize("rows", [65536, 1001, 1])
     def test_narrow_draw_is_the_prefix_of_the_wide_one(self, rows):
         # a full, a partial and a one-row block: the Monte Carlo engine reads every
-        # user count's block from the widest draw
+        # user count's block as the leading columns of the widest draw, in place
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(5), np.uint64(2))))
 
@@ -176,19 +188,16 @@ class TestSampling:
         wide = sample_gain_matrix(rows, kmax + 1, philox())
         for k in range(1, kmax + 1):
             narrow = sample_gain_matrix(rows, k + 1, philox())
-            prefix = wide.reshape(-1)[: rows * (k + 1)].reshape(rows, k + 1)
-            assert narrow.tobytes() == prefix.tobytes()
-            if rows > 1 and k < kmax:
-                # the leading columns of the wide draw are other values
-                assert narrow.tobytes() != wide[:, : k + 1].tobytes()
+            assert narrow.tobytes() == wide[:, : k + 1].tobytes()
+            assert wide[:, : k + 1].flags.f_contiguous
 
     def test_out_buffer_must_match_the_draw(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_gain_matrix(4, 3, rng, out=np.empty((5, 3)))
-        # column-major storage would be filled in memory order, reordering the draw
-        with pytest.raises(ValueError, match="C-contiguous"):
-            sample_gain_matrix(4, 3, rng, out=np.empty((4, 3), order="F"))
+            sample_gain_matrix(4, 3, rng, out=np.empty((5, 3), order="F"))
+        # row-major storage would be filled in memory order, reordering the draw
+        with pytest.raises(ValueError, match="F-contiguous"):
+            sample_gain_matrix(4, 3, rng, out=np.empty((4, 3)))
 
     def test_unit_mean(self):
         rng = np.random.default_rng(11)
