@@ -19,11 +19,10 @@ from .analytic import (
     outage_diversity_asymptote,
     outage_exact,
     outage_quadrature,
-    outage_highsnr,
     outage_probability,
     outage_probability_highsnr,
 )
-from .baselines import cr_noma_outage_sample, cr_noma_rate
+from .baselines import cr_noma_rate
 from .model import (
     ChannelRealization,
     SystemConfig,
@@ -46,11 +45,8 @@ from .montecarlo import (
 from .protocol import (
     CaseLabel,
     TransmissionOutcome,
-    allocate,
-    classify_case,
     evaluate_transmission,
     gbu_oma_outage,
-    interference_threshold,
 )
 from .zones import RegionCorners, ZoneLabel, classify_rate_pair, region_corners
 
@@ -73,22 +69,17 @@ __all__ = [
     "TransmissionOutcome",
     "ZoneLabel",
     "achievable_rates",
-    "allocate",
-    "classify_case",
     "classify_rate_pair",
-    "cr_noma_outage_sample",
     "cr_noma_rate",
     "db_to_linear",
     "estimate_outage",
     "evaluate_transmission",
     "gbu_oma_outage",
-    "interference_threshold",
     "linear_to_db",
     "nu_kernel",
     "outage_diversity_asymptote",
     "outage_exact",
     "outage_quadrature",
-    "outage_highsnr",
     "outage_probability",
     "outage_probability_highsnr",
     "region_corners",

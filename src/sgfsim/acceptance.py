@@ -230,7 +230,7 @@ def criterion_highsnr_approx(seed: int = DEFAULT_SEED) -> CriterionResult:
             if db < 45:
                 continue
             exact = analytic.outage_probability(config)
-            rels.append(abs(analytic.outage_highsnr(config) / exact - 1.0))
+            rels.append(abs(analytic.outage_probability_highsnr(config) / exact - 1.0))
         if not all(a >= b - 1e-12 for a, b in zip(rels, rels[1:])):
             failures.append(f"K={k}: rel errors {rels} not nonincreasing")
         if rels[-1] > 0.25:

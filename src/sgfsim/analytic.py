@@ -12,8 +12,8 @@ GBU gain. The evaluation routes are:
 * ``outage_exact`` - the paper's alternating binomial series over the
   exponential integral kernel ``nu_kernel`` (K >= 2), kept as the reference
   formula,
-* ``outage_highsnr`` / ``outage_diversity_asymptote`` - high-SNR power laws;
-  at K = 1 the diversity law eps_s / P_s is the approximation.
+* ``outage_probability_highsnr`` / ``outage_diversity_asymptote`` - high-SNR
+  power laws; at K = 1 the diversity law eps_s / P_s is the approximation.
 
 The paper's alternating series cancel heavily for large K, high SNR or small
 GFU power. Each series is summed with ``math.fsum``, which is correctly
@@ -45,7 +45,6 @@ __all__ = [
     "nu_kernel",
     "outage_exact",
     "outage_quadrature",
-    "outage_highsnr",
     "outage_diversity_asymptote",
     "outage_probability",
     "outage_probability_highsnr",
@@ -210,14 +209,6 @@ def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreak
     return OutageBreakdown(p_case1=p1, p_case2_terms=p2, p_case3=p3, total=total)
 
 
-def _require_multi_user(config: SystemConfig, op: str) -> int:
-    if config.num_gfus < 2:
-        raise ValueError(
-            f"{op} requires num_gfus >= 2; use outage_probability for num_gfus == 1"
-        )
-    return config.num_gfus
-
-
 def outage_exact(config: SystemConfig) -> OutageBreakdown:
     """Exact outage probability of the admitted GFU, per case (K >= 2).
 
@@ -231,7 +222,10 @@ def outage_exact(config: SystemConfig) -> OutageBreakdown:
     or nonfinite series, or one whose Ps * eta0 is 0.0, raises
     ``NumericalRangeError``.
     """
-    _require_multi_user(config, "outage_exact")
+    if config.num_gfus < 2:
+        raise ValueError(
+            "outage_exact requires num_gfus >= 2; use outage_probability for num_gfus == 1"
+        )
     try:
         return _outage_exact_series(config)
     except OverflowError as err:
@@ -386,11 +380,26 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     return _build_breakdown(columns[1][big_k] + tail, columns[1][:big_k], p3[1])
 
 
-def outage_highsnr(config: SystemConfig) -> float:
-    """High-SNR approximation of the admitted GFU's outage probability (K >= 2).
+def outage_diversity_asymptote(config: SystemConfig) -> float:
+    """Leading-order outage power law (eps_s / power_gfu) ** K.
+
+    Its log-log slope against the GFU power is exactly -K: the scheme keeps
+    the full multiuser diversity order.
+    """
+    return (config.eps_s / config.power_gfu) ** config.num_gfus
+
+
+def outage_probability(config: SystemConfig) -> float:
+    """Exact outage probability for any K >= 1."""
+    return outage_quadrature(config).total
+
+
+def outage_probability_highsnr(config: SystemConfig) -> float:
+    """High-SNR approximation of the admitted GFU's outage probability, any K >= 1.
 
     Derived for both transmit SNRs growing together; only the GFU power
-    appears explicitly. The value is not clamped: at moderate SNR it may sit
+    appears explicitly. At K = 1 the diversity law eps_s / P_s is the whole
+    approximation. The value is not clamped: at moderate SNR it may sit
     slightly off the exact bracket.
 
     The paper writes buckets 0..K-2 as double binomial sums; each collapses to
@@ -398,7 +407,9 @@ def outage_highsnr(config: SystemConfig) -> float:
     are e0 r^(K+1) / (K+1) * sum (1+e0)^(K-k) with r = eps_s / P_s. Every term
     is written in r so that no intermediate overflows.
     """
-    big_k = _require_multi_user(config, "outage_highsnr")
+    big_k = config.num_gfus
+    if big_k == 1:
+        return outage_diversity_asymptote(config)
     ps = config.power_gfu
     e0, es = config.eps0, config.eps_s
     r = es / ps
@@ -423,27 +434,3 @@ def outage_highsnr(config: SystemConfig) -> float:
     total -= ((e0 * (big_k + 1) - 1.0) * gk1 + 1.0) * rk / (ps * ps * (big_k + 2) * (big_k + 1))
 
     return total
-
-
-def outage_diversity_asymptote(config: SystemConfig) -> float:
-    """Leading-order outage power law (eps_s / power_gfu) ** K.
-
-    Its log-log slope against the GFU power is exactly -K: the scheme keeps
-    the full multiuser diversity order.
-    """
-    return (config.eps_s / config.power_gfu) ** config.num_gfus
-
-
-def outage_probability(config: SystemConfig) -> float:
-    """Exact outage probability for any K >= 1."""
-    return outage_quadrature(config).total
-
-
-def outage_probability_highsnr(config: SystemConfig) -> float:
-    """High-SNR outage approximation for any K >= 1.
-
-    At K = 1 the leading term eps_s / P_s is the whole approximation.
-    """
-    if config.num_gfus == 1:
-        return outage_diversity_asymptote(config)
-    return outage_highsnr(config)

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from .model import ChannelRealization, SystemConfig
 from .protocol import _CASE_I, _CASE_III, _check_gain_gbu, _decide
 
-__all__ = ["cr_noma_rate", "cr_noma_outage_sample"]
+__all__ = ["cr_noma_rate"]
 
 
 def cr_noma_rate(
@@ -54,9 +54,3 @@ def cr_noma_rate(
     if rate_decode_last > rate_decode_first:
         return rate_decode_last, below
     return rate_decode_first, big_k
-
-
-def cr_noma_outage_sample(config: SystemConfig, realization: ChannelRealization) -> bool:
-    """True when the baseline's admitted GFU misses its target rate."""
-    rate, _ = cr_noma_rate(config, realization)
-    return rate < config.target_rate_gfu

@@ -551,6 +551,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        # e.g. a config file's num_gfus sizing the draw buffers past the host's memory
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

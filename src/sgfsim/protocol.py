@@ -30,9 +30,6 @@ from .model import ChannelRealization, SystemConfig, _sic_sinrs, achievable_rate
 __all__ = [
     "CaseLabel",
     "TransmissionOutcome",
-    "interference_threshold",
-    "classify_case",
-    "allocate",
     "evaluate_transmission",
     "gbu_oma_outage",
 ]
@@ -73,30 +70,20 @@ def _check_gain_gbu(gain_gbu: float) -> None:
         raise ValueError(f"gain_gbu must be >= 0, got {gain_gbu!r}")
 
 
-def _tau_hat(config: SystemConfig, p_gbu: float) -> float:
-    """The unclipped threshold for a received GBU power ``p_gbu``."""
-    return p_gbu / config.eps0 - 1.0
-
-
-def interference_threshold(config: SystemConfig, gain_gbu: float) -> tuple[float, float]:
-    """Unclipped and broadcast interference thresholds for a GBU gain.
-
-    The unclipped value is the largest residual interference power under
-    which the GBU still decodes at its target rate; the broadcast value
-    clips it at zero.
-    """
-    _check_gain_gbu(gain_gbu)
-    tau_hat = _tau_hat(config, config.power_gbu * gain_gbu)
-    return tau_hat, max(0.0, tau_hat)
-
-
 def _decide(
     config: SystemConfig, p_gbu: float, p_best: float
 ) -> tuple[CaseLabel, float, float, float, float]:
-    """The case, both thresholds and the (alpha, beta) split of one block, from
-    the received powers of the GBU and the strongest GFU, whose gains the caller
-    has checked; see ``classify_case`` and ``allocate``."""
-    tau_hat = _tau_hat(config, p_gbu)
+    """The case, both thresholds and the (alpha, beta) split of one block, which
+    ``evaluate_transmission`` returns, from the received powers of the GBU and
+    the strongest GFU (the caller checks their gains).
+
+    tau_hat is the largest residual interference under which the GBU still
+    meets its target; the broadcast tau clips it at zero. tau == 0, the boundary
+    tau_hat == 0 included, is Case III (1, 1); a received GFU power equal to a
+    positive tau is Case I (0, 0). Case II's rate split can fall below zero and
+    is clamped to [0, 1]; outage decisions never consult it.
+    """
+    tau_hat = p_gbu / config.eps0 - 1.0
     # the broadcast threshold max(0, tau_hat): tau_hat is never NaN or -0.0 here
     if tau_hat <= 0.0:
         return _CASE_III, tau_hat, 0.0, 1.0, 1.0
@@ -105,41 +92,6 @@ def _decide(
     alpha = 1.0 - tau_hat / p_best
     beta = 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu
     return _CASE_II, tau_hat, tau_hat, min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
-
-
-def _decide_block(
-    config: SystemConfig, realization: ChannelRealization
-) -> tuple[CaseLabel, float, float, float, float]:
-    """``_decide`` for one block, after the GBU-gain check."""
-    gain_gbu = realization.gain_gbu
-    _check_gain_gbu(gain_gbu)
-    return _decide(config, config.power_gbu * gain_gbu, config.power_gfu * realization.gain_best)
-
-
-def classify_case(config: SystemConfig, realization: ChannelRealization) -> CaseLabel:
-    """Partition the gain space into the three operating regimes.
-
-    tau == 0 (including the measure-zero boundary tau_hat == 0) is Case III;
-    received GFU power exactly equal to a positive tau counts as Case I.
-    """
-    return _decide_block(config, realization)[0]
-
-
-def allocate(
-    config: SystemConfig, realization: ChannelRealization, case: CaseLabel
-) -> tuple[float, float]:
-    """Optimal power split and target-rate split for the admitted GFU.
-
-    Case I sends everything on the second stream (0, 0); Case III sends
-    everything on the first (1, 1). Case II pins the second stream's
-    interference at the unclipped threshold; the resulting rate split can
-    fall below zero when the threshold already carries more rate than the
-    target, so it is clamped to [0, 1] (outage decisions never consult it).
-    """
-    actual, _, _, alpha, beta = _decide_block(config, realization)
-    if case is not actual:
-        raise ValueError(f"case {case} is inconsistent with the supplied realization")
-    return alpha, beta
 
 
 def gbu_oma_outage(config: SystemConfig, gain_gbu: float) -> bool:

@@ -24,7 +24,6 @@ from sgfsim.analytic import (
     nu_kernel,
     outage_diversity_asymptote,
     outage_exact,
-    outage_highsnr,
     outage_probability,
     outage_probability_highsnr,
     outage_quadrature,
@@ -390,16 +389,12 @@ class TestOutageQuadrature:
 
 class TestHighSnr:
     def test_leading_order_ratio(self):
-        near = outage_highsnr(config(num_gfus=2, power_gbu=1e5, power_gfu=1e5, rate_gbu=2.0, rate_gfu=1.5))
-        asym = outage_diversity_asymptote(
-            config(num_gfus=2, power_gbu=1e5, power_gfu=1e5, rate_gbu=2.0, rate_gfu=1.5)
-        )
-        assert near / asym == pytest.approx(1.0, abs=0.01)
-        far = outage_highsnr(config(num_gfus=2, power_gbu=1e6, power_gfu=1e6, rate_gbu=2.0, rate_gfu=1.5))
-        far_asym = outage_diversity_asymptote(
-            config(num_gfus=2, power_gbu=1e6, power_gfu=1e6, rate_gbu=2.0, rate_gfu=1.5)
-        )
-        assert abs(far / far_asym - 1.0) < abs(near / asym - 1.0)
+        near_cfg = config(num_gfus=2, power_gbu=1e5, power_gfu=1e5, rate_gbu=2.0, rate_gfu=1.5)
+        near = outage_probability_highsnr(near_cfg) / outage_diversity_asymptote(near_cfg)
+        assert near == pytest.approx(1.0, abs=0.01)
+        far_cfg = config(num_gfus=2, power_gbu=1e6, power_gfu=1e6, rate_gbu=2.0, rate_gfu=1.5)
+        far = outage_probability_highsnr(far_cfg) / outage_diversity_asymptote(far_cfg)
+        assert abs(far - 1.0) < abs(near - 1.0)
 
     @pytest.mark.parametrize("k_users", [2, 3])
     def test_relative_error_shrinks_along_sweep(self, k_users):
@@ -407,12 +402,8 @@ class TestHighSnr:
         for db in (30, 40, 50):
             power = db_to_linear(db)
             cfg = config(num_gfus=k_users, power_gbu=power, power_gfu=power, rate_gbu=2.0, rate_gfu=1.5)
-            rels.append(abs(outage_highsnr(cfg) / outage_quadrature(cfg).total - 1.0))
+            rels.append(abs(outage_probability_highsnr(cfg) / outage_quadrature(cfg).total - 1.0))
         assert rels[0] > rels[1] > rels[2]
-
-    def test_requires_two_users(self):
-        with pytest.raises(ValueError):
-            outage_highsnr(config(num_gfus=1))
 
 
 def highsnr_double_sum(cfg):
@@ -465,7 +456,7 @@ class TestHighSnrClosedForm:
             float(rng.uniform(0.5, 4.0)),
         )
         want = float(highsnr_double_sum(cfg))
-        assert outage_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert outage_probability_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_where_the_float_double_sum_cancelled(self):
         # the paper's double sum evaluated in floats is 0.467 relative off here
@@ -473,7 +464,7 @@ class TestHighSnrClosedForm:
             19, 13618.417611811261, 255.6200881832188, 1.0921025045045964, 0.6364614068872667
         )
         want = float(highsnr_double_sum(cfg))
-        assert outage_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert outage_probability_highsnr(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestDiversityAsymptote:
@@ -515,7 +506,9 @@ class TestSingleUser:
         assert outage_probability(single) == outage_quadrature(single).total
         assert outage_probability(multi) == outage_quadrature(multi).total
         assert outage_probability_highsnr(single) == outage_diversity_asymptote(single)
-        assert outage_probability_highsnr(multi) == outage_highsnr(multi)
+        assert outage_probability_highsnr(multi) == pytest.approx(
+            float(highsnr_double_sum(multi)), rel=1e-12, abs=0.0
+        )
 
 
 class TestOracleSensitivity:

@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgfsim.baselines import cr_noma_outage_sample, cr_noma_rate
+from sgfsim.baselines import cr_noma_rate
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import Scheme, estimate_outage
-from sgfsim.protocol import CaseLabel, classify_case, evaluate_transmission
+from sgfsim.protocol import CaseLabel, evaluate_transmission
 
 
 def config(num_gfus=2, power_gbu=4.0, power_gfu=1.0, rate_gbu=1.0, rate_gfu=1.0):
@@ -21,11 +21,12 @@ class TestCrNomaRate:
         seen = {CaseLabel.CASE_I: 0, CaseLabel.CASE_III: 0}
         for row in sample_gain_matrix(4000, 4, rng).tolist():
             real = ChannelRealization(row[-1], tuple(sorted(row[:-1])))
-            case = classify_case(cfg, real)
+            out = evaluate_transmission(cfg, real)
+            case = out.case_label
             if case is CaseLabel.CASE_II:
                 continue
             rate, admitted = cr_noma_rate(cfg, real)
-            assert rate == evaluate_transmission(cfg, real).rate_gfu_total
+            assert rate == out.rate_gfu_total
             assert admitted == 3
             seen[case] += 1
         assert all(count > 0 for count in seen.values())
@@ -57,10 +58,11 @@ class TestCrNomaRate:
         while checked < 20000:
             for row in sample_gain_matrix(20000, 4, rng).tolist():
                 real = ChannelRealization(row[-1], tuple(sorted(row[:-1])))
-                if classify_case(cfg, real) is not CaseLabel.CASE_II:
+                out = evaluate_transmission(cfg, real)
+                if out.case_label is not CaseLabel.CASE_II:
                     continue
                 rate, _ = cr_noma_rate(cfg, real)
-                assert evaluate_transmission(cfg, real).rate_gfu_total > rate
+                assert out.rate_gfu_total > rate
                 checked += 1
                 if checked >= 20000:
                     break
@@ -73,20 +75,21 @@ class TestCrNomaRate:
             cr_noma_rate(config(), block)
 
 
-class TestCrNomaOutageSample:
+class TestCrNomaOutage:
     def test_meeting_target_is_not_outage(self):
         cfg = config(num_gfus=2, power_gbu=4.0, power_gfu=1.0)
         real = ChannelRealization(1.0, (2.0, 10.0))  # rate log2(3) >= target 1
-        assert not cr_noma_outage_sample(cfg, real)
+        assert not cr_noma_rate(cfg, real)[0] < cfg.target_rate_gfu
 
     def test_outage_bit_matches_rate_splitting_outside_middle_case(self):
         cfg = config(num_gfus=2, power_gbu=6.0, power_gfu=3.0, rate_gfu=1.4)
         rng = np.random.default_rng(33)
         for row in sample_gain_matrix(3000, 3, rng).tolist():
             real = ChannelRealization(row[-1], tuple(sorted(row[:-1])))
-            if classify_case(cfg, real) is CaseLabel.CASE_II:
+            out = evaluate_transmission(cfg, real)
+            if out.case_label is CaseLabel.CASE_II:
                 continue
-            assert cr_noma_outage_sample(cfg, real) == evaluate_transmission(cfg, real).gfu_outage
+            assert (cr_noma_rate(cfg, real)[0] < cfg.target_rate_gfu) == out.gfu_outage
 
     def test_baseline_floors_while_rate_splitting_decays(self):
         # locked-ratio sweep: the baseline's outage stops improving with SNR

@@ -682,6 +682,26 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize(
+        "message, shown",
+        [
+            ("48.8 GiB for an array", "error: out of memory: 48.8 GiB for an array\n"),
+            ("", "error: out of memory: allocation failed\n"),
+        ],
+    )
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, message, shown):
+        # num_gfus from a config file has no upper bound, and the engine sizes its
+        # draw buffers from it; stand in for the failed allocation without making it
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sweeps", exhausted)
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("num_gfus = 2", "num_gfus = 100000"))
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == shown
+        assert not os.path.exists(out)
+
     def test_zone_sum_rate_overflow(self, tmp_path, capsys):
         # each power is finite, their sum is not: the sum-rate face has no limit
         out = str(tmp_path / "zone.csv")

@@ -12,14 +12,7 @@ from sgfsim.model import (
     sample_channel_realization,
     sample_gain_matrix,
 )
-from sgfsim.protocol import (
-    CaseLabel,
-    allocate,
-    classify_case,
-    evaluate_transmission,
-    gbu_oma_outage,
-    interference_threshold,
-)
+from sgfsim.protocol import CaseLabel, evaluate_transmission, gbu_oma_outage
 
 
 SCALAR_OUTPUT_SHA256 = "1044a278338aa1d0769f7fade0b7552c8548439119fa275158525d9a87a2c69e"
@@ -34,82 +27,81 @@ def config(num_gfus=2, power_gbu=4.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.0
     return SystemConfig(num_gfus, power_gbu, power_gfu, rate_gbu, rate_gfu)
 
 
-class TestInterferenceThreshold:
+def outcome(cfg, gain_gbu, gains_gfu):
+    return evaluate_transmission(cfg, ChannelRealization(gain_gbu, gains_gfu))
+
+
+class TestThresholdFields:
     def test_positive(self):
-        tau_hat, tau = interference_threshold(config(power_gbu=4.0), 1.0)
-        assert tau_hat == pytest.approx(3.0)
-        assert tau == pytest.approx(3.0)
+        out = outcome(config(power_gbu=4.0), 1.0, (0.1, 0.2))
+        assert out.tau_hat == pytest.approx(3.0)
+        assert out.tau == pytest.approx(3.0)
 
     def test_clipped(self):
-        tau_hat, tau = interference_threshold(config(power_gbu=4.0), 0.125)
-        assert tau_hat == pytest.approx(-0.5)
-        assert tau == 0.0
+        out = outcome(config(power_gbu=4.0), 0.125, (0.1, 0.2))
+        assert out.tau_hat == pytest.approx(-0.5)
+        assert out.tau == 0.0
 
     def test_zero_boundary_is_clipped(self):
         cfg = config(power_gbu=3.0, rate_gbu=2.0)  # threshold SNR eps0 = 3
-        tau_hat, tau = interference_threshold(cfg, 1.0)
-        assert tau_hat == pytest.approx(0.0)
-        assert tau == 0.0
-
+        out = outcome(cfg, 1.0, (0.1, 0.2))
+        assert out.tau_hat == pytest.approx(0.0)
+        assert out.tau == 0.0
 
     def test_nan_gain_rejected(self):
-        with pytest.raises(ValueError):
-            interference_threshold(config(), math.nan)
+        # both per-block schemes check the GBU gain before reading a threshold from it
+        block = SimpleNamespace(gain_gbu=math.nan, gains_gfu=(0.5, 2.0), gain_best=2.0)
+        for scheme in (evaluate_transmission, cr_noma_rate):
+            with pytest.raises(ValueError, match="gain_gbu must be >= 0"):
+                scheme(config(), block)
 
 
-class TestClassifyCase:
+class TestCaseLabelField:
     def test_zero_threshold_is_case_three(self):
         cfg = config(power_gbu=3.0, rate_gbu=2.0)
-        assert classify_case(cfg, ChannelRealization(1.0, (0.5, 2.0))) is CaseLabel.CASE_III
+        assert outcome(cfg, 1.0, (0.5, 2.0)).case_label is CaseLabel.CASE_III
 
     def test_all_below_threshold_is_case_one(self):
         cfg = config(num_gfus=3, power_gbu=4.0, power_gfu=1.0)
-        real = ChannelRealization(1.0, (0.5, 1.0, 2.0))  # tau = 3, max received power 2
-        assert classify_case(cfg, real) is CaseLabel.CASE_I
+        # tau = 3, max received power 2
+        assert outcome(cfg, 1.0, (0.5, 1.0, 2.0)).case_label is CaseLabel.CASE_I
 
     def test_strongest_above_threshold_is_case_two(self):
         cfg = config(num_gfus=3, power_gbu=4.0, power_gfu=1.0)
-        real = ChannelRealization(1.0, (0.5, 1.0, 5.0))
-        assert classify_case(cfg, real) is CaseLabel.CASE_II
+        assert outcome(cfg, 1.0, (0.5, 1.0, 5.0)).case_label is CaseLabel.CASE_II
 
     def test_boundary_power_counts_as_case_one(self):
         cfg = config(num_gfus=2, power_gbu=4.0, power_gfu=1.0)
-        real = ChannelRealization(1.0, (0.5, 3.0))  # received power == tau exactly
-        assert classify_case(cfg, real) is CaseLabel.CASE_I
+        # received power == tau exactly
+        assert outcome(cfg, 1.0, (0.5, 3.0)).case_label is CaseLabel.CASE_I
 
 
-class TestAllocate:
+class TestSplitFields:
     def test_case_two_splits(self):
         cfg = config(power_gbu=4.0, power_gfu=10.0, rate_gfu=4.0)
-        real = ChannelRealization(1.0, (0.35, 1.0))  # tau_hat = 3, best received = 10
-        alpha, beta = allocate(cfg, real, CaseLabel.CASE_II)
-        assert alpha == pytest.approx(0.7)
-        assert beta == pytest.approx(0.5)  # 1 - log2(4)/4
+        out = outcome(cfg, 1.0, (0.35, 1.0))  # tau_hat = 3, best received = 10
+        assert out.case_label is CaseLabel.CASE_II
+        assert out.alpha == pytest.approx(0.7)
+        assert out.beta == pytest.approx(0.5)  # 1 - log2(4)/4
 
     def test_case_one_and_three_are_pinned(self):
         cfg = config(power_gbu=4.0, power_gfu=1.0)
-        low = ChannelRealization(1.0, (0.5, 2.0))
-        assert allocate(cfg, low, CaseLabel.CASE_I) == (0.0, 0.0)
-        cfg3 = config(power_gbu=4.0)
-        weak = ChannelRealization(0.1, (0.5, 2.0))  # tau = 0
-        assert allocate(cfg3, weak, CaseLabel.CASE_III) == (1.0, 1.0)
+        low = outcome(cfg, 1.0, (0.5, 2.0))
+        assert low.case_label is CaseLabel.CASE_I
+        assert (low.alpha, low.beta) == (0.0, 0.0)
+        weak = outcome(config(power_gbu=4.0), 0.1, (0.5, 2.0))  # tau = 0
+        assert weak.case_label is CaseLabel.CASE_III
+        assert (weak.alpha, weak.beta) == (1.0, 1.0)
 
     def test_rate_split_clamps_without_changing_outage(self):
         # threshold already carries more rate than the target: raw split < 0
         cfg = config(power_gbu=8.0, power_gfu=10.0, rate_gfu=2.0)
-        real = ChannelRealization(1.0, (0.2, 0.8))  # tau_hat = 7, best received = 8
-        alpha, beta = allocate(cfg, real, CaseLabel.CASE_II)
-        assert beta == 0.0
-        outcome = evaluate_transmission(cfg, real)
-        assert outcome.rate_gfu_total >= cfg.target_rate_gfu
-        assert not outcome.gfu_outage
-        assert not outcome.gfu_silent
-
-    def test_mismatched_case_rejected(self):
-        cfg = config(power_gbu=4.0, power_gfu=1.0)
-        real = ChannelRealization(1.0, (0.5, 2.0))  # genuinely Case I
-        with pytest.raises(ValueError):
-            allocate(cfg, real, CaseLabel.CASE_II)
+        out = outcome(cfg, 1.0, (0.2, 0.8))  # tau_hat = 7, best received = 8
+        assert out.case_label is CaseLabel.CASE_II
+        assert out.beta == 0.0
+        assert out.rate_gfu_total >= cfg.target_rate_gfu
+        assert not out.gfu_outage
+        assert not out.gfu_silent
 
 
 class TestGbuOmaOutage:
@@ -227,9 +219,9 @@ class TestProtocolInvariants:
         while checked < 500:
             row = sorted(float(g) for g in rng.exponential(size=3))
             real = ChannelRealization(float(rng.exponential()), tuple(row))
-            if classify_case(cfg, real) is not CaseLabel.CASE_II:
-                continue
             out = evaluate_transmission(cfg, real)
+            if out.case_label is not CaseLabel.CASE_II:
+                continue
             _, sinr_gbu, sinr_s2 = sinr_triplet(cfg, real.gain_gbu, real.gain_best, out.alpha)
             assert sinr_s2 == pytest.approx(out.tau_hat, rel=1e-9)
             assert math.log2(1.0 + sinr_gbu) >= cfg.target_rate_gbu - 1e-9
@@ -243,9 +235,9 @@ class TestProtocolInvariants:
         while checked < 2000:
             row = sorted(float(g) for g in rng.exponential(size=2))
             real = ChannelRealization(float(rng.exponential()), tuple(row))
-            if classify_case(cfg, real) is not CaseLabel.CASE_II:
-                continue
             out = evaluate_transmission(cfg, real)
+            if out.case_label is not CaseLabel.CASE_II:
+                continue
             raw_beta = 1.0 - math.log2(1.0 + out.tau_hat) / cfg.target_rate_gfu
             first_stream_short = out.rate_gfu_s1 < raw_beta * cfg.target_rate_gfu
             assert first_stream_short == (out.rate_gfu_total < cfg.target_rate_gfu)
