@@ -19,13 +19,12 @@ import configparser
 import csv
 import datetime
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .model import SystemConfig, db_to_linear, linear_to_db
-from .montecarlo import SWEEP_AXES, Scheme, SweepRequest, SweepRow, check_run, sweeps
+from .model import SystemConfig, db_to_linear
+from .montecarlo import Scheme, SweepRequest, SweepRow, check_request, check_run, sweeps
 # perfbench traces sweeps by the name ``cli.sweep``; runs go through ``sweeps``
 from .montecarlo import sweep  # noqa: F401
 from .zones import grid_runs
@@ -227,7 +226,8 @@ def _load_experiment(
     ``[metadata.<label>]``) line ``key = source [value]`` takes, without a
     value, the sub-configuration's raw value of ``key``. The ``[system]`` keys
     the grid sets (and ``gfu_power_db`` under a locked ratio on a GBU power
-    sweep) may be left out; their base then comes from the grid's first value.
+    sweep) may be left out. The sweep request is checked by the engine's
+    ``check_request``, so its errors are config-file errors too.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -282,33 +282,24 @@ def _load_experiment(
                 )
                 specs.append(ExperimentSpec(label, tuple(metadata), zone=zone_grid))
                 continue
-            axis = values["axis"]
-            if axis not in SWEEP_AXES:
-                raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-            ratio = values.get("gbu_to_gfu_power_ratio")
+            axis, ratio = values["axis"], values.get("gbu_to_gfu_power_ratio")
             ratio = None if ratio is None else float(ratio)
-            # written so that NaN fails it too
-            if ratio is not None and not 0.0 < ratio < math.inf:
-                raise UsageError(
-                    f"gbu_to_gfu_power_ratio must give a finite ratio > 0, got {ratio!r}"
-                )
-            grid = tuple(float(v) for v in values["grid"].split())
-            # the sweep replaces these base values at every grid point
-            if grid:
-                for key in _AXIS_KEYS.get(axis, (axis,)):
-                    values.setdefault(key, grid[0])
-                if axis == "gbu_power_db" and ratio is not None:
-                    locked = float(values["gbu_power_db"]) - linear_to_db(ratio)
-                    values.setdefault("gfu_power_db", locked)
+            # the engine sets these keys at every grid point, so a left-out one
+            # gets a placeholder that no output reads
+            swept = _AXIS_KEYS.get(axis, (axis,))
+            if axis == "gbu_power_db" and ratio is not None:
+                swept += ("gfu_power_db",)
+            system = {**dict.fromkeys(swept, "1"), **values}
             base = SystemConfig.from_db(
-                num_gfus=int(values["num_gfus"]),
-                gbu_power_db=float(values["gbu_power_db"]),
-                gfu_power_db=float(values["gfu_power_db"]),
-                target_rate_gbu=float(values["target_rate_gbu"]),
-                target_rate_gfu=float(values["target_rate_gfu"]),
+                num_gfus=int(system["num_gfus"]),
+                gbu_power_db=float(system["gbu_power_db"]),
+                gfu_power_db=float(system["gfu_power_db"]),
+                target_rate_gbu=float(system["target_rate_gbu"]),
+                target_rate_gfu=float(system["target_rate_gfu"]),
             )
-            schemes = tuple(map(Scheme, values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()))
-            request = SweepRequest(base, axis, grid, schemes, ratio)
+            grid = map(float, values["grid"].split())
+            schemes = values.get("schemes", "cr-rsma-sgf cr-noma-sgf").split()
+            request = check_request(SweepRequest(base, axis, grid, schemes, ratio))
             specs.append(ExperimentSpec(label, tuple(metadata), request=request))
         return trials, seed, specs
     except (KeyError, ValueError, configparser.Error) as err:
@@ -529,6 +520,9 @@ def _cmd_validate(args) -> int:
     from . import acceptance
 
     seed = args.seed if args.seed is not None else acceptance.DEFAULT_SEED
+    # the criteria key their generators on seed + 0..8, each in [0, 2**64)
+    if not 0 <= seed < 2**64 - 8:
+        raise ValueError(f"validate seed must be an integer in [0, 2**64 - 8), got {seed}")
     failures = 0
     for name, func in acceptance.CRITERIA:
         result = func(seed)

@@ -49,6 +49,7 @@ __all__ = [
     "evaluate_rsma_trials",
     "evaluate_noma_trials",
     "check_run",
+    "check_request",
     "estimate_outage",
     "sweep",
     "sweeps",
@@ -443,7 +444,6 @@ class SweepRow:
     """One grid point of a sweep: estimate plus the rate-splitting scheme's
     analytic values, which are ``None`` on baseline rows."""
 
-    axis: str
     axis_value: float
     scheme: Scheme | None
     config: SystemConfig | None
@@ -505,6 +505,24 @@ class SweepRequest(NamedTuple):
     gbu_to_gfu_power_ratio: float | None = None
 
 
+def check_request(request) -> SweepRequest:
+    """``request`` as a ``SweepRequest`` with a tuple grid and ``Scheme`` schemes,
+    or ``ValueError`` if it has no grid point or scheme, an unknown axis, or a
+    ratio that is not finite and > 0."""
+    base, axis, grid, schemes, ratio = request
+    request = SweepRequest(base, axis, tuple(grid), tuple(map(Scheme, schemes)), ratio)
+    if not request.grid:
+        raise ValueError("sweep grid must be nonempty")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not request.schemes:
+        raise ValueError("sweep schemes must be nonempty")
+    # written so that NaN fails it too
+    if ratio is not None and not 0.0 < ratio < math.inf:
+        raise ValueError(f"gbu_to_gfu_power_ratio must be finite and > 0, got {ratio!r}")
+    return request
+
+
 def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[SweepRow]]:
     """Run several ``SweepRequest`` sweeps on one engine pass; one row list per request.
 
@@ -514,21 +532,7 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
     The run arguments and every request are checked before any block is drawn.
     """
     check_run(trials, seed, workers)
-    requests = [
-        SweepRequest(base, axis, tuple(grid), tuple(Scheme(s) for s in schemes), ratio)
-        for base, axis, grid, schemes, ratio in requests
-    ]
-    for request in requests:
-        if not request.grid:
-            raise ValueError("sweep grid must be nonempty")
-        if request.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {request.axis!r}; expected one of {SWEEP_AXES}")
-        if not request.schemes:
-            raise ValueError("sweep schemes must be nonempty")
-        ratio = request.gbu_to_gfu_power_ratio
-        # written so that NaN fails it too
-        if ratio is not None and not 0.0 < ratio < math.inf:
-            raise ValueError(f"gbu_to_gfu_power_ratio must be finite and > 0, got {ratio!r}")
+    requests = [check_request(request) for request in requests]
 
     # (request, grid index) -> config or the reason there is none
     configs: dict[tuple[int, int], SystemConfig] = {}
@@ -562,7 +566,6 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
                     exact, highsnr, asymptote, note = _analytic_columns(config)
                 rows.append(
                     SweepRow(
-                        axis=request.axis,
                         axis_value=float(value),
                         scheme=scheme,
                         config=config,

@@ -485,11 +485,6 @@ class TestUsageErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
-    def test_invalid_axis_in_config(self, tmp_path):
-        bad = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = bandwidth")
-        cfg = write_config(tmp_path, bad)
-        assert main(["run", "--config", cfg]) == 2
-
     def test_unknown_section_in_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWEEP_CONFIG + "[swep]\naxis = num_gfus\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -527,14 +522,31 @@ class TestUsageErrors:
         assert new.split(" = ")[0] in err and "overflows" in err
         assert not os.path.exists(out)
 
-    def test_overflowing_grid_point_is_a_row_error(self, tmp_path):
-        # grid points are checked per row, so only that row carries the error
-        text = SWEEP_CONFIG.replace("grid = 5 10 15", "grid = 5 4000").replace("5000", "200")
+    @pytest.mark.parametrize("grid", ["5 4000", "4000 5"])
+    def test_overflowing_grid_point_is_a_row_error(self, tmp_path, grid):
+        # grid points are checked per row, so only that row carries the error,
+        # wherever it stands in the grid and though [system] leaves the swept key out
+        text = SWEEP_CONFIG.replace("grid = 5 10 15", f"grid = {grid}").replace("5000", "200")
+        text = text.replace("gfu_power_db = 10\n", "")
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
         _, header, rows = read_csv(out)
-        errors = [row[header.index("error")] for row in rows]
-        assert errors == ["", "", "4000.0 dB overflows double precision in linear scale"]
+        errors = {row[header.index("axis_value")]: row[header.index("error")] for row in rows}
+        assert errors == {"5.0": "", "4000.0": "4000.0 dB overflows double precision in linear scale"}
+        assert len(rows) == 3
+
+    def test_locked_power_overflow_is_a_row_error(self, tmp_path):
+        # the GFU power the lock sets overflows at every point; the file never set it
+        text = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = gbu_power_db")
+        text = text.replace("gfu_power_db = 10\n", "").replace("5000", "200")
+        text = text.replace("schemes =", "gbu_to_gfu_power_ratio = 1e-320\nschemes =")
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert [row[header.index("axis_value")] for row in rows] == ["5.0", "10.0", "15.0"]
+        assert {row[header.index("error")] for row in rows} == {
+            "power_gfu must be finite and > 0, got inf"
+        }
 
     @pytest.mark.parametrize(
         "line",
@@ -551,7 +563,7 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, text.replace("axis = gfu_power_db", f"axis = {axis}"))
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert "gbu_to_gfu_power_ratio must give a finite ratio > 0" in capsys.readouterr().err
+        assert "gbu_to_gfu_power_ratio must be finite and > 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_power_ratio_in_db_is_an_unknown_key(self, tmp_path, capsys):
@@ -621,8 +633,32 @@ class TestUsageErrors:
         bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
         cfg = write_config(tmp_path, bad)
         out = str(tmp_path / "x.csv")
-        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert main(["run", "--config", cfg, "--out", out]) == 2
         assert "schemes must be nonempty" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"axis = gfu_power_db": "axis = bandwidth"}, "unknown sweep axis 'bandwidth'"),
+            ({"grid = 5 10 15": "grid ="}, "sweep grid must be nonempty"),
+            # the swept key left out of [system] too: the grid would set it
+            ({"grid = 5 10 15": "grid =", "gfu_power_db = 10\n": ""}, "sweep grid must be nonempty"),
+            ({"schemes = cr-rsma-sgf cr-noma-sgf": "schemes ="}, "sweep schemes must be nonempty"),
+            ({"schemes =": "gbu_to_gfu_power_ratio = nan\nschemes ="}, "finite and > 0, got nan"),
+        ],
+        ids=["axis", "grid", "grid-and-swept-key", "schemes", "ratio"],
+    )
+    def test_request_errors_are_usage_errors(self, tmp_path, capsys, edits, message):
+        # the engine checks each request; in a config file its errors exit 2
+        text = SWEEP_CONFIG
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config file" in err and message in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag,value", [("--grid", "7"), ("--p0g0-db", "3"), ("--psgk-db", "3")])
@@ -666,6 +702,14 @@ class TestUsageErrors:
         assert main(["run", "fig4", "--seed", seed, "--out", out]) == 1
         assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 8, 2**64 - 1])
+    def test_validate_seed_outside_the_key_range(self, capsys, seed):
+        # the criteria key on seed + 0..8; the seed is checked before the first one runs
+        assert main(["validate", "--seed", str(seed)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"validate seed must be an integer in [0, 2**64 - 8), got {seed}" in err
 
     @pytest.mark.parametrize(
         "flag,value,message",
