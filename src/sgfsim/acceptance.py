@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -480,5 +481,8 @@ CRITERIA = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    return [func(seed) for _, func in CRITERIA]
+def run_all(seed: int = DEFAULT_SEED) -> Iterator[CriterionResult]:
+    # the criteria key their generators on seed + 0..8, each a uint64
+    if not 0 <= seed < 2**64 - 8:
+        raise ValueError(f"acceptance seed must be an integer in [0, 2**64 - 8), got {seed}")
+    return (func(seed) for _, func in CRITERIA)

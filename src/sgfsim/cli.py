@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import SystemConfig, db_to_linear
-from .montecarlo import Scheme, SweepRequest, SweepRow, check_request, check_run, sweeps
+from .montecarlo import Scheme, SweepRequest, SweepRow, check_request, check_run, swept_keys, sweeps
 # perfbench traces sweeps by the name ``cli.sweep``; runs go through ``sweeps``
 from .montecarlo import sweep  # noqa: F401
 from .zones import grid_runs
@@ -195,8 +195,6 @@ _SECTION_KEYS = {
 }
 # where a metadata line says its value came from
 _SOURCES = ("caption", "text", "choice")
-# the [system] keys a sweep axis sets at every grid point
-_AXIS_KEYS = {"target_rate": ("target_rate_gbu", "target_rate_gfu")}
 
 
 @dataclass(frozen=True)
@@ -284,12 +282,8 @@ def _load_experiment(
                 continue
             axis, ratio = values["axis"], values.get("gbu_to_gfu_power_ratio")
             ratio = None if ratio is None else float(ratio)
-            # the engine sets these keys at every grid point, so a left-out one
-            # gets a placeholder that no output reads
-            swept = _AXIS_KEYS.get(axis, (axis,))
-            if axis == "gbu_power_db" and ratio is not None:
-                swept += ("gfu_power_db",)
-            system = {**dict.fromkeys(swept, "1"), **values}
+            # a key the grid sets and the file leaves out gets a placeholder no output reads
+            system = {**dict.fromkeys(swept_keys(axis, ratio), "1"), **values}
             base = SystemConfig.from_db(
                 num_gfus=int(system["num_gfus"]),
                 gbu_power_db=float(system["gbu_power_db"]),
@@ -520,12 +514,8 @@ def _cmd_validate(args) -> int:
     from . import acceptance
 
     seed = args.seed if args.seed is not None else acceptance.DEFAULT_SEED
-    # the criteria key their generators on seed + 0..8, each in [0, 2**64)
-    if not 0 <= seed < 2**64 - 8:
-        raise ValueError(f"validate seed must be an integer in [0, 2**64 - 8), got {seed}")
     failures = 0
-    for name, func in acceptance.CRITERIA:
-        result = func(seed)
+    for result in acceptance.run_all(seed):
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
         failures += 0 if result.passed else 1

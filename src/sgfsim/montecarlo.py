@@ -50,6 +50,7 @@ __all__ = [
     "evaluate_noma_trials",
     "check_run",
     "check_request",
+    "swept_keys",
     "estimate_outage",
     "sweep",
     "sweeps",
@@ -477,6 +478,13 @@ def _config_on_axis(
     if not float(value).is_integer():
         raise ValueError(f"num_gfus must be an integer, got {value!r}")
     return replace(base, num_gfus=int(value))
+
+
+def swept_keys(axis: str, gbu_to_gfu_power_ratio: float | None) -> tuple[str, ...]:
+    """The ``SystemConfig.from_db`` keys that ``_config_on_axis`` sets at every point."""
+    if axis == "gbu_power_db" and gbu_to_gfu_power_ratio is not None:
+        return (axis, "gfu_power_db")
+    return {"target_rate": ("target_rate_gbu", "target_rate_gfu")}.get(axis, (axis,))
 
 
 def _analytic_columns(config: SystemConfig) -> tuple[float, float, float, str | None]:

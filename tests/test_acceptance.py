@@ -6,7 +6,9 @@ planted-defect tests check that a criterion fails when the production code it
 reads is broken.
 """
 
+import ast
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -22,6 +24,31 @@ def test_criterion(name, criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 8, 2**64 - 1])
+def test_run_all_checks_the_seed_before_any_criterion(monkeypatch, seed):
+    def criterion(seed):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("planted", criterion),))
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64 - 8\)"):
+        acceptance.run_all(seed)
+
+
+def test_run_all_seed_bound_covers_every_criterion_key():
+    # run_all admits seeds below 2**64 - 8, so no criterion may key on seed + 9 or more
+    tree = ast.parse(inspect.getsource(acceptance))
+    offsets = {
+        node.right.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "seed"
+        and isinstance(node.right, ast.Constant)
+    }
+    assert max(offsets) == 8
 
 
 def test_gbu_oma_equivalence_catches_a_mislabelled_case(monkeypatch):

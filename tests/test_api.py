@@ -39,6 +39,7 @@ def test_every_import_is_used(name):
         noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
         for alias in () if future or noqa else node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name only assigned or deleted is not used
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = set(imported) - used - set(module.__all__)
     assert not unused, sorted((imported[n], n) for n in unused)

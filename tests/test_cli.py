@@ -522,18 +522,24 @@ class TestUsageErrors:
         assert new.split(" = ")[0] in err and "overflows" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("swept_key", ["gfu_power_db = 10\n", ""], ids=["set", "left-out"])
     @pytest.mark.parametrize("grid", ["5 4000", "4000 5"])
-    def test_overflowing_grid_point_is_a_row_error(self, tmp_path, grid):
+    def test_overflowing_grid_point_is_a_row_error(self, tmp_path, grid, swept_key):
         # grid points are checked per row, so only that row carries the error,
-        # wherever it stands in the grid and though [system] leaves the swept key out
+        # wherever it stands in the grid and whether [system] sets the swept key
         text = SWEEP_CONFIG.replace("grid = 5 10 15", f"grid = {grid}").replace("5000", "200")
-        text = text.replace("gfu_power_db = 10\n", "")
+        text = text.replace("gfu_power_db = 10\n", swept_key)
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
         _, header, rows = read_csv(out)
-        errors = {row[header.index("axis_value")]: row[header.index("error")] for row in rows}
-        assert errors == {"5.0": "", "4000.0": "4000.0 dB overflows double precision in linear scale"}
-        assert len(rows) == 3
+        overflow = "4000.0 dB overflows double precision in linear scale"
+        expected = {
+            "5": [("5.0", "cr-rsma-sgf", ""), ("5.0", "cr-noma-sgf", "")],
+            "4000": [("4000.0", "", overflow)],
+        }
+        columns = [header.index(c) for c in ("axis_value", "scheme", "error")]
+        cells = [tuple(row[c] for c in columns) for row in rows]
+        assert cells == [cell for value in grid.split() for cell in expected[value]]
 
     def test_locked_power_overflow_is_a_row_error(self, tmp_path):
         # the GFU power the lock sets overflows at every point; the file never set it
@@ -709,7 +715,7 @@ class TestUsageErrors:
         assert main(["validate", "--seed", str(seed)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"validate seed must be an integer in [0, 2**64 - 8), got {seed}" in err
+        assert f"acceptance seed must be an integer in [0, 2**64 - 8), got {seed}" in err
 
     @pytest.mark.parametrize(
         "flag,value,message",
