@@ -384,9 +384,26 @@ def outage_diversity_asymptote(config: SystemConfig) -> float:
     """Leading-order outage power law (eps_s / power_gfu) ** K.
 
     Its log-log slope against the GFU power is exactly -K: the scheme keeps
-    the full multiuser diversity order.
+    the full multiuser diversity order. ``NumericalRangeError`` is raised
+    where it overflows a double.
     """
-    return (config.eps_s / config.power_gfu) ** config.num_gfus
+    return _in_range(
+        lambda c: (c.eps_s / c.power_gfu) ** c.num_gfus,
+        config,
+        "the power law (eps_s / power_gfu) ** K",
+    )
+
+
+def _in_range(evaluate, config: SystemConfig, what: str) -> float:
+    """``evaluate(config)``, or ``NumericalRangeError`` naming ``what`` where a
+    term or the value overflows a double."""
+    try:
+        value = evaluate(config)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalRangeError(f"{what} overflowed double precision")
+    return value
 
 
 def outage_probability(config: SystemConfig) -> float:
@@ -405,11 +422,17 @@ def outage_probability_highsnr(config: SystemConfig) -> float:
     The paper writes buckets 0..K-2 as double binomial sums; each collapses to
     a Beta integral, (-1)^k eps_s^(K+1) k! (K-k)! / (K+1)!, so together they
     are e0 r^(K+1) / (K+1) * sum (1+e0)^(K-k) with r = eps_s / P_s. Every term
-    is written in r so that no intermediate overflows.
+    is written in r to keep the intermediates small; where a term or the total
+    still overflows a double, ``NumericalRangeError`` is raised.
     """
     big_k = config.num_gfus
     if big_k == 1:
         return outage_diversity_asymptote(config)
+    return _in_range(_highsnr_sum, config, "the high-SNR approximation")
+
+
+def _highsnr_sum(config: SystemConfig) -> float:
+    big_k = config.num_gfus
     ps = config.power_gfu
     e0, es = config.eps0, config.eps_s
     r = es / ps

@@ -47,9 +47,9 @@ def linear_to_db(value: float) -> float:
 class SystemConfig:
     """Static parameters of one group: user count, transmit SNRs, target rates.
 
-    The derived thresholds (``eps0``, ``eps_s``, ``eta0``, ``eta_s``) are
-    computed from the primary fields on first access and cached; the fields
-    are frozen, so the two can never drift out of sync.
+    The derived thresholds (``eps0``, ``eps_s``, ``case2_ceiling``, ``eta0``,
+    ``eta_s``) are computed from the primary fields on first access and
+    cached; the fields are frozen, so the two can never drift out of sync.
     """
 
     num_gfus: int
@@ -97,6 +97,12 @@ class SystemConfig:
     def eps_s(self) -> float:
         """SNR threshold for the GFU target rate: 2**rate - 1."""
         return 2.0 ** self.target_rate_gfu - 1.0
+
+    @cached_property
+    def case2_ceiling(self) -> float:
+        """(1 + eps0)(1 + eps_s): in Case II the rate-splitting GFU is in outage
+        when 1 + P0 g0 + Ps g falls below it."""
+        return (1.0 + self.eps0) * (1.0 + self.eps_s)
 
     @cached_property
     def eta0(self) -> float:

@@ -195,9 +195,12 @@ def _outage_masks(
 
     ``g`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s);
     ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in any
-    order. The outage tests are exact algebraic rearrangements of the per-case
-    rate-versus-target comparisons, not approximations. The schemes share the
-    admission window and the case partition and differ only in Case II.
+    order. The outage tests compare received powers with thresholds written
+    from the stored eps0 and eps_s, as the analytic integrals are; they are the
+    one outage rule, which ``protocol.evaluate_transmission`` applies with the
+    same float expressions, and match the rate-versus-target tests in real
+    arithmetic only. The schemes share the admission window and the case
+    partition and differ only in Case II.
     """
     ps, es = config.power_gfu, config.eps_s
     best = np.multiply(ps, best_gain, out=s.best)
@@ -213,7 +216,7 @@ def _outage_masks(
     out_case3 = np.logical_and(g.case3, decode_first, out=s.out_case3)
     # best is not read again, so its buffer takes interference + best
     split = np.add(g.interference, best, out=best)
-    rsma_case2 = np.less(split, (1.0 + config.eps0) * (1.0 + es), out=s.rsma_case2)
+    rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2)
     rsma_case2 &= case2
     # Without splitting, Case II may instead decode last a GFU under the threshold;
     # that works iff some GFU has received power in [eps_s, tau_hat), which is empty
@@ -488,18 +491,20 @@ def swept_keys(axis: str, gbu_to_gfu_power_ratio: float | None) -> tuple[str, ..
 
 
 def _analytic_columns(config: SystemConfig) -> tuple[float, float, float, str | None]:
-    notes = []
-    exact = highsnr = None
-    try:
-        exact = analytic.outage_probability(config)
-    except (ValueError, ArithmeticError) as err:
-        notes.append(f"exact: {err}")
-    try:
-        highsnr = analytic.outage_probability_highsnr(config)
-    except (ValueError, ArithmeticError) as err:
-        notes.append(f"highsnr: {err}")
-    asymptote = analytic.outage_diversity_asymptote(config)
-    return exact, highsnr, asymptote, "; ".join(notes) or None
+    """The exact, high-SNR and asymptote columns; one that raises a range error
+    is ``None`` and named, with its error, in the row note."""
+    values, notes = [], []
+    for label, column in (
+        ("exact", analytic.outage_probability),
+        ("highsnr", analytic.outage_probability_highsnr),
+        ("asymptote", analytic.outage_diversity_asymptote),
+    ):
+        try:
+            values.append(column(config))
+        except (ValueError, ArithmeticError) as err:
+            values.append(None)
+            notes.append(f"{label}: {err}")
+    return (*values, "; ".join(notes) or None)
 
 
 class SweepRequest(NamedTuple):

@@ -82,6 +82,12 @@ def _decide(
     tau_hat == 0 included, is Case III (1, 1); a received GFU power equal to a
     positive tau is Case I (0, 0). Case II's rate split can fall below zero and
     is clamped to [0, 1]; outage decisions never consult it.
+
+    The admitted GFU's outage is defined by these float comparisons, evaluated
+    as written, which are those of ``montecarlo._outage_masks``: Case I
+    ``p_best < eps_s``, Case II ``(1 + p_gbu) + p_best < case2_ceiling`` and
+    Case III ``p_best < eps_s * (1 + p_gbu)``. Equality is success. The
+    log2 rate against the target is the same test in real arithmetic only.
     """
     tau_hat = p_gbu / config.eps0 - 1.0
     # the broadcast threshold max(0, tau_hat): tau_hat is never NaN or -0.0 here
@@ -105,10 +111,10 @@ def evaluate_transmission(
 ) -> TransmissionOutcome:
     """Run the full protocol on one fading block and report rates and outages.
 
-    A rate meets its target when rate >= target; the strict converse is an
-    outage. In Case II the silence comparison uses the total-rate form
-    (total < target), which is the exact rearrangement of the first-stream
-    test and is unaffected by the rate-split clamp.
+    The outage flags are the threshold comparisons of ``_decide``; in Case II
+    an outage is also the silence. The rates are log2 and are reported as
+    computed, so a rate can sit on the other side of its target from its flag
+    only within a few ulps of a threshold.
     """
     gain_gbu, gain_best = realization.gain_gbu, realization.gain_best
     _check_gain_gbu(gain_gbu)
@@ -120,19 +126,20 @@ def evaluate_transmission(
     case, tau_hat, tau, alpha, beta = _decide(config, p_gbu, p_best)
     # achievable_rates rejects the NaN SINR of an infinite gain
     rate_s1, rate_gbu, rate_s2 = achievable_rates(*_sic_sinrs(p_gbu, p_best, alpha))
-    rate_total = rate_s1 + rate_s2
 
-    gfu_outage = rate_total < config.target_rate_gfu
     gfu_silent = gbu_outage = False
-    if case is _CASE_II:
-        if gfu_outage:
+    if case is _CASE_I:
+        gfu_outage = p_best < config.eps_s
+    elif case is _CASE_II:
+        gfu_outage = gfu_silent = (1.0 + p_gbu) + p_best < config.case2_ceiling
+        if gfu_silent:
             # admitted user backs off, the GBU transmits alone
-            gfu_silent = True
             rate_gbu = math.log2(1.0 + p_gbu)
-    elif case is _CASE_III:
+    else:
+        gfu_outage = p_best < config.eps_s * (1.0 + p_gbu)
         gbu_outage = gbu_oma_outage(config, gain_gbu)
 
     return TransmissionOutcome(
-        case, tau_hat, tau, alpha, beta, rate_gbu, rate_s1, rate_s2, rate_total,
+        case, tau_hat, tau, alpha, beta, rate_gbu, rate_s1, rate_s2, rate_s1 + rate_s2,
         gfu_silent, gbu_outage, gfu_outage,
     )

@@ -480,6 +480,15 @@ class TestDiversityAsymptote:
             slope = (math.log10(high) - math.log10(low)) / 2.0
             assert slope == pytest.approx(-k_users, rel=1e-12)
 
+    @pytest.mark.parametrize("num_gfus, gfu_power_db", [(1, -3200.0), (40, -100.0)])
+    def test_overflow_is_a_range_error(self, num_gfus, gfu_power_db):
+        # eps_s / Ps overflows at K = 1, where highsnr is the power law; at K = 40
+        # (eps_s / Ps) ** K is about 2e496
+        cfg = SystemConfig.from_db(num_gfus, 10.0, gfu_power_db, 1.0, 8.0)
+        for fn in (outage_diversity_asymptote, outage_probability_highsnr):
+            with pytest.raises(NumericalRangeError, match="overflowed double precision"):
+                fn(cfg)
+
 
 class TestSingleUser:
     def test_exact_value(self):

@@ -266,6 +266,26 @@ class TestRunWithConfigFile:
         assert head == f"# config_file={tmp_path / 'full.ini'} source=choice"
         assert files[1].read_text() == f"# config_file={tmp_path / 'short.ini'} source=choice\n" + body
 
+    def test_overflowing_power_laws_are_row_notes(self, tmp_path):
+        # at -100 dB, (eps_s / Ps) ** 40 overflows a double: both power-law cells are
+        # empty and named in the note, and the run still writes every row
+        text = (
+            "[system]\nnum_gfus = 40\ngbu_power_db = 10\n"
+            "target_rate_gbu = 1\ntarget_rate_gfu = 8\n\n"
+            "[sweep]\naxis = gfu_power_db\ngrid = 10 -100\n\n"
+            "[run]\ntrials = 1000\n"
+        )
+        out = str(tmp_path / "overflow.csv")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 4
+        cells = {(row[0], row[1]): dict(zip(header, row)) for row in rows}
+        low = cells["-100.0", "cr-rsma-sgf"]
+        assert low["analytic_highsnr"] == low["analytic_asymptote"] == ""
+        assert "highsnr: the high-SNR approximation overflowed" in low["error"]
+        assert "asymptote: the power law (eps_s / power_gfu) ** K overflowed" in low["error"]
+        assert cells["10.0", "cr-rsma-sgf"]["analytic_asymptote"] != ""
+
     def test_zone_config(self, tmp_path):
         cfg = write_config(tmp_path, ZONE_CONFIG)
         out = str(tmp_path / "zone.csv")

@@ -72,7 +72,8 @@ class TestSystemConfig:
         assert cfg.eps_s == 2.0**2.5 - 1.0
         assert cfg.eta0 == (2.0**1.5 - 1.0) / 7.0
         assert cfg.eta_s == (2.0**2.5 - 1.0) / 3.0
-        assert {"eps0", "eps_s", "eta0", "eta_s"} <= vars(cfg).keys()
+        assert cfg.case2_ceiling == (1.0 + cfg.eps0) * (1.0 + cfg.eps_s)
+        assert {"eps0", "eps_s", "case2_ceiling", "eta0", "eta_s"} <= vars(cfg).keys()
         # the cache is no field: equality, hashing and repr see the fields alone
         fresh = make_config(target_rate_gbu=1.5, target_rate_gfu=2.5, power_gbu=7.0, power_gfu=3.0)
         assert fresh == cfg and hash(fresh) == hash(cfg) and repr(fresh) == repr(cfg)

@@ -228,7 +228,9 @@ class TestProtocolInvariants:
             checked += 1
 
     def test_silence_equivalence_of_both_forms(self):
-        # first-stream test against the unclamped split == total-rate test
+        # on random draws the two rate forms agree: first-stream test against the
+        # unclamped split == total-rate test; the silence flag is the kernel's
+        # threshold form, 1 + P0 g0 + Ps g below (1 + eps0)(1 + eps_s)
         cfg = config(num_gfus=2, power_gbu=30.0, power_gfu=8.0, rate_gbu=1.2, rate_gfu=2.0)
         rng = np.random.default_rng(8)
         checked = 0
@@ -241,7 +243,9 @@ class TestProtocolInvariants:
             raw_beta = 1.0 - math.log2(1.0 + out.tau_hat) / cfg.target_rate_gfu
             first_stream_short = out.rate_gfu_s1 < raw_beta * cfg.target_rate_gfu
             assert first_stream_short == (out.rate_gfu_total < cfg.target_rate_gfu)
-            assert out.gfu_silent == first_stream_short
+            p_gbu, p_best = cfg.power_gbu * real.gain_gbu, cfg.power_gfu * real.gain_best
+            below_ceiling = (1.0 + p_gbu) + p_best < (1.0 + cfg.eps0) * (1.0 + cfg.eps_s)
+            assert out.gfu_silent == out.gfu_outage == below_ceiling
             checked += 1
 
     def test_outage_monotone_in_best_gain(self):
