@@ -52,6 +52,13 @@ class CriterionResult:
     detail: str
 
 
+def _verdict(name: str, detail: str, failures: list[str]) -> CriterionResult:
+    """A pass if ``failures`` is empty, else a fail whose detail lists them."""
+    if failures:
+        detail += "; " + "; ".join(failures)
+    return CriterionResult(name, not failures, detail)
+
+
 def _fig3_config(num_gfus: int, gbu_power_db: float) -> SystemConfig:
     power_gbu = db_to_linear(gbu_power_db)
     return SystemConfig(
@@ -100,9 +107,7 @@ def criterion_exact_vs_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
         if pull > 3.0:
             failures.append(f"{label}: |exact-mc|={pull:.2f} sigma")
     detail = f"worst deviation {worst:.2f} sigma, {skipped} unresolved points skipped"
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("exact-vs-mc", not failures, detail)
+    return _verdict("exact-vs-mc", detail, failures)
 
 
 def _random_oracle_configs(seed: int, count: int = 50):
@@ -163,9 +168,8 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"({big_eps_product} with eps0*eps_s > 1); the series warned on {warned}, "
         f"worst relative error of the rest {silent_worst:.2e}"
     )
-    if failures:
-        detail += "; " + "; ".join(failures[:5])
-    return CriterionResult("oracle-equivalence", not failures, detail)
+    # the first five are listed; any one fails it
+    return _verdict("oracle-equivalence", detail, failures[:5])
 
 
 def criterion_single_user(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -189,9 +193,7 @@ def criterion_single_user(seed: int = DEFAULT_SEED) -> CriterionResult:
             if rel > 0.25:
                 failures.append(f"P0={db}dB: approx off by {rel:.3f}")
     detail = f"worst MC deviation {worst:.2f} sigma over 8 points"
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("single-user", not failures, detail)
+    return _verdict("single-user", detail, failures)
 
 
 def _equal_power_sweep(num_gfus: int):
@@ -216,9 +218,7 @@ def criterion_diversity_gain(seed: int = DEFAULT_SEED) -> CriterionResult:
         if abs(slope + k) / k > 0.15:
             failures.append(f"K={k}: slope {slope:.3f} vs {-k}")
     detail = "slopes " + ", ".join(slopes)
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("diversity-gain", not failures, detail)
+    return _verdict("diversity-gain", detail, failures)
 
 
 def criterion_highsnr_approx(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -238,9 +238,7 @@ def criterion_highsnr_approx(seed: int = DEFAULT_SEED) -> CriterionResult:
             failures.append(f"K={k}: final rel error {rels[-1]:.3f} > 0.25")
         finals.append(f"K={k}: {rels[-1]:.2e}")
     detail = "final relative errors " + ", ".join(finals)
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("high-snr-approx", not failures, detail)
+    return _verdict("high-snr-approx", detail, failures)
 
 
 def criterion_gbu_oma_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -347,9 +345,7 @@ def criterion_case_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
                 if pull > 3.0:
                     failures.append(f"K={k} P0={db}dB case {case_name}: {pull:.2f} sigma")
     detail = f"worst per-case deviation {worst:.2f} sigma, {skipped} unresolved comparisons skipped"
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("per-case-decomposition", not failures, detail)
+    return _verdict("per-case-decomposition", detail, failures)
 
 
 def criterion_zone_geometry(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -400,9 +396,7 @@ def criterion_zone_geometry(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"{len(rsma_only)} rate-splitting-only cells, "
         f"{containment_violations} containment violations, grid step {step:.4f}"
     )
-    if failures:
-        detail += "; " + "; ".join(failures)
-    return CriterionResult("zone-geometry", not failures, detail)
+    return _verdict("zone-geometry", detail, failures)
 
 
 def _run_preset_bytes(cli, preset: str, seed: int, workers: str, tag: str, tmp: str):

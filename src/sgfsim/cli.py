@@ -272,6 +272,10 @@ def _load_experiment(
                 if not value and key not in values:
                     raise UsageError(f"metadata {key!r} has no value and names no key given")
                 metadata.append((key, value[0] if value else values[key], source))
+            for key, value, _ in metadata:
+                # each entry is one "# key=value" comment line above the CSV header
+                if len(f"{key}={value}".splitlines()) > 1:
+                    raise UsageError(f"metadata {key!r} spans more than one line")
             if zone:
                 zone_grid = (
                     float(values.get("p0g0_db", 8.0)),

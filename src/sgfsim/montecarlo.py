@@ -15,8 +15,10 @@ are the same as if it had been drawn alone.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
 for it: the widest draw and the per-trial scratch, reused by every block, K
-and config. The GBU-side terms of a block depend only on (K, P0, eps0,
-eps_s), so they are computed once for all configs sharing those.
+and config. Each per-trial term is one buffer of that scratch, written by one
+stage: the row maximum, the GBU-side terms, or one config's masks. The
+GBU-side terms of a block depend only on (K, P0, eps0, eps_s), so they are
+computed once for all configs sharing those.
 
 Each worker draws block ``b + 1`` on one helper thread, into a second draw
 buffer, while it works on block ``b``: the generator fill and the exponential
@@ -105,38 +107,6 @@ class OutageEstimate:
         return self.gfu_outage_count >= MIN_RESOLVED_OUTAGES
 
 
-class _Masks(NamedTuple):
-    """Per-trial masks of one config: Cases I and II (Case III is GBU-side), the
-    GFU outages shared by both schemes in Cases I and III, and each scheme's
-    Case II GFU outages."""
-
-    case1: np.ndarray
-    case2: np.ndarray
-    out_case1: np.ndarray
-    out_case3: np.ndarray
-    rsma_case2: np.ndarray
-    noma_case2: np.ndarray
-
-
-class _GbuTerms(NamedTuple):
-    """The per-trial terms that depend only on the GBU gain and (P0, eps0, eps_s),
-    so every config sharing those three reads them: the admission threshold
-    tau_hat = P0 g0 / eps0 - 1, the Case III mask and its complement, the
-    interference 1 + P0 g0, the least received GFU power decodable first
-    eps_s (1 + P0 g0), the GBU outage flag, the Case III and GBU outage counts,
-    and, for K >= 2, the window tau_hat > eps_s where some GFU may be decoded last."""
-
-    tau_hat: np.ndarray
-    case3: np.ndarray
-    not_case3: np.ndarray
-    interference: np.ndarray
-    first_floor: np.ndarray
-    gbu: np.ndarray
-    n_case3: int
-    n_gbu: int
-    window: np.ndarray | None
-
-
 _FLOAT_SCRATCH = ("best_gain", "tau_hat", "interference", "first_floor", "best")
 _BOOL_SCRATCH = (
     "case3", "not_case3", "gbu", "window", "case1", "case2", "decode_first",
@@ -145,8 +115,9 @@ _BOOL_SCRATCH = (
 
 
 def _scratch(rows: int) -> SimpleNamespace:
-    """One buffer of ``rows`` per per-trial term: the row maximum, the GBU-side
-    terms and one config's masks, each overwritten by the next block or config."""
+    """One buffer of ``rows`` per per-trial term: the row maximum ``best_gain``,
+    the terms ``_gbu_terms`` writes and those ``_outage_masks`` writes, each
+    overwritten by the next block, GBU-side group or config."""
     return SimpleNamespace(
         **{name: np.empty(rows) for name in _FLOAT_SCRATCH},
         **{name: np.empty(rows, dtype=bool) for name in _BOOL_SCRATCH},
@@ -158,16 +129,18 @@ def _prefix(scratch: SimpleNamespace, rows: int) -> SimpleNamespace:
     return SimpleNamespace(**{name: buf[:rows] for name, buf in vars(scratch).items()})
 
 
-def _row_max(gains_gfu: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Best gain of each row into ``out``, by a running maximum over the columns."""
-    np.copyto(out, gains_gfu[:, 0])
-    for j in range(1, gains_gfu.shape[1]):
-        np.maximum(out, gains_gfu[:, j], out=out)
-    return out
+def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int]:
+    """The GBU side of the case partition and outage rules, written into ``s``;
+    returns the Case III and GBU outage counts.
 
-
-def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> _GbuTerms:
-    """The GBU side of the case partition and outage rules, written into ``s``."""
+    These terms depend only on the GBU gain and (P0, eps0, eps_s), so every
+    config sharing those three reads them: the admission threshold ``tau_hat``
+    = P0 g0 / eps0 - 1, the Case III mask ``case3`` and its complement
+    ``not_case3``, the ``interference`` 1 + P0 g0, the least received GFU power
+    decodable first ``first_floor`` = eps_s (1 + P0 g0), the GBU outage flag
+    ``gbu`` and, for K >= 2 only, the ``window`` tau_hat > eps_s where some GFU
+    may be decoded last.
+    """
     # in-place steps reuse the float buffers; each value is the same expression
     p0g0 = np.multiply(config.power_gbu, gain_gbu, out=s.interference)
     tau_hat = np.divide(p0g0, config.eps0, out=s.tau_hat)
@@ -175,26 +148,21 @@ def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> _GbuTerms:
     case3 = np.less_equal(tau_hat, 0.0, out=s.case3)
     interference = np.add(1.0, p0g0, out=p0g0)
     gbu = np.less(gain_gbu, config.eta0, out=s.gbu)
-    return _GbuTerms(
-        tau_hat=tau_hat,
-        case3=case3,
-        not_case3=np.logical_not(case3, out=s.not_case3),
-        interference=interference,
-        first_floor=np.multiply(config.eps_s, interference, out=s.first_floor),
-        gbu=gbu,
-        n_case3=np.count_nonzero(case3),
-        n_gbu=np.count_nonzero(gbu),
-        window=np.greater(tau_hat, config.eps_s, out=s.window) if config.num_gfus > 1 else None,
-    )
+    np.logical_not(case3, out=s.not_case3)
+    np.multiply(config.eps_s, interference, out=s.first_floor)
+    if config.num_gfus > 1:
+        np.greater(tau_hat, config.eps_s, out=s.window)
+    return np.count_nonzero(case3), np.count_nonzero(gbu)
 
 
-def _outage_masks(
-    config: SystemConfig, g: _GbuTerms, gains_gfu: np.ndarray, best_gain: np.ndarray, s
-) -> _Masks:
-    """The case partition and the outage rules of both schemes, written into ``s``.
+def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s) -> None:
+    """The case partition and the outage rules of both schemes, written into ``s``:
+    the Case I and II masks ``case1`` and ``case2`` (Case III is ``case3``), the
+    GFU outages ``out_case1`` and ``out_case3`` shared by both schemes, and each
+    scheme's Case II GFU outages ``rsma_case2`` and ``noma_case2``.
 
-    ``g`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s);
-    ``best_gain`` is the row maximum of ``gains_gfu``, whose rows may be in any
+    ``s`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s) and, in
+    ``best_gain``, the row maximum of ``gains_gfu``, whose rows may be in any
     order. The outage tests compare received powers with thresholds written
     from the stored eps0 and eps_s, as the analytic integrals are; they are the
     one outage rule, which ``protocol.evaluate_transmission`` applies with the
@@ -203,19 +171,19 @@ def _outage_masks(
     partition and differ only in Case II.
     """
     ps, es = config.power_gfu, config.eps_s
-    best = np.multiply(ps, best_gain, out=s.best)
-    case1 = np.less_equal(best, g.tau_hat, out=s.case1)
-    case1 &= g.not_case3
+    best = np.multiply(ps, s.best_gain, out=s.best)
+    case1 = np.less_equal(best, s.tau_hat, out=s.case1)
+    case1 &= s.not_case3
     # Case II is the rest of ~case3, that is ~((best <= tau_hat) | case3)
-    case2 = np.logical_xor(g.not_case3, case1, out=s.case2)
+    case2 = np.logical_xor(s.not_case3, case1, out=s.case2)
 
     # Case I decodes the admitted GFU interference-free, Case III decodes it first
-    decode_first = np.less(best, g.first_floor, out=s.decode_first)
+    decode_first = np.less(best, s.first_floor, out=s.decode_first)
     out_case1 = np.less(best, es, out=s.out_case1)
     out_case1 &= case1
-    out_case3 = np.logical_and(g.case3, decode_first, out=s.out_case3)
+    np.logical_and(s.case3, decode_first, out=s.out_case3)
     # best is not read again, so its buffer takes interference + best
-    split = np.add(g.interference, best, out=best)
+    split = np.add(s.interference, best, out=best)
     rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2)
     rsma_case2 &= case2
     # Without splitting, Case II may instead decode last a GFU under the threshold;
@@ -223,17 +191,16 @@ def _outage_masks(
     # outside the window. The strongest GFU is above the threshold, so it never
     # passes and row order is irrelevant.
     noma_case2 = np.logical_and(case2, decode_first, out=s.noma_case2)
-    if g.window is not None:
+    if config.num_gfus > 1:
         # decode_first is not read again, so its buffer takes the rows to test
-        candidates = np.flatnonzero(np.logical_and(noma_case2, g.window, out=decode_first))
+        candidates = np.flatnonzero(np.logical_and(noma_case2, s.window, out=decode_first))
         if candidates.size:
-            tau_candidates = g.tau_hat[candidates]
+            tau_candidates = s.tau_hat[candidates]
             decodable_last = np.zeros(candidates.size, dtype=bool)
             for j in range(gains_gfu.shape[1]):
                 received = ps * gains_gfu[:, j].take(candidates)
                 decodable_last |= (received >= es) & (received < tau_candidates)
             noma_case2[candidates[decodable_last]] = False
-    return _Masks(case1, case2, out_case1, out_case3, rsma_case2, noma_case2)
 
 
 def _evaluate_trials(
@@ -246,11 +213,12 @@ def _evaluate_trials(
     outage flag, GBU outage flag).
     """
     s = _scratch(len(gain_gbu))
-    g = _gbu_terms(config, gain_gbu, s)
-    m = _outage_masks(config, g, gains_gfu, _row_max(gains_gfu, s.best_gain), s)
-    case_idx = m.case2.view(np.int8) + 2 * g.case3.view(np.int8)
-    out_shared = m.out_case1 | m.out_case3
-    return case_idx, out_shared | m.rsma_case2, out_shared | m.noma_case2, g.gbu
+    _gbu_terms(config, gain_gbu, s)
+    np.max(gains_gfu, axis=1, out=s.best_gain)
+    _outage_masks(config, gains_gfu, s)
+    case_idx = s.case2.view(np.int8) + 2 * s.case3.view(np.int8)
+    out_shared = s.out_case1 | s.out_case3
+    return case_idx, out_shared | s.rsma_case2, out_shared | s.noma_case2, s.gbu
 
 
 def evaluate_rsma_trials(
@@ -297,19 +265,18 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
     """
     rows = gains.shape[0]
     gain_gbu, gains_gfu = gains[:, -1], gains[:, :-1]
-    best_gain = _row_max(gains_gfu, s.best_gain)
+    np.max(gains_gfu, axis=1, out=s.best_gain)
     for members in groups:
-        g = _gbu_terms(configs[members[0]], gain_gbu, s)
-        n3 = g.n_case3
-        gbu[members] += g.n_gbu
+        n3, n_gbu = _gbu_terms(configs[members[0]], gain_gbu, s)
+        gbu[members] += n_gbu
         for i in members:
-            m = _outage_masks(configs[i], g, gains_gfu, best_gain, s)
-            n2 = np.count_nonzero(m.case2)
-            o1, o3 = np.count_nonzero(m.out_case1), np.count_nonzero(m.out_case3)
+            _outage_masks(configs[i], gains_gfu, s)
+            n2 = np.count_nonzero(s.case2)
+            o1, o3 = np.count_nonzero(s.out_case1), np.count_nonzero(s.out_case3)
             cases[i] += [
                 [rows - n2 - n3, n2, n3],
-                [o1, np.count_nonzero(m.rsma_case2), o3],
-                [o1, np.count_nonzero(m.noma_case2), o3],
+                [o1, np.count_nonzero(s.rsma_case2), o3],
+                [o1, np.count_nonzero(s.noma_case2), o3],
             ]
 
 

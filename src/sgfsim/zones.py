@@ -80,26 +80,17 @@ def _classify(c: RegionCorners, target_gbu: float, target_gfu: float) -> ZoneLab
     # written so that NaN fails it too
     if not (0.0 < target_gbu and 0.0 < target_gfu):
         raise ValueError(f"target rates must be > 0, got {target_gbu!r}, {target_gfu!r}")
-    return _label(
-        gbu_first_ok=target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone,
-        gfu_first_ok=target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first,
-        rsma_ok=(
-            target_gbu <= c.gbu_alone
-            and target_gfu <= c.gfu_alone
-            and target_gbu + target_gfu <= c.sum_rate
-        ),
-    )
-
-
-def _label(gbu_first_ok: bool, gfu_first_ok: bool, rsma_ok: bool) -> ZoneLabel:
-    """The label of a pair from which regions hold it; the baseline's orders come first."""
+    gbu_first_ok = target_gbu <= c.gbu_decoded_first and target_gfu <= c.gfu_alone
+    gfu_first_ok = target_gbu <= c.gbu_alone and target_gfu <= c.gfu_decoded_first
+    # the baseline's orders come first
     if gbu_first_ok and gfu_first_ok:
         return ZoneLabel.NOMA_EITHER
     if gbu_first_ok:
         return ZoneLabel.NOMA_GBU_FIRST
     if gfu_first_ok:
         return ZoneLabel.NOMA_GFU_FIRST
-    if rsma_ok:
+    alone_ok = target_gbu <= c.gbu_alone and target_gfu <= c.gfu_alone
+    if alone_ok and target_gbu + target_gfu <= c.sum_rate:
         return ZoneLabel.RSMA_ONLY
     return ZoneLabel.OUTAGE
 
@@ -133,22 +124,15 @@ def grid_runs(
         )
     points = [step * (i + 1) for i in range(grid_n)]
     # Along a row the GFU targets ascend, so each GFU-side test of _classify holds
-    # on a prefix of them: the row is at most four runs of one label. The same
-    # float comparisons find where each prefix ends.
+    # on a prefix of them: the row is at most four runs, each of which takes the
+    # label of its first cell. The same float comparisons find where each prefix ends.
     gfu_alone_end = bisect_right(points, c.gfu_alone)
     gfu_first_end = bisect_right(points, c.gfu_decoded_first)
     runs: list[tuple[float, int, int, ZoneLabel]] = []
     for t_gbu in points:
-        gbu_first_row = t_gbu <= c.gbu_decoded_first
-        gfu_first_row = t_gbu <= c.gbu_alone
         # float addition is monotone, so t_gbu + t_gfu <= sum_rate holds on a prefix too
         sum_end = bisect_right(points, c.sum_rate, key=t_gbu.__add__)
         cuts = sorted({0, gfu_alone_end, gfu_first_end, sum_end, grid_n})
         for start, end in zip(cuts, cuts[1:]):
-            label = _label(
-                gbu_first_ok=gbu_first_row and start < gfu_alone_end,
-                gfu_first_ok=gfu_first_row and start < gfu_first_end,
-                rsma_ok=gfu_first_row and start < gfu_alone_end and start < sum_end,
-            )
-            runs.append((t_gbu, start, end, label))
+            runs.append((t_gbu, start, end, _classify(c, t_gbu, points[start])))
     return points, runs

@@ -16,6 +16,7 @@ import pytest
 from sgfsim import acceptance
 from sgfsim.acceptance import CRITERIA, DEFAULT_SEED
 from sgfsim.protocol import evaluate_transmission
+from sgfsim.zones import ZoneLabel
 
 
 @pytest.mark.parametrize("name,criterion", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -78,3 +79,19 @@ def test_rsma_dominance_catches_a_baseline_that_splits(monkeypatch):
     result = acceptance.criterion_rsma_dominance(DEFAULT_SEED)
     assert not result.passed
     assert not result.detail.startswith("0 ")
+
+
+def test_zone_geometry_catches_a_baseline_cell_outside_the_pentagon(monkeypatch):
+    """One outage cell labelled as held by both decode orders breaks containment."""
+    classify = acceptance.classify_grid
+
+    def one_outage_as_baseline(p_gbu, p_gfu, grid_n):
+        cells = classify(p_gbu, p_gfu, grid_n)
+        i = next(i for i, (*_, label) in enumerate(cells) if label is ZoneLabel.OUTAGE)
+        cells[i] = (*cells[i][:2], ZoneLabel.NOMA_EITHER)
+        return cells
+
+    monkeypatch.setattr(acceptance, "classify_grid", one_outage_as_baseline)
+    result = acceptance.criterion_zone_geometry(DEFAULT_SEED)
+    assert not result.passed
+    assert ", 1 containment violations," in result.detail

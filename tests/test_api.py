@@ -43,3 +43,33 @@ def test_every_import_is_used(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = set(imported) - used - set(module.__all__)
     assert not unused, sorted((imported[n], n) for n in unused)
+
+
+def test_every_private_name_is_read():
+    # a module-level private function, class or assignment that no module of the
+    # package reads is left over from code that went
+    trees = {}
+    for name in MODULES:
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            trees[name] = ast.parse(fh.read())
+    defined = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for private in (n for n in names if n.startswith("_") and not n.startswith("__")):
+                defined[private] = (name, node.lineno)
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    orphans = sorted((*where, private) for private, where in defined.items() if private not in read)
+    assert not orphans, orphans

@@ -655,6 +655,19 @@ class TestUsageErrors:
         assert "metadata 'gfu_power_db' has no value and names no key given" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "metadata, name",
+        [("note = choice first line\n  second line\n", "exp.ini"), ("", "exp\nsecond.ini")],
+        ids=["value", "config-file-path"],
+    )
+    def test_multi_line_metadata_entry(self, tmp_path, capsys, metadata, name):
+        # its second line would land between the comment lines and the header, uncommented
+        cfg = write_config(tmp_path, SWEEP_CONFIG + f"[metadata]\n{metadata}", name)
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out, "--no-timestamp"]) == 2
+        assert "spans more than one line" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [name]
+
     def test_empty_schemes_in_config(self, tmp_path, capsys):
         bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
         cfg = write_config(tmp_path, bad)

@@ -376,7 +376,9 @@ class TestVectorisedKernels:
             assert bool(noma_out[i]) == (rate < cfg.target_rate_gfu), i
         assert noma_out[:5].tolist() == [False, False, True, True, True]
 
-        window = _gbu_terms(cfg, g0, _scratch(len(g0))).window
+        s = _scratch(len(g0))
+        _gbu_terms(cfg, g0, s)
+        window = s.window
         # decode-last candidates: Case II rows whose strongest GFU cannot be decoded first
         p0g0 = cfg.power_gbu * g0
         tau_hat, best = p0g0 / cfg.eps0 - 1.0, cfg.power_gfu * gfu.max(axis=1)
