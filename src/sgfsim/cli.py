@@ -266,7 +266,8 @@ def _load_experiment(
             values = merged("zone", "system", "sweep", f"sweep.{label}")
             metadata = list(head)
             for key, line in merged("metadata", f"metadata.{label}").items():
-                source, *value = line.split(None, 1)
+                # an empty line has no source, which the check below names
+                source, *value = line.split(None, 1) or [""]
                 if source not in _SOURCES:
                     raise UsageError(f"metadata {key!r}: source must be one of {_SOURCES}")
                 if not value and key not in values:
@@ -318,29 +319,17 @@ def _fmt(value) -> str:
 
 def _sweep_row_cells(row: SweepRow, trials: int, seed: int) -> list[str]:
     est = row.estimate
+    # an error row has no estimate, so its Monte Carlo and case cells are empty
+    mc = (None,) * 6
     if est is not None:
-        fracs = [occ / est.trials for occ in est.case_tallies.occurrences]
-        mc = [est.gfu_outage_prob, est.std_err_gfu, est.gbu_outage_prob]
-    else:
-        fracs = [None, None, None]
-        mc = [None, None, None]
-    return [
-        _fmt(row.axis_value),
-        _fmt(row.scheme),
-        _fmt(mc[0]),
-        _fmt(mc[1]),
-        _fmt(mc[2]),
-        _fmt(row.analytic_exact),
-        _fmt(row.analytic_highsnr),
-        _fmt(row.analytic_asymptote),
-        _fmt(trials),
-        _fmt(seed),
-        _fmt(fracs[0]),
-        _fmt(fracs[1]),
-        _fmt(fracs[2]),
-        _fmt(row.unresolved),
-        _fmt(row.error),
-    ]
+        fracs = (occ / est.trials for occ in est.case_tallies.occurrences)
+        mc = (est.gfu_outage_prob, est.std_err_gfu, est.gbu_outage_prob, *fracs)
+    values = (
+        row.axis_value, row.scheme, *mc[:3],
+        row.analytic_exact, row.analytic_highsnr, row.analytic_asymptote,
+        trials, seed, *mc[3:], row.unresolved, row.error,
+    )
+    return [_fmt(value) for value in values]
 
 
 def _write_csv(path: str, metadata, header, timestamp: bool, cells_rows=(), body="") -> None:
@@ -480,6 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if bool(args.preset) == bool(args.config):
         raise UsageError("exactly one of a preset name or --config is required")
+    # the mirror replaces the extension with .json; a file system may ignore its case
+    if args.fmt == "json" and os.path.splitext(args.out or "")[1].lower() == ".json":
+        raise UsageError("with --format json, --out must not end in .json: the mirror takes it")
 
     def flags(*keys):
         return {key: _fmt(getattr(args, key)) for key in keys if getattr(args, key) is not None}

@@ -30,6 +30,7 @@ where it was drawn.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -445,7 +446,7 @@ def _config_on_axis(
     if axis == "target_rate":
         return replace(base, target_rate_gbu=value, target_rate_gfu=value)
     # num_gfus, the last of SWEEP_AXES; sweeps checks the axis before any config
-    if not float(value).is_integer():
+    if not value.is_integer():
         raise ValueError(f"num_gfus must be an integer, got {value!r}")
     return replace(base, num_gfus=int(value))
 
@@ -457,9 +458,15 @@ def swept_keys(axis: str, gbu_to_gfu_power_ratio: float | None) -> tuple[str, ..
     return {"target_rate": ("target_rate_gbu", "target_rate_gfu")}.get(axis, (axis,))
 
 
-def _analytic_columns(config: SystemConfig) -> tuple[float, float, float, str | None]:
-    """The exact, high-SNR and asymptote columns; one that raises a range error
-    is ``None`` and named, with its error, in the row note."""
+def _analytic_columns(
+    config: SystemConfig, scheme: Scheme
+) -> tuple[float | None, float | None, float | None, str | None]:
+    """A row's exact, high-SNR and asymptote cells and its note. They are the
+    rate-splitting outage; the baseline's is not derived, so its rows have none.
+    A column that raises a range error is ``None`` and named, with its error,
+    in the note."""
+    if scheme is not Scheme.CR_RSMA_SGF:
+        return None, None, None, None
     values, notes = [], []
     for label, column in (
         ("exact", analytic.outage_probability),
@@ -485,12 +492,25 @@ class SweepRequest(NamedTuple):
     gbu_to_gfu_power_ratio: float | None = None
 
 
+def _grid_value(value) -> float:
+    """A grid value as the float every axis reads, or ``ValueError`` if it is not
+    a real number (``bool`` included) or lies past the float range."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"sweep grid values must be real numbers a float holds, got {value!r}")
+
+
 def check_request(request) -> SweepRequest:
-    """``request`` as a ``SweepRequest`` with a tuple grid and ``Scheme`` schemes,
-    or ``ValueError`` if it has no grid point or scheme, an unknown axis, or a
-    ratio that is not finite and > 0."""
+    """``request`` as a ``SweepRequest`` with a grid of floats and ``Scheme``
+    schemes, or ``ValueError`` if it has no grid point or scheme, a grid value
+    that is not a real number, an unknown axis, or a ratio that is not finite
+    and > 0."""
     base, axis, grid, schemes, ratio = request
-    request = SweepRequest(base, axis, tuple(grid), tuple(map(Scheme, schemes)), ratio)
+    grid = tuple(map(_grid_value, grid))
+    request = SweepRequest(base, axis, grid, tuple(map(Scheme, schemes)), ratio)
     if not request.grid:
         raise ValueError("sweep grid must be nonempty")
     if axis not in SWEEP_AXES:
@@ -514,50 +534,32 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
     check_run(trials, seed, workers)
     requests = [check_request(request) for request in requests]
 
-    # (request, grid index) -> config or the reason there is none
-    configs: dict[tuple[int, int], SystemConfig] = {}
-    errors: dict[tuple[int, int], str] = {}
+    # every grid point in request order: (request index, value, config or the
+    # message of the error that stopped it)
+    points = []
     for r, (base, axis, grid, _, ratio) in enumerate(requests):
-        for i, value in enumerate(grid):
+        for value in grid:
             try:
-                configs[r, i] = _config_on_axis(base, axis, value, ratio)
-            except (ValueError, TypeError) as err:
-                errors[r, i] = str(err)
-    tallies = {}
-    if configs:
-        cases, gbu = _simulate(list(configs.values()), trials, seed, workers)
-        tallies = dict(zip(configs, zip(cases, gbu)))
+                points.append((r, value, _config_on_axis(base, axis, value, ratio)))
+            except ValueError as err:
+                points.append((r, value, str(err)))
+    configs = [config for *_, config in points if isinstance(config, SystemConfig)]
+    tallies = iter(zip(*_simulate(configs, trials, seed, workers)) if configs else ())
 
-    results = []
-    for r, request in enumerate(requests):
-        rows: list[SweepRow] = []
-        for i, value in enumerate(request.grid):
-            config = configs.get((r, i))
-            estimates = [(None, None)]
-            if config is not None:
-                estimates = [
-                    (s, _estimate(s, trials, seed, *tallies[r, i])) for s in request.schemes
-                ]
-            for scheme, estimate in estimates:
-                exact = highsnr = asymptote = None
-                note = errors.get((r, i))
-                # the analytic columns are the rate-splitting outage; the baseline's is not derived
-                if scheme is Scheme.CR_RSMA_SGF:
-                    exact, highsnr, asymptote, note = _analytic_columns(config)
-                rows.append(
-                    SweepRow(
-                        axis_value=float(value),
-                        scheme=scheme,
-                        config=config,
-                        estimate=estimate,
-                        analytic_exact=exact,
-                        analytic_highsnr=highsnr,
-                        analytic_asymptote=asymptote,
-                        unresolved=estimate is not None and not estimate.statistically_resolved,
-                        error=note,
-                    )
-                )
-        results.append(rows)
+    results: list[list[SweepRow]] = [[] for _ in requests]
+    for r, value, config in points:
+        if isinstance(config, str):
+            # an error row: no scheme, config, estimate or analytic cell
+            results[r].append(SweepRow(value, None, None, None, None, None, None, False, config))
+            continue
+        cases, gbu = next(tallies)
+        for scheme in requests[r].schemes:
+            estimate = _estimate(scheme, trials, seed, cases, gbu)
+            exact, highsnr, asymptote, note = _analytic_columns(config, scheme)
+            unresolved = not estimate.statistically_resolved
+            results[r].append(
+                SweepRow(value, scheme, config, estimate, exact, highsnr, asymptote, unresolved, note)
+            )
     return results
 
 
@@ -575,9 +577,10 @@ def sweep(
 
     ``gbu_to_gfu_power_ratio`` ties the GFU power to the swept GBU power
     (linear ratio) so locked-ratio sweeps stay on a single axis. Rows share
-    the seed, so schemes are compared on identical channel draws. Grid
-    values that produce an invalid configuration yield an error row and the
-    sweep continues. The analytic values are the rate-splitting scheme's;
+    the seed, so schemes are compared on identical channel draws. A grid
+    value that is not a real number raises ``ValueError`` before any block is
+    drawn; one that produces an invalid configuration yields an error row and
+    the sweep continues. The analytic values are the rate-splitting scheme's;
     baseline rows leave them (and their error note) empty. This is the
     one-request case of ``sweeps``.
     """

@@ -3,7 +3,7 @@
 Each test prints its PASS/FAIL line (visible with ``pytest -s`` or on
 failure); the CLI ``validate`` subcommand prints the same report. The
 planted-defect tests check that a criterion fails when the production code it
-reads is broken.
+reads, or a cell that ``sgfsim run`` prints, is broken.
 """
 
 import ast
@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from sgfsim import acceptance
+from sgfsim import acceptance, montecarlo
 from sgfsim.acceptance import CRITERIA, DEFAULT_SEED
 from sgfsim.protocol import evaluate_transmission
 from sgfsim.zones import ZoneLabel
@@ -95,3 +95,38 @@ def test_zone_geometry_catches_a_baseline_cell_outside_the_pentagon(monkeypatch)
     result = acceptance.criterion_zone_geometry(DEFAULT_SEED)
     assert not result.passed
     assert ", 1 containment violations," in result.detail
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda exact, note: (1.1 * exact, note), " sigma"),
+        (lambda exact, note: (None, "exact: planted range error"), "exact: planted range error"),
+    ],
+    ids=["exact-10%-high", "exact-empty"],
+)
+def test_sweep_criteria_gate_the_printed_exact_cell(monkeypatch, plant, message):
+    """A wrong or empty exact cell in the sweep rows fails both criteria that compare
+    it with Monte Carlo, and an empty one is named by its note, not raised."""
+    columns = montecarlo._analytic_columns
+
+    def planted(*args):
+        exact, highsnr, asymptote, note = columns(*args)
+        if exact is not None:
+            exact, note = plant(exact, note)
+        return exact, highsnr, asymptote, note
+
+    monkeypatch.setattr(montecarlo, "_analytic_columns", planted)
+    # the grid is cached per seed; no other test may read the planted rows
+    acceptance._mc_grid.cache_clear()
+    try:
+        results = [
+            acceptance.criterion_exact_vs_mc(DEFAULT_SEED),
+            acceptance.criterion_single_user(DEFAULT_SEED),
+        ]
+    finally:
+        acceptance._mc_grid.cache_clear()
+    for result in results:
+        failures = result.detail.split("; ")[1:]
+        assert not result.passed
+        assert failures and all(message in failure for failure in failures), result.detail

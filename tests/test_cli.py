@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from sgfsim import cli
+from sgfsim import acceptance, cli
 from sgfsim.cli import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -126,7 +126,24 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def readme_block(language):
+    """The first fenced ``language`` block of README.md."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 class TestRunWithConfigFile:
+    def test_readme_config_example(self, tmp_path):
+        cfg = write_config(tmp_path, readme_block("ini"))
+        out = str(tmp_path / "results.csv")
+        assert main(["run", "--config", cfg, "--trials", "2000", "--no-timestamp", "--out", out]) == 0
+        for label, source in (("k1", "choice"), ("k5", "text")):
+            comments, header, rows = read_csv(tmp_path / f"results_{label}.csv")
+            assert f"# num_gfus={label[1:]} source={source}\n" in comments
+            assert "# gfu_power=gbu_power/15 source=caption\n" in comments
+            assert header == SWEEP_COLUMNS and len(rows) == 10  # 5 grid values x 2 schemes
+
     def test_sweep_csv_contents(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         out = str(tmp_path / "sweep.csv")
@@ -614,8 +631,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("num_gfus = cited", "source must be one of"), ("speed = choice", "'speed'")],
-        ids=["unknown-source", "no-value"],
+        [
+            ("num_gfus = cited", "source must be one of"),
+            ("note =", "metadata 'note': source must be one of ('caption', 'text', 'choice')"),
+            ("speed = choice", "'speed'"),
+        ],
+        ids=["unknown-source", "no-source", "no-value"],
     )
     def test_bad_metadata_line(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, SWEEP_CONFIG + f"[metadata]\n{line}\n")
@@ -667,6 +688,14 @@ class TestUsageErrors:
         assert main(["run", "--config", cfg, "--out", out, "--no-timestamp"]) == 2
         assert "spans more than one line" in capsys.readouterr().err
         assert os.listdir(tmp_path) == [name]
+
+    @pytest.mark.parametrize("preset, out", [("zone", "out.json"), ("fig4", "r.JSON")])
+    def test_json_out_path_with_json_format(self, tmp_path, capsys, preset, out):
+        # the mirror replaces the extension with .json, so it would overwrite the CSV
+        argv = ["run", preset, "--trials", "2000", "--out", str(tmp_path / out), "--format", "json"]
+        assert main(argv) == 2
+        assert "--out must not end in .json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_empty_schemes_in_config(self, tmp_path, capsys):
         bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
@@ -794,3 +823,26 @@ class TestUsageErrors:
         assert "received powers 1.584893192461072e+308, 1.584893192461072e+308" in err
         assert "sum rate inf" in err
         assert not os.listdir(tmp_path)
+
+
+def fake_criterion(name, passed):
+    def criterion(seed):
+        return acceptance.CriterionResult(name, passed, f"seed {seed}")
+
+    return name, criterion
+
+
+class TestValidate:
+    def test_reports_each_criterion_and_counts_failures(self, monkeypatch, capsys):
+        criteria = (fake_criterion("good", True), fake_criterion("bad", False))
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        assert main(["validate", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert out == "[PASS] good: seed 7\n[FAIL] bad: seed 7\n1 criterion(s) failed\n"
+
+    def test_exits_zero_when_every_criterion_passes(self, monkeypatch, capsys):
+        criteria = (fake_criterion("good", True), fake_criterion("also good", True))
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        assert main(["validate"]) == 0
+        seed = acceptance.DEFAULT_SEED
+        assert capsys.readouterr().out == f"[PASS] good: seed {seed}\n[PASS] also good: seed {seed}\n"

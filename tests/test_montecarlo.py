@@ -567,6 +567,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="gbu_to_gfu_power_ratio must be finite and > 0"):
             sweep(config(), "gbu_power_db", [20, 30], 2000, 1, gbu_to_gfu_power_ratio=ratio)
 
+    @pytest.mark.parametrize(
+        "grid", [[10.0, None], ["10"], [True], [10**400]], ids=["none", "string", "bool", "huge-int"]
+    )
+    def test_rejects_grid_value_that_is_no_float(self, grid, monkeypatch):
+        # the axes read floats; a string or bool would pass float(), None only fail after the pass
+        forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match="sweep grid values must be real numbers"):
+            sweep(config(), "gfu_power_db", grid, 2000, 1)
+
     def test_deep_outage_rows_flagged_unresolved(self):
         rows = sweep(
             config(num_gfus=2, rate_gbu=1.0, rate_gfu=1.0),
