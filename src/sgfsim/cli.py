@@ -195,6 +195,8 @@ _SECTION_KEYS = {
 }
 # where a metadata line says its value came from
 _SOURCES = ("caption", "text", "choice")
+# metadata keys each run writes itself, so a [metadata] line may not set them
+_RUN_KEYS = ("trials", "seed", "config_file")
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,9 @@ def _load_experiment(
         parser.read_dict({section: kv for section, kv in overrides.items() if kv})
 
         labels = [s[len("sweep.") :] for s in parser.sections() if s.startswith("sweep.")]
+        # each label suffixes a file name, and a file system may ignore case
+        if len({label.casefold() for label in labels}) < len(labels):
+            raise UsageError(f"sweep labels {labels} must differ in more than case")
         allowed = dict(_SECTION_KEYS)
         for label in labels:
             allowed[f"sweep.{label}"] = _SYSTEM_KEYS | _SWEEP_KEYS
@@ -266,6 +271,8 @@ def _load_experiment(
             values = merged("zone", "system", "sweep", f"sweep.{label}")
             metadata = list(head)
             for key, line in merged("metadata", f"metadata.{label}").items():
+                if key in _RUN_KEYS:
+                    raise UsageError(f"metadata {key!r} is recorded by the run itself")
                 # an empty line has no source, which the check below names
                 source, *value = line.split(None, 1) or [""]
                 if source not in _SOURCES:

@@ -3,8 +3,8 @@
 Trials are partitioned into fixed blocks of 65536; block ``b`` draws from a
 counter-based generator keyed by ``(seed, b)``, so trial ``i`` sees the same
 gains no matter how many workers run or how the work is scheduled. Tallies
-are integers and their aggregation is associative, which makes the estimate
-a pure function of (config, scheme, trials, seed).
+are integer rows per (block, config), each a pure function of (config, seed,
+block); an estimate sums them, a pure function of (config, scheme, trials, seed).
 
 One engine call runs every config of one or more sweeps, whatever their user
 counts, and draws each block once, ``Kmax + 1`` columns wide. The sampler
@@ -248,8 +248,10 @@ def evaluate_noma_trials(
     return case_idx, noma_out, gbu_out
 
 
-# row of a config's case tallies holding each scheme's GFU outages; row 0 counts occurrences
-_OUTAGE_ROW = {Scheme.CR_RSMA_SGF: 1, Scheme.CR_NOMA_SGF: 2}
+# One config's tallies on one block: an int64 row of the Case I/II/III occurrences,
+# the GFU outages per case of rate splitting, then of the baseline, and the GBU outages
+_OCCURRENCES, _GBU_OUTAGES, _COLUMNS = slice(0, 3), 9, 10
+_GFU_OUTAGES = {Scheme.CR_RSMA_SGF: slice(3, 6), Scheme.CR_NOMA_SGF: slice(6, 9)}
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -257,8 +259,9 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np.ndarray) -> None:
-    """Add every config's tallies on one drawn block to ``cases`` and ``gbu``.
+def _run_block(configs, groups, gains: np.ndarray, s, tallies: np.ndarray) -> None:
+    """Assign each config's row of ``tallies``, the block's (configs, _COLUMNS) slab,
+    from one drawn block.
 
     ``gains`` is column-major with the GBU last; ``groups`` lists the configs
     of its user count that share (P0, eps0, eps_s), whose GBU-side terms are
@@ -269,16 +272,12 @@ def _run_block(configs, groups, gains: np.ndarray, s, cases: np.ndarray, gbu: np
     np.max(gains_gfu, axis=1, out=s.best_gain)
     for members in groups:
         n3, n_gbu = _gbu_terms(configs[members[0]], gain_gbu, s)
-        gbu[members] += n_gbu
         for i in members:
             _outage_masks(configs[i], gains_gfu, s)
             n2 = np.count_nonzero(s.case2)
             o1, o3 = np.count_nonzero(s.out_case1), np.count_nonzero(s.out_case3)
-            cases[i] += [
-                [rows - n2 - n3, n2, n3],
-                [o1, np.count_nonzero(s.rsma_case2), o3],
-                [o1, np.count_nonzero(s.noma_case2), o3],
-            ]
+            rsma, noma = np.count_nonzero(s.rsma_case2), np.count_nonzero(s.noma_case2)
+            tallies[i] = (rows - n2 - n3, n2, n3, o1, rsma, o3, o1, noma, o3, n_gbu)
 
 
 def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
@@ -294,17 +293,15 @@ def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
     yield drawn
 
 
-def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple:
-    """Tallies of a contiguous run of blocks on one workspace, allocated here once:
-    the widest draw and the per-trial scratch. ``groups`` maps each user count to
-    its GBU-side groups. From the second block on, a helper thread draws each
-    block into the other of two draw buffers while the previous one is worked on;
-    a single block is drawn here, into one."""
+def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies) -> None:
+    """Assign the ``tallies`` rows of a contiguous run of blocks, on one workspace
+    allocated here once: the widest draw and the per-trial scratch. ``groups``
+    maps each user count to its GBU-side groups. From the second block on, a
+    helper thread draws each block into the other of two draw buffers while the
+    previous one is worked on; a single block is drawn here, into one."""
     rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
     draws = [np.empty(rows * cols) for _ in range(min(2, len(blocks)))]
     scratch = _scratch(rows)
-    cases = np.zeros((len(configs), 3, 3), dtype=np.int64)
-    gbu = np.zeros(len(configs), dtype=np.int64)
 
     def draw(i: int) -> np.ndarray:
         block = blocks[i]
@@ -315,40 +312,40 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range) -> tuple
 
     # the executor starts its thread on the first submit, so one block starts none
     with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
-        for drawn in _drawn_blocks(draw, len(blocks), helper):
+        for block, drawn in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
             s = _prefix(scratch, drawn.shape[0])
             for k, k_groups in groups.items():
                 # the (n, k + 1) draw of this block is the first k + 1 columns of the widest
-                _run_block(configs, k_groups, drawn[:, : k + 1], s, cases, gbu)
-    return cases, gbu
+                _run_block(configs, k_groups, drawn[:, : k + 1], s, tallies[block])
 
 
-def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> tuple:
-    """Per-config integer tallies over ``trials``: a (3, 3) array (case occurrences,
-    then each scheme's GFU outages per case) and the GBU outage count. Configs
-    may have any ``num_gfus``; each block is drawn once for all of them. Each
-    worker runs a contiguous chunk of the blocks, with a helper thread drawing
-    ahead; integer sums make the result independent of ``workers`` and of
-    where a block was drawn."""
+def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> np.ndarray:
+    """The int64 (blocks, configs, _COLUMNS) tallies over ``trials``: row ``[b, i]``
+    is config ``i`` on block ``b`` alone. Configs may have any ``num_gfus``; each
+    block is drawn once for all of them. Each worker assigns the rows of a
+    contiguous chunk of the blocks, with a helper thread drawing ahead; a row
+    depends only on (config, seed, block), not on ``workers`` or on where its
+    block was drawn."""
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     shared: dict[int, dict[tuple[float, float, float], list[int]]] = {}
     for i, c in enumerate(configs):
         key = (c.power_gbu, c.target_rate_gbu, c.target_rate_gfu)
         shared.setdefault(c.num_gfus, {}).setdefault(key, []).append(i)
     groups = {k: list(k_groups.values()) for k, k_groups in shared.items()}
+    tallies = np.zeros((n_blocks, len(configs), _COLUMNS), dtype=np.int64)
     tasks = min(workers, n_blocks)
     bounds = [n_blocks * t // tasks for t in range(tasks + 1)]
 
-    def run(t: int) -> tuple:
+    def run(t: int) -> None:
         blocks = range(bounds[t], bounds[t + 1])
-        return _run_blocks(configs, groups, trials, seed, blocks)
+        _run_blocks(configs, groups, trials, seed, blocks, tallies)
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
-            parts = list(pool.map(run, range(tasks)))
+            list(pool.map(run, range(tasks)))
     else:
-        parts = [run(0)]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+        run(0)
+    return tallies
 
 
 def check_run(trials: int, seed: int, workers: int) -> None:
@@ -369,12 +366,11 @@ def _std_err(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 
 
-def _estimate(
-    scheme: Scheme, trials: int, seed: int, cases: np.ndarray, gbu_count: int
-) -> OutageEstimate:
-    occurrences, outages = cases[0], cases[_OUTAGE_ROW[scheme]]
+def _estimate(scheme: Scheme, trials: int, seed: int, tally: np.ndarray) -> OutageEstimate:
+    """The estimate of one config's ``tally``, its rows summed over all blocks."""
+    occurrences, outages = tally[_OCCURRENCES], tally[_GFU_OUTAGES[scheme]]
     gfu_prob = int(outages.sum()) / trials
-    gbu_prob = int(gbu_count) / trials
+    gbu_prob = int(tally[_GBU_OUTAGES]) / trials
     return OutageEstimate(
         scheme=scheme,
         seed=seed,
@@ -404,8 +400,8 @@ def estimate_outage(
     """
     scheme = Scheme(scheme)
     check_run(trials, seed, workers)
-    cases, gbu = _simulate([config], trials, seed, workers)
-    return _estimate(scheme, trials, seed, cases[0], gbu[0])
+    tally = _simulate([config], trials, seed, workers).sum(axis=0)[0]
+    return _estimate(scheme, trials, seed, tally)
 
 
 SWEEP_AXES = ("gbu_power_db", "gfu_power_db", "target_rate", "num_gfus")
@@ -453,7 +449,7 @@ def _config_on_axis(
 
 def swept_keys(axis: str, gbu_to_gfu_power_ratio: float | None) -> tuple[str, ...]:
     """The ``SystemConfig.from_db`` keys that ``_config_on_axis`` sets at every point."""
-    if axis == "gbu_power_db" and gbu_to_gfu_power_ratio is not None:
+    if gbu_to_gfu_power_ratio is not None:
         return (axis, "gfu_power_db")
     return {"target_rate": ("target_rate_gbu", "target_rate_gfu")}.get(axis, (axis,))
 
@@ -505,9 +501,9 @@ def _grid_value(value) -> float:
 
 def check_request(request) -> SweepRequest:
     """``request`` as a ``SweepRequest`` with a grid of floats and ``Scheme``
-    schemes, or ``ValueError`` if it has no grid point or scheme, a grid value
-    that is not a real number, an unknown axis, or a ratio that is not finite
-    and > 0."""
+    schemes, or ``ValueError`` if it has no grid point or scheme, a scheme listed
+    twice, a grid value that is not a real number, an unknown axis, or a ratio
+    that is not finite and > 0 or is given on an axis other than the GBU power."""
     base, axis, grid, schemes, ratio = request
     grid = tuple(map(_grid_value, grid))
     request = SweepRequest(base, axis, grid, tuple(map(Scheme, schemes)), ratio)
@@ -517,9 +513,13 @@ def check_request(request) -> SweepRequest:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not request.schemes:
         raise ValueError("sweep schemes must be nonempty")
+    if len(set(request.schemes)) < len(request.schemes):
+        raise ValueError("sweep schemes must be distinct")
     # written so that NaN fails it too
     if ratio is not None and not 0.0 < ratio < math.inf:
         raise ValueError(f"gbu_to_gfu_power_ratio must be finite and > 0, got {ratio!r}")
+    if ratio is not None and axis != "gbu_power_db":
+        raise ValueError(f"gbu_to_gfu_power_ratio applies to gbu_power_db sweeps, not {axis}")
     return request
 
 
@@ -544,7 +544,7 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
             except ValueError as err:
                 points.append((r, value, str(err)))
     configs = [config for *_, config in points if isinstance(config, SystemConfig)]
-    tallies = iter(zip(*_simulate(configs, trials, seed, workers)) if configs else ())
+    tallies = iter(_simulate(configs, trials, seed, workers).sum(axis=0) if configs else ())
 
     results: list[list[SweepRow]] = [[] for _ in requests]
     for r, value, config in points:
@@ -552,9 +552,9 @@ def sweeps(requests, trials: int, seed: int, workers: int = 1) -> list[list[Swee
             # an error row: no scheme, config, estimate or analytic cell
             results[r].append(SweepRow(value, None, None, None, None, None, None, False, config))
             continue
-        cases, gbu = next(tallies)
+        tally = next(tallies)
         for scheme in requests[r].schemes:
-            estimate = _estimate(scheme, trials, seed, cases, gbu)
+            estimate = _estimate(scheme, trials, seed, tally)
             exact, highsnr, asymptote, note = _analytic_columns(config, scheme)
             unresolved = not estimate.statistically_resolved
             results[r].append(
@@ -576,13 +576,13 @@ def sweep(
     """Run a one-axis parameter sweep, one row per (grid value, scheme).
 
     ``gbu_to_gfu_power_ratio`` ties the GFU power to the swept GBU power
-    (linear ratio) so locked-ratio sweeps stay on a single axis. Rows share
-    the seed, so schemes are compared on identical channel draws. A grid
-    value that is not a real number raises ``ValueError`` before any block is
-    drawn; one that produces an invalid configuration yields an error row and
-    the sweep continues. The analytic values are the rate-splitting scheme's;
-    baseline rows leave them (and their error note) empty. This is the
-    one-request case of ``sweeps``.
+    (linear ratio) so locked-ratio sweeps stay on a single axis; on another axis
+    it is an error. Rows share the seed, so schemes are compared on identical
+    channel draws. A grid value that is not a real number raises ``ValueError``
+    before any block is drawn; one that produces an invalid configuration
+    yields an error row and the sweep continues. The analytic values are the
+    rate-splitting scheme's; baseline rows leave them (and their error note)
+    empty. This is the one-request case of ``sweeps``.
     """
     request = SweepRequest(base_config, axis, grid, schemes, gbu_to_gfu_power_ratio)
     return sweeps([request], trials, seed, workers)[0]

@@ -635,13 +635,19 @@ class TestUsageErrors:
             ("num_gfus = cited", "source must be one of"),
             ("note =", "metadata 'note': source must be one of ('caption', 'text', 'choice')"),
             ("speed = choice", "'speed'"),
+            # the run writes these lines itself; a second one would contradict it
+            ("trials = choice 5", "metadata 'trials' is recorded by the run itself"),
+            ("seed = text", "metadata 'seed' is recorded by the run itself"),
+            ("config_file = choice other.ini", "metadata 'config_file' is recorded by the run"),
         ],
-        ids=["unknown-source", "no-source", "no-value"],
+        ids=["unknown-source", "no-source", "no-value", "trials", "seed", "config-file"],
     )
     def test_bad_metadata_line(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, SWEEP_CONFIG + f"[metadata]\n{line}\n")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "key",
@@ -697,6 +703,14 @@ class TestUsageErrors:
         assert "--out must not end in .json" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_sweep_labels_differing_only_in_case(self, tmp_path, capsys):
+        # c_k1.csv and c_K1.csv are one file where the file system ignores case
+        text = SWEEP_CONFIG + "[sweep.k1]\nnum_gfus = 1\n[sweep.K1]\nnum_gfus = 2\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "sweep labels ['k1', 'K1'] must differ in more than case" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
     def test_empty_schemes_in_config(self, tmp_path, capsys):
         bad = SWEEP_CONFIG.replace("schemes = cr-rsma-sgf cr-noma-sgf", "schemes =")
         cfg = write_config(tmp_path, bad)
@@ -714,8 +728,19 @@ class TestUsageErrors:
             ({"grid = 5 10 15": "grid =", "gfu_power_db = 10\n": ""}, "sweep grid must be nonempty"),
             ({"schemes = cr-rsma-sgf cr-noma-sgf": "schemes ="}, "sweep schemes must be nonempty"),
             ({"schemes =": "gbu_to_gfu_power_ratio = nan\nschemes ="}, "finite and > 0, got nan"),
+            # a ratio off the GBU power axis would be ignored, and a repeated scheme duplicated
+            (
+                {"schemes =": "gbu_to_gfu_power_ratio = 15\nschemes ="},
+                "gbu_to_gfu_power_ratio applies to gbu_power_db sweeps, not gfu_power_db",
+            ),
+            (
+                {"schemes = cr-rsma-sgf cr-noma-sgf": "schemes = cr-rsma-sgf cr-rsma-sgf"},
+                "sweep schemes must be distinct",
+            ),
         ],
-        ids=["axis", "grid", "grid-and-swept-key", "schemes", "ratio"],
+        ids=[
+            "axis", "grid", "grid-and-swept-key", "schemes", "ratio", "ratio-axis", "scheme-twice"
+        ],
     )
     def test_request_errors_are_usage_errors(self, tmp_path, capsys, edits, message):
         # the engine checks each request; in a config file its errors exit 2

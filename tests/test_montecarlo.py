@@ -71,23 +71,39 @@ def reference_kernels(cfg, g0, gfu):
     return case_idx, rsma, noma, g0 < cfg.eta0
 
 
-def loop_tallies(cfg, trials, seed):
-    """Per-scheme (occurrences, outages) and the GBU outage count, summed over
-    blocks drawn one by one, independently of the sweep engine."""
-    occurrences = np.zeros(3, dtype=np.int64)
-    outages = {scheme: np.zeros(3, dtype=np.int64) for scheme in Scheme}
-    gbu = 0
+# the engine's columns of each scheme's GFU outages per case
+OUTAGE_COLUMNS = {Scheme.CR_RSMA_SGF: slice(3, 6), Scheme.CR_NOMA_SGF: slice(6, 9)}
+
+
+def block_tallies(cfg, trials, seed):
+    """The (blocks, 10) tallies of ``cfg``, each block drawn alone from its
+    ``(seed, b)`` generator, independently of the sweep engine: per row the Case
+    I/II/III occurrences, each scheme's GFU outages per case (rate splitting,
+    then the baseline) and the GBU outage count."""
+    rows = []
     for block in range(-(-trials // BLOCK_SIZE)):
-        rows = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
         rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block))))
-        g0, gfu = sorted_block(rng, rows, cfg.num_gfus)
+        g0, gfu = sorted_block(rng, n, cfg.num_gfus)
         case_idx, rsma_out, gbu_out = evaluate_rsma_trials(cfg, g0, gfu)
         _, noma_out, _ = evaluate_noma_trials(cfg, g0, gfu)
-        occurrences += np.bincount(case_idx, minlength=3)
-        outages[Scheme.CR_RSMA_SGF] += np.bincount(case_idx[rsma_out], minlength=3)
-        outages[Scheme.CR_NOMA_SGF] += np.bincount(case_idx[noma_out], minlength=3)
-        gbu += int(np.count_nonzero(gbu_out))
-    return occurrences, outages, gbu
+        rows.append(
+            [
+                *np.bincount(case_idx, minlength=3),
+                *np.bincount(case_idx[rsma_out], minlength=3),
+                *np.bincount(case_idx[noma_out], minlength=3),
+                np.count_nonzero(gbu_out),
+            ]
+        )
+    return np.array(rows, dtype=np.int64)
+
+
+def assert_estimate_sums(estimate, total):
+    """``estimate`` is that of ``total``, one config's tallies summed over blocks."""
+    tallies = estimate.case_tallies
+    assert tallies.occurrences == tuple(total[:3].tolist())
+    assert tallies.gfu_outages == tuple(total[OUTAGE_COLUMNS[estimate.scheme]].tolist())
+    assert estimate.gbu_outage_prob == total[9] / estimate.trials
 
 
 # two full blocks and a one-row partial one
@@ -96,11 +112,7 @@ ENGINE_TRIALS = 2 * BLOCK_SIZE + 1
 
 def assert_rows_match_loop(rows, trials, seed):
     for row in rows:
-        occurrences, outages, gbu = loop_tallies(row.config, trials, seed)
-        tallies = row.estimate.case_tallies
-        assert tallies.occurrences == tuple(int(x) for x in occurrences)
-        assert tallies.gfu_outages == tuple(int(x) for x in outages[row.scheme])
-        assert row.estimate.gbu_outage_prob == gbu / trials
+        assert_estimate_sums(row.estimate, block_tallies(row.config, trials, seed).sum(axis=0))
         assert row.estimate == estimate_outage(row.config, row.scheme, trials, seed, workers=1)
 
 
@@ -149,11 +161,10 @@ class TestEstimateOutage:
             replace(base, num_gfus=5),
             base,
         ]
-        cases, gbu = _simulate(configs, BLOCK_SIZE + 1, 8, workers=1)
+        tallies = _simulate(configs, BLOCK_SIZE + 1, 8, workers=1)
         for i, cfg in enumerate(configs):
-            alone_cases, alone_gbu = _simulate([cfg], BLOCK_SIZE + 1, 8, workers=1)
-            np.testing.assert_array_equal(cases[i], alone_cases[0])
-            assert gbu[i] == alone_gbu[0]
+            alone = _simulate([cfg], BLOCK_SIZE + 1, 8, workers=1)
+            np.testing.assert_array_equal(tallies[:, i], alone[:, 0])
 
     def test_vanishing_target_never_misses(self):
         cfg = config(rate_gfu=1e-9)
@@ -240,33 +251,34 @@ def record_draw_threads(monkeypatch) -> list[tuple[int, str]]:
     return draws
 
 
+# three user counts read their prefixes of the widest draw, and the last config
+# has a GBU-side group of its own
+BLOCK_CONFIGS = [
+    SystemConfig.from_db(k, 15.0, ps, 3.0, 2.0) for k in (1, 5, 2) for ps in (0.0, 20.0)
+] + [SystemConfig.from_db(5, 30.0, 18.2, 2.5, 1.5)]
+
+
 class TestDrawAhead:
     """Each worker draws the first block of its chunk itself and every later one
-    on a helper thread; the tallies are those of blocks drawn one by one."""
+    on a helper thread; every block's tallies are those of that block drawn alone."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("trials", [1000, BLOCK_SIZE + 1, 3 * BLOCK_SIZE])
     def test_tallies_match_blocks_drawn_one_by_one(self, monkeypatch, trials, workers):
-        # three user counts read their prefixes of the widest draw, and the last
-        # config has a GBU-side group of its own
-        configs = [
-            SystemConfig.from_db(k, 15.0, ps, 3.0, 2.0) for k in (1, 5, 2) for ps in (0.0, 20.0)
-        ] + [SystemConfig.from_db(5, 30.0, 18.2, 2.5, 1.5)]
+        configs = BLOCK_CONFIGS
         n_blocks = -(-trials // BLOCK_SIZE)
         tasks = min(workers, n_blocks)
         chunk_starts = {n_blocks * t // tasks for t in range(tasks)}
         draws = record_draw_threads(monkeypatch)
         threads = threading.active_count()
-        cases, gbu = _simulate(configs, trials, 23, workers)
+        tallies = _simulate(configs, trials, 23, workers)
         assert threading.active_count() == threads
         assert sorted(block for block, _ in draws) == list(range(n_blocks))
         for block, name in draws:
             assert name.startswith("sgfsim-draw") == (block not in chunk_starts)
+        assert tallies.shape == (n_blocks, len(configs), 10) and tallies.dtype == np.int64
         for i, cfg in enumerate(configs):
-            occurrences, outages, gbu_count = loop_tallies(cfg, trials, 23)
-            expected = [occurrences, outages[Scheme.CR_RSMA_SGF], outages[Scheme.CR_NOMA_SGF]]
-            assert cases[i].tolist() == [row.tolist() for row in expected]
-            assert gbu[i] == gbu_count
+            np.testing.assert_array_equal(tallies[:, i], block_tallies(cfg, trials, 23))
 
     def test_tallies_hold_with_more_threads_than_cores_switching_often(self):
         # three workers and their helpers, switching threads every microsecond: a draw
@@ -276,13 +288,10 @@ class TestDrawAhead:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            cases, gbu = _simulate([cfg], trials, 31, 3)
+            tallies = _simulate([cfg], trials, 31, 3)
         finally:
             sys.setswitchinterval(interval)
-        occurrences, outages, gbu_count = loop_tallies(cfg, trials, 31)
-        expected = [occurrences, outages[Scheme.CR_RSMA_SGF], outages[Scheme.CR_NOMA_SGF]]
-        assert cases[0].tolist() == [row.tolist() for row in expected]
-        assert gbu[0] == gbu_count
+        np.testing.assert_array_equal(tallies[:, 0], block_tallies(cfg, trials, 31))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_draw_error_propagates_and_leaves_no_thread(self, monkeypatch, workers):
@@ -313,6 +322,39 @@ class TestDrawAhead:
         assert threading.active_count() == threads
         # block 1 was being drawn when block 0's kernel raised; block 2 never started
         assert sorted(block for block, _ in draws) == [0, 1]
+
+
+class TestBlockTallies:
+    """The engine's one product: an int64 row per (block, config)."""
+
+    def test_array_does_not_depend_on_workers_or_thread_switching(self):
+        # four full blocks and a partial one; three workers split them 1-2-2
+        trials = 4 * BLOCK_SIZE + 7
+        first = _simulate(BLOCK_CONFIGS, trials, 41, 1)
+        for workers in (2, 3):
+            np.testing.assert_array_equal(_simulate(BLOCK_CONFIGS, trials, 41, workers), first)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switching = _simulate(BLOCK_CONFIGS, trials, 41, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(switching, first)
+        # each row's case occurrences add up to its block's trials
+        n = len(BLOCK_CONFIGS)
+        assert first[:, :, :3].sum(axis=2).tolist() == [[BLOCK_SIZE] * n] * 4 + [[7] * n]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_sums_are_the_estimates(self, workers):
+        trials, seed = ENGINE_TRIALS, 42
+        totals = _simulate(BLOCK_CONFIGS, trials, seed, workers).sum(axis=0)
+        # a one-point user-count sweep runs the config itself
+        requests = [SweepRequest(cfg, "num_gfus", (cfg.num_gfus,)) for cfg in BLOCK_CONFIGS]
+        for cfg, total, rows in zip(BLOCK_CONFIGS, totals, sweeps(requests, trials, seed, workers)):
+            assert [(row.config, row.scheme) for row in rows] == [(cfg, s) for s in Scheme]
+            for row in rows:
+                assert_estimate_sums(row.estimate, total)
+                assert_estimate_sums(estimate_outage(cfg, row.scheme, trials, seed, workers), total)
 
 
 class TestVectorisedKernels:
@@ -566,6 +608,24 @@ class TestSweep:
         forbid_draws(monkeypatch)
         with pytest.raises(ValueError, match="gbu_to_gfu_power_ratio must be finite and > 0"):
             sweep(config(), "gbu_power_db", [20, 30], 2000, 1, gbu_to_gfu_power_ratio=ratio)
+
+    @pytest.mark.parametrize("axis", ["gfu_power_db", "target_rate", "num_gfus"])
+    def test_rejects_power_ratio_on_other_axes(self, axis, monkeypatch):
+        # the ratio locks the GFU power to the swept GBU power; elsewhere it would be ignored
+        forbid_draws(monkeypatch)
+        message = f"gbu_to_gfu_power_ratio applies to gbu_power_db sweeps, not {axis}"
+        with pytest.raises(ValueError, match=message):
+            sweep(config(), axis, [2.0], 2000, 1, gbu_to_gfu_power_ratio=15.0)
+        locked = SweepRequest(config(), "gbu_power_db", (20.0,), gbu_to_gfu_power_ratio=15.0)
+        with pytest.raises(ValueError, match=message):
+            sweeps([locked, locked._replace(axis=axis, grid=(2.0,))], 2000, 1)
+
+    def test_rejects_scheme_listed_twice(self, monkeypatch):
+        # by member or by value, a repeated scheme would write its rows twice
+        forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match="sweep schemes must be distinct"):
+            schemes = (Scheme.CR_RSMA_SGF, "cr-rsma-sgf")
+            sweep(config(), "gfu_power_db", [10.0], 2000, 1, schemes=schemes)
 
     @pytest.mark.parametrize(
         "grid", [[10.0, None], ["10"], [True], [10**400]], ids=["none", "string", "bool", "huge-int"]
