@@ -4,8 +4,9 @@ One grant-based user (GBU) and K grant-free users (GFUs) share a resource
 block. Channels are quasi-static Rayleigh: every power gain is a unit-mean
 exponential variate. A ``ChannelRealization`` (the scalar path) keeps the GFU
 gains in ascending order, so the admitted user is the last index; the Monte
-Carlo blocks read ``sample_gain_matrix``'s user-by-user (column-major) draw
-unsorted and take the row maximum. Noise variance is normalised to 1, so
+Carlo blocks read ``sample_gain_matrix``'s user-by-user (column-major) draw,
+whose GFU columns are unsorted (they take the row maximum) and whose last
+column is sorted ascending. Noise variance is normalised to 1, so
 ``power_gbu`` / ``power_gfu`` are transmit SNRs.
 """
 
@@ -147,18 +148,25 @@ class ChannelRealization:
 def sample_gain_matrix(
     rows: int, cols: int, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Draw a (rows, cols) matrix of unit-mean exponential power gains.
+    """Draw a (rows, cols) matrix of unit-mean exponential power gains, the
+    last column (the GBU's) sorted ascending.
 
     The generator fills the uniforms user by user: column ``j`` takes the
     ``j``-th run of ``rows`` values, so the result is column-major, each
-    user's gains are contiguous and the first ``k`` columns are bit for bit
-    the (rows, k) draw. A one-row draw is the same in either layout.
+    user's gains are contiguous and the first ``k`` columns of a wider draw
+    are the (rows, k) draw with its last column not yet sorted. A one-row
+    draw is the same in either layout and has nothing to sort.
     Inverse-CDF transform -ln(u) with u = 1 - random() in (0, 1], which
     guards against ln(0); it runs in place on the uniforms, bit for bit the
-    same as ``-np.log1p(-rng.random((cols, rows))).T``. This is the single
-    sampling path shared by the scalar API and the Monte Carlo blocks.
-    ``out``, an F-contiguous float64 (rows, cols) array, receives the draw
-    (the same values as a fresh one) and is returned.
+    same as ``-np.log1p(-rng.random((cols, rows))).T`` before the sort.
+
+    Rows are independent and the last column is independent of the others,
+    so sorting it alone leaves the law of any sum over rows unchanged, while
+    a leading slice of rows is no longer a random sample: it holds the
+    lowest last-column gains. This is the single sampling path shared by the
+    scalar API and the Monte Carlo blocks. ``out``, an F-contiguous float64
+    (rows, cols) array, receives the draw (the same values as a fresh one)
+    and is returned.
     """
     # the generator fills ``out`` in memory order, so any other layout reorders the draw
     if out is not None and not out.flags.f_contiguous:
@@ -167,6 +175,8 @@ def sample_gain_matrix(
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
+    if rows > 1:
+        u[-1].sort()
     return u.T if out is None else out
 
 

@@ -8,21 +8,27 @@ block); an estimate sums them, a pure function of (config, scheme, trials, seed)
 
 One engine call runs every config of one or more sweeps, whatever their user
 counts, and draws each block once, ``Kmax + 1`` columns wide. The sampler
-fills the draw user by user and the exponential transform is elementwise, so
-block ``b``'s ``(n, K + 1)`` draw is bit for bit the first ``K + 1`` columns
-of its widest draw: each K reads those columns in place, and its estimates
-are the same as if it had been drawn alone.
+fills the draw user by user, the exponential transform is elementwise and
+only the last (GBU) column is sorted, so block ``b``'s ``(n, K + 1)`` draw is
+bit for bit the first ``K`` columns of its widest draw, read in place, beside
+a sorted copy of its column ``K``: each K's estimates are the same as if it
+had been drawn alone.
+
+The GBU gains arrive ascending, so the kernel's GBU-side rules cut row ranges
+rather than masks. Rows are independent and the GFU gains do not depend on
+the GBU gain, so this order leaves the law of every tally unchanged.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
-for it: the widest draw and the per-trial scratch, reused by every block, K
-and config. Each per-trial term is one buffer of that scratch, written by one
-stage: the row maximum, the GBU-side terms, or one config's masks. The
-GBU-side terms of a block depend only on (K, P0, eps0, eps_s), so they are
-computed once for all configs sharing those.
+for it: the widest draw, the sorted GBU copies and the per-trial scratch,
+reused by every block, K and config. Each per-trial term is one buffer of
+that scratch, written by one stage: the row maximum, the GBU-side terms, or
+one config's masks. The GBU-side terms of a block depend only on (K, P0,
+eps0, eps_s), so they are computed once for all configs sharing those.
 
-Each worker draws block ``b + 1`` on one helper thread, into a second draw
-buffer, while it works on block ``b``: the generator fill and the exponential
-transform release the interpreter lock. Every block is still drawn by the same
+Each worker draws block ``b + 1``, and sorts its GBU copies, on one helper
+thread, into a second set of buffers while it works on block ``b``: the
+generator fill, the exponential transform and the sorts release the
+interpreter lock. Every block is still drawn by the same
 function from its own ``(seed, b)`` generator, so the tallies do not depend on
 where it was drawn.
 """
@@ -109,10 +115,7 @@ class OutageEstimate:
 
 
 _FLOAT_SCRATCH = ("best_gain", "tau_hat", "interference", "first_floor", "best")
-_BOOL_SCRATCH = (
-    "case3", "not_case3", "gbu", "window", "case1", "case2", "decode_first",
-    "out_case1", "out_case3", "rsma_case2", "noma_case2",
-)
+_BOOL_SCRATCH = ("case1", "case2", "shared", "rsma_case2", "noma_case2")
 
 
 def _scratch(rows: int) -> SimpleNamespace:
@@ -130,96 +133,111 @@ def _prefix(scratch: SimpleNamespace, rows: int) -> SimpleNamespace:
     return SimpleNamespace(**{name: buf[:rows] for name, buf in vars(scratch).items()})
 
 
-def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int]:
-    """The GBU side of the case partition and outage rules, written into ``s``;
-    returns the Case III and GBU outage counts.
+def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int, int]:
+    """The GBU side of the case partition and outage rules over ascending
+    ``gain_gbu``, written into ``s``; returns the row ranges it cuts as
+    ``(n3, n_gbu, w0)``: Case III is rows ``[0, n3)``, the GBU outages
+    ``[0, n_gbu)`` and the window where some GFU may be decoded last ``[w0, n)``.
 
     These terms depend only on the GBU gain and (P0, eps0, eps_s), so every
     config sharing those three reads them: the admission threshold ``tau_hat``
-    = P0 g0 / eps0 - 1, the Case III mask ``case3`` and its complement
-    ``not_case3``, the ``interference`` 1 + P0 g0, the least received GFU power
-    decodable first ``first_floor`` = eps_s (1 + P0 g0), the GBU outage flag
-    ``gbu`` and, for K >= 2 only, the ``window`` tau_hat > eps_s where some GFU
-    may be decoded last.
+    = P0 g0 / eps0 - 1, the ``interference`` 1 + P0 g0 and the least received
+    GFU power decodable first ``first_floor`` = eps_s (1 + P0 g0). IEEE
+    multiplication and division by a positive constant and addition of a
+    constant are monotone, so each term never decreases along the rows, and
+    each rule holds on a range found by bisection: Case III is tau_hat <= 0,
+    the GBU outage g0 < eta0 and the window tau_hat > eps_s.
     """
     # in-place steps reuse the float buffers; each value is the same expression
     p0g0 = np.multiply(config.power_gbu, gain_gbu, out=s.interference)
     tau_hat = np.divide(p0g0, config.eps0, out=s.tau_hat)
     tau_hat -= 1.0
-    case3 = np.less_equal(tau_hat, 0.0, out=s.case3)
     interference = np.add(1.0, p0g0, out=p0g0)
-    gbu = np.less(gain_gbu, config.eta0, out=s.gbu)
-    np.logical_not(case3, out=s.not_case3)
     np.multiply(config.eps_s, interference, out=s.first_floor)
-    if config.num_gfus > 1:
-        np.greater(tau_hat, config.eps_s, out=s.window)
-    return np.count_nonzero(case3), np.count_nonzero(gbu)
+    return (
+        int(np.searchsorted(tau_hat, 0.0, side="right")),
+        int(np.searchsorted(gain_gbu, config.eta0)),
+        int(np.searchsorted(tau_hat, config.eps_s, side="right")),
+    )
 
 
-def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s) -> None:
-    """The case partition and the outage rules of both schemes, written into ``s``:
-    the Case I and II masks ``case1`` and ``case2`` (Case III is ``case3``), the
-    GFU outages ``out_case1`` and ``out_case3`` shared by both schemes, and each
-    scheme's Case II GFU outages ``rsma_case2`` and ``noma_case2``.
+def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s, n3: int, w0: int) -> None:
+    """The case partition and the outage rules of both schemes, written into ``s``
+    on the rows of a block sorted by GBU gain: ``shared``, the GFU outages both
+    schemes share, on Case III's rows ``[0, n3)`` and on the rest ``[n3, n)``,
+    where it is Case I's; and on ``[n3, n)`` the Case I and II masks ``case1``
+    and ``case2`` and each scheme's Case II GFU outages ``rsma_case2`` and
+    ``noma_case2``.
 
-    ``s`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s) and, in
-    ``best_gain``, the row maximum of ``gains_gfu``, whose rows may be in any
-    order. The outage tests compare received powers with thresholds written
-    from the stored eps0 and eps_s, as the analytic integrals are; they are the
-    one outage rule, which ``protocol.evaluate_transmission`` applies with the
-    same float expressions, and match the rate-versus-target tests in real
-    arithmetic only. The schemes share the admission window and the case
-    partition and differ only in Case II.
+    ``s`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s), which
+    cut ``n3`` and ``w0``, and, in ``best_gain``, the row maximum of ``gains_gfu``,
+    whose columns may be in any order. The outage tests compare received
+    powers with thresholds written from the stored eps0 and eps_s, as the
+    analytic integrals are; they are the one outage rule, which
+    ``protocol.evaluate_transmission`` applies with the same float
+    expressions, and match the rate-versus-target tests in real arithmetic
+    only. The schemes share the admission window and the case partition and
+    differ only in Case II.
     """
     ps, es = config.power_gfu, config.eps_s
     best = np.multiply(ps, s.best_gain, out=s.best)
-    case1 = np.less_equal(best, s.tau_hat, out=s.case1)
-    case1 &= s.not_case3
-    # Case II is the rest of ~case3, that is ~((best <= tau_hat) | case3)
-    case2 = np.logical_xor(s.not_case3, case1, out=s.case2)
-
-    # Case I decodes the admitted GFU interference-free, Case III decodes it first
-    decode_first = np.less(best, s.first_floor, out=s.decode_first)
-    out_case1 = np.less(best, es, out=s.out_case1)
+    # Case III decodes the admitted GFU first
+    np.less(best[:n3], s.first_floor[:n3], out=s.shared[:n3])
+    best, tau_hat = best[n3:], s.tau_hat[n3:]
+    case1 = np.less_equal(best, tau_hat, out=s.case1[n3:])
+    case2 = np.logical_not(case1, out=s.case2[n3:])
+    # Case I decodes it interference-free
+    out_case1 = np.less(best, es, out=s.shared[n3:])
     out_case1 &= case1
-    np.logical_and(s.case3, decode_first, out=s.out_case3)
+    noma_case2 = np.less(best, s.first_floor[n3:], out=s.noma_case2[n3:])
+    noma_case2 &= case2
     # best is not read again, so its buffer takes interference + best
-    split = np.add(s.interference, best, out=best)
-    rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2)
+    split = np.add(s.interference[n3:], best, out=best)
+    rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2[n3:])
     rsma_case2 &= case2
     # Without splitting, Case II may instead decode last a GFU under the threshold;
     # that works iff some GFU has received power in [eps_s, tau_hat), which is empty
     # outside the window. The strongest GFU is above the threshold, so it never
-    # passes and row order is irrelevant.
-    noma_case2 = np.logical_and(case2, decode_first, out=s.noma_case2)
+    # passes and column order is irrelevant.
     if config.num_gfus > 1:
-        # decode_first is not read again, so its buffer takes the rows to test
-        candidates = np.flatnonzero(np.logical_and(noma_case2, s.window, out=decode_first))
+        in_window = s.noma_case2[w0:]
+        candidates = np.flatnonzero(in_window)
         if candidates.size:
-            tau_candidates = s.tau_hat[candidates]
+            tau_candidates = s.tau_hat[w0:].take(candidates)
             decodable_last = np.zeros(candidates.size, dtype=bool)
             for j in range(gains_gfu.shape[1]):
-                received = ps * gains_gfu[:, j].take(candidates)
+                received = ps * gains_gfu[w0:, j].take(candidates)
                 decodable_last |= (received >= es) & (received < tau_candidates)
-            noma_case2[candidates[decodable_last]] = False
+            in_window[candidates[decodable_last]] = False
 
 
 def _evaluate_trials(
     config: SystemConfig, gain_gbu: np.ndarray, gains_gfu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised protocol of both schemes over many fading blocks.
+    """Vectorised protocol of both schemes over many fading blocks: the block
+    kernel on the rows sorted by GBU gain, its flags put back in the given order.
 
-    ``gains_gfu`` rows may be in any order. Returns (case index in {0,1,2}
+    ``gains_gfu`` columns may be in any order. Returns (case index in {0,1,2}
     for Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU
     outage flag, GBU outage flag).
     """
-    s = _scratch(len(gain_gbu))
-    _gbu_terms(config, gain_gbu, s)
+    order = np.argsort(gain_gbu)
+    # gathered column by column into the column-major layout the engine's blocks have
+    gains_gfu = gains_gfu.T.take(order, axis=1).T
+    s = _scratch(len(order))
+    n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
     np.max(gains_gfu, axis=1, out=s.best_gain)
-    _outage_masks(config, gains_gfu, s)
-    case_idx = s.case2.view(np.int8) + 2 * s.case3.view(np.int8)
-    out_shared = s.out_case1 | s.out_case3
-    return case_idx, out_shared | s.rsma_case2, out_shared | s.noma_case2, s.gbu
+    _outage_masks(config, gains_gfu, s, n3, w0)
+    # the Case II buffers hold nothing on Case III's rows
+    for case2_flags in (s.case2, s.rsma_case2, s.noma_case2):
+        case2_flags[:n3] = False
+    rows = np.arange(len(order))
+    case_idx = s.case2.view(np.int8) + 2 * (rows < n3).view(np.int8)
+    flags = (case_idx, s.shared | s.rsma_case2, s.shared | s.noma_case2, rows < n_gbu)
+    unsorted = tuple(np.empty_like(flag) for flag in flags)
+    for out, flag in zip(unsorted, flags):
+        out[order] = flag
+    return unsorted
 
 
 def evaluate_rsma_trials(
@@ -227,8 +245,8 @@ def evaluate_rsma_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised rate-splitting protocol over many fading blocks.
 
-    ``gains_gfu`` rows may be in any order. Returns (case index in {0,1,2}
-    for Cases I/II/III, GFU outage flag, GBU outage flag).
+    Rows and ``gains_gfu`` columns may be in any order. Returns (case index in
+    {0,1,2} for Cases I/II/III, GFU outage flag, GBU outage flag).
     """
     case_idx, rsma_out, _, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
     return case_idx, rsma_out, gbu_out
@@ -241,8 +259,9 @@ def evaluate_noma_trials(
 
     Same admission window and case partition as the rate-splitting scheme;
     only the achievable rate in the middle case differs (best of one user
-    decoded last or the strongest decoded first). ``gains_gfu`` rows may be
-    in any order. Returns (case index, GFU outage flag, GBU outage flag).
+    decoded last or the strongest decoded first). Rows and ``gains_gfu``
+    columns may be in any order. Returns (case index, GFU outage flag, GBU
+    outage flag).
     """
     case_idx, _, noma_out, gbu_out = _evaluate_trials(config, gain_gbu, gains_gfu)
     return case_idx, noma_out, gbu_out
@@ -259,24 +278,26 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_block(configs, groups, gains: np.ndarray, s, tallies: np.ndarray) -> None:
+def _run_block(
+    configs, groups, gain_gbu: np.ndarray, gains_gfu: np.ndarray, s, tallies: np.ndarray
+) -> None:
     """Assign each config's row of ``tallies``, the block's (configs, _COLUMNS) slab,
     from one drawn block.
 
-    ``gains`` is column-major with the GBU last; ``groups`` lists the configs
-    of its user count that share (P0, eps0, eps_s), whose GBU-side terms are
-    computed once.
+    ``gain_gbu`` is ascending and ``gains_gfu`` column-major; ``groups`` lists
+    the configs of its user count that share (P0, eps0, eps_s), whose GBU-side
+    terms are computed once.
     """
-    rows = gains.shape[0]
-    gain_gbu, gains_gfu = gains[:, -1], gains[:, :-1]
+    rows = len(gain_gbu)
     np.max(gains_gfu, axis=1, out=s.best_gain)
     for members in groups:
-        n3, n_gbu = _gbu_terms(configs[members[0]], gain_gbu, s)
+        n3, n_gbu, w0 = _gbu_terms(configs[members[0]], gain_gbu, s)
         for i in members:
-            _outage_masks(configs[i], gains_gfu, s)
-            n2 = np.count_nonzero(s.case2)
-            o1, o3 = np.count_nonzero(s.out_case1), np.count_nonzero(s.out_case3)
-            rsma, noma = np.count_nonzero(s.rsma_case2), np.count_nonzero(s.noma_case2)
+            _outage_masks(configs[i], gains_gfu, s, n3, w0)
+            n2 = np.count_nonzero(s.case2[n3:])
+            o1, o3 = np.count_nonzero(s.shared[n3:]), np.count_nonzero(s.shared[:n3])
+            rsma = np.count_nonzero(s.rsma_case2[n3:])
+            noma = np.count_nonzero(s.noma_case2[n3:])
             tallies[i] = (rows - n2 - n3, n2, n3, o1, rsma, o3, o1, noma, o3, n_gbu)
 
 
@@ -295,28 +316,43 @@ def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
 
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies) -> None:
     """Assign the ``tallies`` rows of a contiguous run of blocks, on one workspace
-    allocated here once: the widest draw and the per-trial scratch. ``groups``
-    maps each user count to its GBU-side groups. From the second block on, a
-    helper thread draws each block into the other of two draw buffers while the
-    previous one is worked on; a single block is drawn here, into one."""
+    allocated here once: the widest draw, a GBU column for each narrower user
+    count and the per-trial scratch. ``groups`` maps each user count to its
+    GBU-side groups. From the second block on, a helper thread draws each block
+    into the other of two sets of draw buffers while the previous one is worked
+    on; a single block is drawn here, into one."""
     rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
-    draws = [np.empty(rows * cols) for _ in range(min(2, len(blocks)))]
+    narrower = [k for k in groups if k < cols - 1]
+    buffers = [
+        (np.empty(rows * cols), np.empty((len(narrower), rows)))
+        for _ in range(min(2, len(blocks)))
+    ]
     scratch = _scratch(rows)
 
-    def draw(i: int) -> np.ndarray:
+    def draw(i: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Block ``blocks[i]`` and each user count's ascending GBU gains."""
         block = blocks[i]
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        flat, gbu_copies = buffers[i % len(buffers)]
         # column-major, so a partial block fills the leading (cols, n) slab
-        out = draws[i % len(draws)][: n * cols].reshape(cols, n).T
-        return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
+        out = flat[: n * cols].reshape(cols, n).T
+        gains = sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
+        # the sampler sorted the widest GBU column; a narrower draw's is its column k
+        gain_gbu = {cols - 1: gains[:, -1]}
+        for k, copy in zip(narrower, gbu_copies):
+            gain_gbu[k] = copy[:n]
+            np.copyto(gain_gbu[k], gains[:, k])
+            gain_gbu[k].sort()
+        return gains, gain_gbu
 
     # the executor starts its thread on the first submit, so one block starts none
     with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
-        for block, drawn in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
-            s = _prefix(scratch, drawn.shape[0])
+        for block, (gains, gain_gbu) in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
+            s = _prefix(scratch, gains.shape[0])
             for k, k_groups in groups.items():
-                # the (n, k + 1) draw of this block is the first k + 1 columns of the widest
-                _run_block(configs, k_groups, drawn[:, : k + 1], s, tallies[block])
+                # the (n, k + 1) draw of this block: the first k columns of the
+                # widest, read in place, and its own sorted GBU column
+                _run_block(configs, k_groups, gain_gbu[k], gains[:, :k], s, tallies[block])
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> np.ndarray:

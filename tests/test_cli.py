@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -57,19 +58,19 @@ MONTE_CARLO_COLUMNS = (
     "unresolved",
 )
 # Monte Carlo cells of `sgfsim run fig7 --trials 140000 --seed 3`, both files
-FIG7_MONTE_CARLO_SHA256 = "27420d3d21a0671923b5901f41cfe65039a0b3769679da6d801de8dc4fe6d5a3"
+FIG7_MONTE_CARLO_SHA256 = "37561afca4233ba3148804063a948254055f151fc30a17fcd53e1a15e86f4014"
 # every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
 PRESET_FILE_SHA256 = {
-    "fig3_k1.csv": "62277700850915fba744f89415443c87e9c1ea805db6bfdec682efcf9e765160",
-    "fig3_k5.csv": "65860c2c81f89886b5ac5fa2f434bf47fe632e1323fc52c92958b30d8011af5d",
-    "fig4_k1.csv": "dd2cc97556108b7563259111dd973f08831a319b28ec21bd227fbdfa24edadc1",
-    "fig4_k5.csv": "96bd1c29da7530efb9ffc1145e7e29f579bc8ae68e183fa929e176daf2f810df",
-    "fig5_k1.csv": "beb054d93fa6f115be7a59489679f5af97268a741a1ab24a2a28e8b681901b84",
-    "fig5_k2.csv": "7fa3611705e89a108e4a1cbc60cad7518e49dc19119e05489c51147a898fa87d",
-    "fig5_k4.csv": "95db16e2928a660605a48c5b1213cd4e900a4ffd5fbae827fad49dc83403cba3",
-    "fig6.csv": "0840b7f62dc35b5129c88f13b87f4824fe01517e52522e9a1f3e6c63d654bf22",
-    "fig7_a.csv": "b9263e1dafd53da1d3a0f199a1bbe467d960e830d5b7bd7bc72ca2bdb4b7ee87",
-    "fig7_b.csv": "250e9974e04f451dcf58c8984e7459b1efe6d781899d77dbb84a3a9635cccdbd",
+    "fig3_k1.csv": "e0a20cfc7b09da5e9964a4a7bf14621a5f86f4331e92b943fc366d61c750f82d",
+    "fig3_k5.csv": "88ca3c6ef78bb5779f43cebf141de7e81a34c078b27e2210b6763b53f5bff81b",
+    "fig4_k1.csv": "e0a08f6073473e3f5cf06a08f3af4ffe4ec80f480afd85004f1363422f40c288",
+    "fig4_k5.csv": "4bdfdb19608ff7ac5d11db91788c70afbe11f8fe55d24acf4b29bbcdb48b5210",
+    "fig5_k1.csv": "c791a3ff47e0fff202052c44c672bac1095ba55933b054f22d72aeeb6f77d96b",
+    "fig5_k2.csv": "187419663b994c2d3739acbcae593c04077e88046eda267f343d21bc967be04b",
+    "fig5_k4.csv": "87e6622dcceea55ec194232be66917ffb2e398a85673e6e798db4164fc4d2619",
+    "fig6.csv": "dd30edcf18ca74c4c2b95508128361e9ebe34a0baeb38c63dde7ec6e565b5814",
+    "fig7_a.csv": "d66b117a3b479b568d1e3e7d73c89a80b148c73ddebca49646bf5d72e98164d6",
+    "fig7_b.csv": "0e36a1ff4371fe8572c613cbefdfd5a195ea6411da1ee7c0a4b4feb0af52d465",
     "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
@@ -164,7 +165,7 @@ class TestRunWithConfigFile:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["run", "--config", cfg, "--out", out1, "--no-timestamp"]) == 0
         assert main(["run", "--config", cfg, "--out", out2, "--no-timestamp"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_workers_flag_keeps_bytes(self, tmp_path):
         # three blocks, so more than one worker has work
@@ -174,7 +175,7 @@ class TestRunWithConfigFile:
             outs.append(str(tmp_path / f"w{workers}.csv"))
             argv = ["run", "--config", cfg, "--out", outs[-1], "--no-timestamp", "--workers", workers]
             assert main(argv) == 0
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
     def test_environment_is_not_read(self, tmp_path, monkeypatch):
         # the worker count has one home, --workers; no variable overrides or breaks a run
@@ -183,7 +184,7 @@ class TestRunWithConfigFile:
         assert main(["run", "--config", cfg, "--out", outs[0], "--no-timestamp"]) == 0
         monkeypatch.setenv("SGFSIM_WORKERS", "abc")
         assert main(["run", "--config", cfg, "--out", outs[1], "--no-timestamp"]) == 0
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
     @pytest.mark.parametrize(
         "run_section, flags, expected",
@@ -219,7 +220,7 @@ class TestRunWithConfigFile:
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         out = str(tmp_path / "sweep.csv")
         assert main(["run", "--config", cfg, "--out", out, "--format", "json", "--no-timestamp"]) == 0
-        payload = json.load(open(tmp_path / "sweep.json"))
+        payload = json.loads((tmp_path / "sweep.json").read_text())
         assert len(payload["rows"]) == 6
         assert set(payload["rows"][0]) == set(SWEEP_COLUMNS)
 

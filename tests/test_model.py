@@ -150,6 +150,8 @@ class TestSampling:
         rows, cols = shape
         gains = sample_gain_matrix(rows, cols, philox())
         expected = -np.log1p(-philox().random((cols, rows))).T
+        # the last (GBU) column is handed over ascending; one row has nothing to sort
+        expected[:, -1].sort()
         assert gains.shape == shape
         assert gains.flags.f_contiguous
         assert gains.tobytes() == expected.tobytes()
@@ -181,16 +183,19 @@ class TestSampling:
     @pytest.mark.parametrize("rows", [65536, 1001, 1])
     def test_narrow_draw_is_the_prefix_of_the_wide_one(self, rows):
         # a full, a partial and a one-row block: the Monte Carlo engine reads every
-        # user count's block as the leading columns of the widest draw, in place
+        # user count's GFU columns as the leading columns of the widest draw, in
+        # place, and its GBU column as a sorted copy of the next column
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(5), np.uint64(2))))
 
         kmax = 8
         wide = sample_gain_matrix(rows, kmax + 1, philox())
+        assert (np.diff(wide[:, -1]) >= 0.0).all()
         for k in range(1, kmax + 1):
             narrow = sample_gain_matrix(rows, k + 1, philox())
-            assert narrow.tobytes() == wide[:, : k + 1].tobytes()
-            assert wide[:, : k + 1].flags.f_contiguous
+            assert narrow[:, :k].tobytes() == wide[:, :k].tobytes()
+            assert narrow[:, k].tobytes() == np.sort(wide[:, k]).tobytes()
+            assert wide[:, :k].flags.f_contiguous
 
     def test_out_buffer_must_match_the_draw(self):
         rng = np.random.default_rng(0)

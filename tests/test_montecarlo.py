@@ -418,15 +418,18 @@ class TestVectorisedKernels:
             assert bool(noma_out[i]) == (rate < cfg.target_rate_gfu), i
         assert noma_out[:5].tolist() == [False, False, True, True, True]
 
+        # the kernel reads the rows sorted by GBU gain, where the window is a range
+        order = np.argsort(g0)
+        g0, gfu, made_rows = g0[order], gfu[order], np.argsort(order)[:5]
         s = _scratch(len(g0))
-        _gbu_terms(cfg, g0, s)
-        window = s.window
+        window = np.arange(len(g0)) >= _gbu_terms(cfg, g0, s)[2]
         # decode-last candidates: Case II rows whose strongest GFU cannot be decoded first
         p0g0 = cfg.power_gbu * g0
         tau_hat, best = p0g0 / cfg.eps0 - 1.0, cfg.power_gfu * gfu.max(axis=1)
         candidates = (tau_hat > 0.0) & (best > tau_hat) & (best < cfg.eps_s * (1.0 + p0g0))
-        assert window[:5].tolist() == [True, True, True, False, False]
-        assert candidates[:5].all()
+        np.testing.assert_array_equal(window, tau_hat > cfg.eps_s)
+        assert window[made_rows].tolist() == [True, True, True, False, False]
+        assert candidates[made_rows].all()
         # the loop runs on candidates on both sides; the window leaves some out
         assert (candidates & window).any() and (candidates & ~window).any()
 
@@ -437,13 +440,89 @@ class TestVectorisedKernels:
         if num_gfus > 1:
             # a tied strongest user in every tenth row
             gfu[::10, -2] = gfu[::10, -1]
-        shuffled = rng.permuted(gfu, axis=1)
+        # the GFU gains of each row in any column order, and the rows, which the
+        # sampler hands over by ascending GBU gain, in any order
+        rows = rng.permutation(len(g0))
+        shuffled = rng.permuted(gfu, axis=1)[rows]
         for p0_db, ps_db, rate_gbu, rate_gfu in KERNEL_CONFIGS:
             cfg = SystemConfig.from_db(num_gfus, p0_db, ps_db, rate_gbu, rate_gfu)
             expected = reference_kernels(cfg, g0, gfu)
             for layout in (shuffled, np.asfortranarray(shuffled)):
-                for got, want in zip(_evaluate_trials(cfg, g0, layout), expected):
-                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(_evaluate_trials(cfg, g0[rows], layout), expected):
+                    np.testing.assert_array_equal(got, want[rows])
+
+    @pytest.mark.parametrize("num_gfus", [1, 2, 5, 20])
+    def test_row_ranges_are_exact_at_every_boundary(self, num_gfus):
+        # P0 = eps0 = 3, Ps = eps_s = 1: g0 = 1 = eta0 gives tau_hat = 0 exactly and
+        # g0 = 2 gives tau_hat = eps_s exactly, and received powers equal the gains
+        exact = config(num_gfus, power_gbu=3.0, power_gfu=1.0, rate_gbu=2.0, rate_gfu=1.0)
+        configs = [exact] + [SystemConfig.from_db(num_gfus, *params) for params in KERNEL_CONFIGS]
+        rng = np.random.default_rng(3000 + num_gfus)
+        for cfg in configs:
+            # each GBU-side cut on the gain axis and a few ulps either side of it
+            cuts = []
+            for cut in (cfg.eta0, cfg.eta0 * (1.0 + cfg.eps_s)):
+                low = high = cut
+                cuts.append(cut)
+                for _ in range(3):
+                    low, high = np.nextafter(low, 0.0), np.nextafter(high, np.inf)
+                    cuts += [low, high]
+            # five rows per cut value, so that ties straddle each boundary, whose
+            # strongest GFU takes each received-power threshold of the exact config
+            edges = np.array([0.5, 1.0, 2.0, 4.0, 7.0]) / cfg.power_gfu
+            planted = [
+                rng.permutation([edge, *rng.choice(edges[: i + 1], size=num_gfus - 1)])
+                for _ in cuts
+                for i, edge in enumerate(edges)
+            ]
+            g0 = np.concatenate([np.repeat(cuts, len(edges)), rng.exponential(size=3000)])
+            gfu = np.concatenate([planted, rng.exponential(size=(3000, num_gfus))])
+            shuffle = rng.permutation(len(g0))
+            g0, gfu = g0[shuffle], gfu[shuffle]
+            tau_hat = cfg.power_gbu * g0 / cfg.eps0 - 1.0
+            if cfg is exact:
+                assert (tau_hat == 0.0).sum() == 5 and (tau_hat == cfg.eps_s).sum() == 5
+                assert (g0 == cfg.eta0).sum() == 5
+            expected = reference_kernels(cfg, g0, np.sort(gfu, axis=1))
+            for got, want in zip(_evaluate_trials(cfg, g0, np.asfortranarray(gfu)), expected):
+                np.testing.assert_array_equal(got, want)
+
+            # the engine's tallies on the same rows, handed over sorted by GBU gain
+            order = np.argsort(g0, kind="stable")
+            tallies = np.zeros((1, 10), dtype=np.int64)
+            montecarlo._run_block(
+                [cfg], [[0]], g0[order], np.asfortranarray(gfu[order]), _scratch(len(g0)), tallies
+            )
+            case_idx, rsma, noma, gbu = expected
+            want = [
+                *np.bincount(case_idx, minlength=3),
+                *np.bincount(case_idx[rsma], minlength=3),
+                *np.bincount(case_idx[noma], minlength=3),
+                np.count_nonzero(gbu),
+            ]
+            assert tallies[0].tolist() == want
+
+
+class TestProbeContract:
+    """A benchmark probe rebuilds block 0 from the public sampler and kernels, with
+    the GBU as the sampler's last column, and checks it against ``estimate_outage``."""
+
+    @pytest.mark.parametrize("num_gfus", [1, 5])
+    def test_one_block_estimate_is_the_kernels_on_the_standalone_draw(self, num_gfus):
+        # the fig4 config at 20 dB GFU power, where all three cases occur
+        cfg = SystemConfig.from_db(num_gfus, 15.0, 20.0, 3.0, 3.0)
+        seed = 77
+        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(0))))
+        gains = sample_gain_matrix(BLOCK_SIZE, num_gfus + 1, rng)
+        g0, gfu = gains[:, -1], gains[:, :-1]
+        kernels = {Scheme.CR_RSMA_SGF: evaluate_rsma_trials, Scheme.CR_NOMA_SGF: evaluate_noma_trials}
+        for scheme, kernel in kernels.items():
+            case_idx, gfu_out, gbu_out = kernel(cfg, g0, gfu)
+            est = estimate_outage(cfg, scheme, trials=BLOCK_SIZE, seed=seed)
+            tallies = est.case_tallies
+            assert tallies.occurrences == tuple(np.bincount(case_idx, minlength=3).tolist())
+            assert tallies.gfu_outages == tuple(np.bincount(case_idx[gfu_out], minlength=3).tolist())
+            assert est.gbu_outage_prob == np.count_nonzero(gbu_out) / BLOCK_SIZE
 
 
 class TestSweep:
