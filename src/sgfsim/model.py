@@ -4,9 +4,9 @@ One grant-based user (GBU) and K grant-free users (GFUs) share a resource
 block. Channels are quasi-static Rayleigh: every power gain is a unit-mean
 exponential variate. A ``ChannelRealization`` (the scalar path) keeps the GFU
 gains in ascending order, so the admitted user is the last index; the Monte
-Carlo blocks read ``sample_gain_matrix``'s user-by-user (column-major) draw,
-whose GFU columns are unsorted (they take the row maximum) and whose last
-column is sorted ascending. Noise variance is normalised to 1, so
+Carlo blocks read ``sample_gain_matrix``'s user-by-user draw, whose GFU
+columns are unsorted (they take the row maximum) and whose last column, drawn
+first, is sorted ascending. Noise variance is normalised to 1, so
 ``power_gbu`` / ``power_gfu`` are transmit SNRs.
 """
 
@@ -71,6 +71,9 @@ class SystemConfig:
             # 2.0 ** rate, the SNR threshold plus one, overflows a double from 1024 on
             if name.startswith("target_rate") and value >= 1024.0:
                 raise ValueError(f"{name} = {value!r} overflows its SNR threshold 2**rate - 1")
+            # and rounds to 1.0 below about 1.6e-16, where the threshold would be 0.0
+            if name.startswith("target_rate") and 2.0 ** value == 1.0:
+                raise ValueError(f"{name} = {value!r} rounds its SNR threshold 2**rate - 1 to 0")
 
     @classmethod
     def from_db(
@@ -151,33 +154,35 @@ def sample_gain_matrix(
     """Draw a (rows, cols) matrix of unit-mean exponential power gains, the
     last column (the GBU's) sorted ascending.
 
-    The generator fills the uniforms user by user: column ``j`` takes the
-    ``j``-th run of ``rows`` values, so the result is column-major, each
-    user's gains are contiguous and the first ``k`` columns of a wider draw
-    are the (rows, k) draw with its last column not yet sorted. A one-row
-    draw is the same in either layout and has nothing to sort.
-    Inverse-CDF transform -ln(u) with u = 1 - random() in (0, 1], which
-    guards against ln(0); it runs in place on the uniforms, bit for bit the
-    same as ``-np.log1p(-rng.random((cols, rows))).T`` before the sort.
+    The generator fills the uniforms user by user, the GBU first: the last
+    column takes the first run of ``rows`` values and column ``j`` the
+    ``(cols - j)``-th, so each user's gains are contiguous and the (rows, k)
+    draw is bit for bit the last ``k`` columns of any wider one, sorted GBU
+    column included. The result is the transposed user-by-user array with
+    its columns reversed, so it is not F-contiguous. A one-row draw has
+    nothing to sort. Inverse-CDF transform -ln(u) with u = 1 - random() in
+    (0, 1], which guards against ln(0); it runs in place on the uniforms,
+    bit for bit the same as ``-np.log1p(-rng.random((cols, rows)))[::-1].T``
+    before the sort.
 
     Rows are independent and the last column is independent of the others,
     so sorting it alone leaves the law of any sum over rows unchanged, while
     a leading slice of rows is no longer a random sample: it holds the
     lowest last-column gains. This is the single sampling path shared by the
-    scalar API and the Monte Carlo blocks. ``out``, an F-contiguous float64
-    (rows, cols) array, receives the draw (the same values as a fresh one)
-    and is returned.
+    scalar API and the Monte Carlo blocks. ``out``, a float64 (rows, cols)
+    array in the same layout (F-contiguous once its columns are reversed),
+    receives the draw (the same values as a fresh one) and is returned.
     """
-    # the generator fills ``out`` in memory order, so any other layout reorders the draw
-    if out is not None and not out.flags.f_contiguous:
-        raise ValueError("out must be F-contiguous")
-    u = rng.random((cols, rows), out=None if out is None else out.T)
+    # the generator fills the uniforms in memory order, so any other layout reorders the draw
+    if out is not None and not out[:, ::-1].flags.f_contiguous:
+        raise ValueError("out must be F-contiguous once its columns are reversed")
+    u = rng.random((cols, rows), out=None if out is None else out[:, ::-1].T)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
     if rows > 1:
-        u[-1].sort()
-    return u.T if out is None else out
+        u[0].sort()
+    return u[::-1].T if out is None else out
 
 
 def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> ChannelRealization:

@@ -8,29 +8,29 @@ block); an estimate sums them, a pure function of (config, scheme, trials, seed)
 
 One engine call runs every config of one or more sweeps, whatever their user
 counts, and draws each block once, ``Kmax + 1`` columns wide. The sampler
-fills the draw user by user, the exponential transform is elementwise and
-only the last (GBU) column is sorted, so block ``b``'s ``(n, K + 1)`` draw is
-bit for bit the first ``K`` columns of its widest draw, read in place, beside
-a sorted copy of its column ``K``: each K's estimates are the same as if it
-had been drawn alone.
+fills the draw user by user, the GBU first, and sorts only the GBU column,
+which it returns last, so block ``b``'s ``(n, K + 1)`` draw is bit for bit the
+last ``K + 1`` columns of its widest draw, read in place: each K's estimates
+are the same as if it had been drawn alone, and every K reads the same GBU
+column.
 
 The GBU gains arrive ascending, so the kernel's GBU-side rules cut row ranges
 rather than masks. Rows are independent and the GFU gains do not depend on
 the GBU gain, so this order leaves the law of every tally unchanged.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
-for it: the widest draw, the sorted GBU copies and the per-trial scratch,
-reused by every block, K and config. Each per-trial term is one buffer of
-that scratch, written by one stage: the row maximum, the GBU-side terms, or
-one config's masks. The GBU-side terms of a block depend only on (K, P0,
-eps0, eps_s), so they are computed once for all configs sharing those.
+for it: the widest draw, a row maximum per user count and the per-trial
+scratch, reused by every block and config. Each per-trial term is one buffer
+of that workspace, written by one stage: a user count's row maximum, the
+GBU-side terms, or one config's masks. The GBU-side terms of a block depend
+only on (P0, eps0, eps_s), so they are computed once for all configs sharing
+those, whatever their user counts.
 
-Each worker draws block ``b + 1``, and sorts its GBU copies, on one helper
-thread, into a second set of buffers while it works on block ``b``: the
-generator fill, the exponential transform and the sorts release the
-interpreter lock. Every block is still drawn by the same
-function from its own ``(seed, b)`` generator, so the tallies do not depend on
-where it was drawn.
+Each worker draws block ``b + 1`` on one helper thread, into a second draw
+buffer, while it works on block ``b``: the generator fill, the exponential
+transform and the sort release the interpreter lock. Every block is still
+drawn by the same function from its own ``(seed, b)`` generator, so the
+tallies do not depend on where it was drawn.
 """
 
 from __future__ import annotations
@@ -114,15 +114,17 @@ class OutageEstimate:
         return self.gfu_outage_count >= MIN_RESOLVED_OUTAGES
 
 
-_FLOAT_SCRATCH = ("best_gain", "tau_hat", "interference", "first_floor", "best")
+_FLOAT_SCRATCH = ("tau_hat", "interference", "first_floor", "best")
 _BOOL_SCRATCH = ("case1", "case2", "shared", "rsma_case2", "noma_case2")
 
 
-def _scratch(rows: int) -> SimpleNamespace:
-    """One buffer of ``rows`` per per-trial term: the row maximum ``best_gain``,
-    the terms ``_gbu_terms`` writes and those ``_outage_masks`` writes, each
-    overwritten by the next block, GBU-side group or config."""
+def _scratch(rows: int, counts) -> SimpleNamespace:
+    """One buffer of ``rows`` per per-trial term: ``best_gain[k]``, the row
+    maximum of user count ``k`` for each ``k`` in ``counts``, the terms
+    ``_gbu_terms`` writes and those ``_outage_masks`` writes, each overwritten
+    by the next block, GBU-side group or config."""
     return SimpleNamespace(
+        best_gain={k: np.empty(rows) for k in counts},
         **{name: np.empty(rows) for name in _FLOAT_SCRATCH},
         **{name: np.empty(rows, dtype=bool) for name in _BOOL_SCRATCH},
     )
@@ -130,7 +132,10 @@ def _scratch(rows: int) -> SimpleNamespace:
 
 def _prefix(scratch: SimpleNamespace, rows: int) -> SimpleNamespace:
     """The first ``rows`` of every buffer, for a partial block."""
-    return SimpleNamespace(**{name: buf[:rows] for name, buf in vars(scratch).items()})
+    return SimpleNamespace(
+        **{name: buf[:rows] for name, buf in vars(scratch).items() if name != "best_gain"},
+        best_gain={k: buf[:rows] for k, buf in scratch.best_gain.items()},
+    )
 
 
 def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int, int]:
@@ -169,9 +174,9 @@ def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s, n3: int, w0: i
     and ``case2`` and each scheme's Case II GFU outages ``rsma_case2`` and
     ``noma_case2``.
 
-    ``s`` holds ``_gbu_terms`` for this config's (K, P0, eps0, eps_s), which
-    cut ``n3`` and ``w0``, and, in ``best_gain``, the row maximum of ``gains_gfu``,
-    whose columns may be in any order. The outage tests compare received
+    ``s`` holds ``_gbu_terms`` for this config's (P0, eps0, eps_s), which cut
+    ``n3`` and ``w0``, and, in ``best_gain[K]``, the row maximum of ``gains_gfu``,
+    the config's K GFU columns in any order. The outage tests compare received
     powers with thresholds written from the stored eps0 and eps_s, as the
     analytic integrals are; they are the one outage rule, which
     ``protocol.evaluate_transmission`` applies with the same float
@@ -180,7 +185,7 @@ def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s, n3: int, w0: i
     differ only in Case II.
     """
     ps, es = config.power_gfu, config.eps_s
-    best = np.multiply(ps, s.best_gain, out=s.best)
+    best = np.multiply(ps, s.best_gain[config.num_gfus], out=s.best)
     # Case III decodes the admitted GFU first
     np.less(best[:n3], s.first_floor[:n3], out=s.shared[:n3])
     best, tau_hat = best[n3:], s.tau_hat[n3:]
@@ -222,11 +227,11 @@ def _evaluate_trials(
     outage flag, GBU outage flag).
     """
     order = np.argsort(gain_gbu)
-    # gathered column by column into the column-major layout the engine's blocks have
+    # gathered column by column, each column contiguous, as in the engine's blocks
     gains_gfu = gains_gfu.T.take(order, axis=1).T
-    s = _scratch(len(order))
+    s = _scratch(len(order), (config.num_gfus,))
     n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
-    np.max(gains_gfu, axis=1, out=s.best_gain)
+    np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
     _outage_masks(config, gains_gfu, s, n3, w0)
     # the Case II buffers hold nothing on Case III's rows
     for case2_flags in (s.case2, s.rsma_case2, s.noma_case2):
@@ -278,22 +283,24 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_block(
-    configs, groups, gain_gbu: np.ndarray, gains_gfu: np.ndarray, s, tallies: np.ndarray
-) -> None:
+def _run_block(configs, groups, gains: np.ndarray, s, tallies: np.ndarray) -> None:
     """Assign each config's row of ``tallies``, the block's (configs, _COLUMNS) slab,
     from one drawn block.
 
-    ``gain_gbu`` is ascending and ``gains_gfu`` column-major; ``groups`` lists
-    the configs of its user count that share (P0, eps0, eps_s), whose GBU-side
-    terms are computed once.
+    ``gains`` holds the GBU's gains, ascending, in its last column and a
+    config's K GFU columns just before it, each column contiguous; ``s`` has a
+    row maximum buffer for every user count of ``configs``. ``groups`` lists the
+    configs that share (P0, eps0, eps_s), whose GBU-side terms are computed once.
     """
-    rows = len(gain_gbu)
-    np.max(gains_gfu, axis=1, out=s.best_gain)
+    rows = len(gains)
+    gain_gbu = gains[:, -1]
+    gains_gfu = {k: gains[:, -1 - k : -1] for k in s.best_gain}
+    for k, best_gain in s.best_gain.items():
+        np.max(gains_gfu[k], axis=1, out=best_gain)
     for members in groups:
         n3, n_gbu, w0 = _gbu_terms(configs[members[0]], gain_gbu, s)
         for i in members:
-            _outage_masks(configs[i], gains_gfu, s, n3, w0)
+            _outage_masks(configs[i], gains_gfu[configs[i].num_gfus], s, n3, w0)
             n2 = np.count_nonzero(s.case2[n3:])
             o1, o3 = np.count_nonzero(s.shared[n3:]), np.count_nonzero(s.shared[:n3])
             rsma = np.count_nonzero(s.rsma_case2[n3:])
@@ -316,43 +323,27 @@ def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
 
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies) -> None:
     """Assign the ``tallies`` rows of a contiguous run of blocks, on one workspace
-    allocated here once: the widest draw, a GBU column for each narrower user
-    count and the per-trial scratch. ``groups`` maps each user count to its
-    GBU-side groups. From the second block on, a helper thread draws each block
-    into the other of two sets of draw buffers while the previous one is worked
-    on; a single block is drawn here, into one."""
-    rows, cols = min(BLOCK_SIZE, trials), max(groups) + 1
-    narrower = [k for k in groups if k < cols - 1]
-    buffers = [
-        (np.empty(rows * cols), np.empty((len(narrower), rows)))
-        for _ in range(min(2, len(blocks)))
-    ]
-    scratch = _scratch(rows)
+    allocated here once: the widest draw, a row maximum per user count and the
+    per-trial scratch. From the second block on, a helper thread draws each block
+    into the other of two draw buffers while the previous one is worked on; a
+    single block is drawn here, into one."""
+    counts = {c.num_gfus for c in configs}
+    rows, cols = min(BLOCK_SIZE, trials), max(counts) + 1
+    buffers = [np.empty(rows * cols) for _ in range(min(2, len(blocks)))]
+    scratch = _scratch(rows, counts)
 
-    def draw(i: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Block ``blocks[i]`` and each user count's ascending GBU gains."""
+    def draw(i: int) -> np.ndarray:
+        """Block ``blocks[i]``, each user count's draw its last columns."""
         block = blocks[i]
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        flat, gbu_copies = buffers[i % len(buffers)]
-        # column-major, so a partial block fills the leading (cols, n) slab
-        out = flat[: n * cols].reshape(cols, n).T
-        gains = sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
-        # the sampler sorted the widest GBU column; a narrower draw's is its column k
-        gain_gbu = {cols - 1: gains[:, -1]}
-        for k, copy in zip(narrower, gbu_copies):
-            gain_gbu[k] = copy[:n]
-            np.copyto(gain_gbu[k], gains[:, k])
-            gain_gbu[k].sort()
-        return gains, gain_gbu
+        # the sampler's layout, so a partial block fills the leading (cols, n) slab
+        out = buffers[i % len(buffers)][: n * cols].reshape(cols, n)[::-1].T
+        return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
 
     # the executor starts its thread on the first submit, so one block starts none
     with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
-        for block, (gains, gain_gbu) in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
-            s = _prefix(scratch, gains.shape[0])
-            for k, k_groups in groups.items():
-                # the (n, k + 1) draw of this block: the first k columns of the
-                # widest, read in place, and its own sorted GBU column
-                _run_block(configs, k_groups, gain_gbu[k], gains[:, :k], s, tallies[block])
+        for block, gains in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
+            _run_block(configs, groups, gains, _prefix(scratch, len(gains)), tallies[block])
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> np.ndarray:
@@ -363,11 +354,10 @@ def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int)
     depends only on (config, seed, block), not on ``workers`` or on where its
     block was drawn."""
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    shared: dict[int, dict[tuple[float, float, float], list[int]]] = {}
+    shared: dict[tuple[float, float, float], list[int]] = {}
     for i, c in enumerate(configs):
-        key = (c.power_gbu, c.target_rate_gbu, c.target_rate_gfu)
-        shared.setdefault(c.num_gfus, {}).setdefault(key, []).append(i)
-    groups = {k: list(k_groups.values()) for k, k_groups in shared.items()}
+        shared.setdefault((c.power_gbu, c.target_rate_gbu, c.target_rate_gfu), []).append(i)
+    groups = list(shared.values())
     tallies = np.zeros((n_blocks, len(configs), _COLUMNS), dtype=np.int64)
     tasks = min(workers, n_blocks)
     bounds = [n_blocks * t // tasks for t in range(tasks + 1)]

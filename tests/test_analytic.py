@@ -196,9 +196,11 @@ class TestOutageExact:
             outage_exact(SystemConfig(20, 1e6, 1.0, 6.0, 6.0))
 
     def test_zero_eta0_reported_as_range_error(self):
-        # 2**1e-300 - 1 rounds to 0.0, so the series would divide by Ps * eta0 = 0.0
+        # eta0 = (2**1e-15 - 1) / 1.7e308 is the least subnormal double and Ps * eta0
+        # rounds to 0.0, so the series would divide by it (a rate whose threshold
+        # itself rounds to 0.0 is rejected by SystemConfig)
         with pytest.raises(NumericalRangeError, match="divides by Ps \\* eta0"):
-            outage_exact(SystemConfig(2, 10.0, 10.0, 1e-300, 1.0))
+            outage_exact(SystemConfig(2, 1.7e308, 0.1, 1e-15, 1.0))
 
     @pytest.mark.parametrize(
         "cfg,warns",

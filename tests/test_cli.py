@@ -58,19 +58,19 @@ MONTE_CARLO_COLUMNS = (
     "unresolved",
 )
 # Monte Carlo cells of `sgfsim run fig7 --trials 140000 --seed 3`, both files
-FIG7_MONTE_CARLO_SHA256 = "37561afca4233ba3148804063a948254055f151fc30a17fcd53e1a15e86f4014"
+FIG7_MONTE_CARLO_SHA256 = "38712cc583b2faa35e0b2a8f6b0b47a8ce64678bed73e2355175bbad41daaf7c"
 # every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
 PRESET_FILE_SHA256 = {
-    "fig3_k1.csv": "e0a20cfc7b09da5e9964a4a7bf14621a5f86f4331e92b943fc366d61c750f82d",
-    "fig3_k5.csv": "88ca3c6ef78bb5779f43cebf141de7e81a34c078b27e2210b6763b53f5bff81b",
-    "fig4_k1.csv": "e0a08f6073473e3f5cf06a08f3af4ffe4ec80f480afd85004f1363422f40c288",
-    "fig4_k5.csv": "4bdfdb19608ff7ac5d11db91788c70afbe11f8fe55d24acf4b29bbcdb48b5210",
-    "fig5_k1.csv": "c791a3ff47e0fff202052c44c672bac1095ba55933b054f22d72aeeb6f77d96b",
-    "fig5_k2.csv": "187419663b994c2d3739acbcae593c04077e88046eda267f343d21bc967be04b",
-    "fig5_k4.csv": "87e6622dcceea55ec194232be66917ffb2e398a85673e6e798db4164fc4d2619",
-    "fig6.csv": "dd30edcf18ca74c4c2b95508128361e9ebe34a0baeb38c63dde7ec6e565b5814",
-    "fig7_a.csv": "d66b117a3b479b568d1e3e7d73c89a80b148c73ddebca49646bf5d72e98164d6",
-    "fig7_b.csv": "0e36a1ff4371fe8572c613cbefdfd5a195ea6411da1ee7c0a4b4feb0af52d465",
+    "fig3_k1.csv": "08d8f1a6bb1c332a541375963d71bc3cbc1b9d154fffc24235b263d136b94928",
+    "fig3_k5.csv": "989e6bc8823b1a80d48299317be56fb9d977b9bc938a5e061c645392daa25e00",
+    "fig4_k1.csv": "9f0774d28a61932dedb05b8978751eb8fd0912202cb61dc84b38fce5c64c1226",
+    "fig4_k5.csv": "a082f197019ac6d16374be95cf800eecdbd5192e45c9e32bffadbebf4ac00c53",
+    "fig5_k1.csv": "61e66247cc20ad6ee637487b1070d13ec185561826c8258f99ee9d9c42f2540a",
+    "fig5_k2.csv": "b88c698fe3152773840fbf8eae1e9b29b361414579ec797f1b92f4a75f419112",
+    "fig5_k4.csv": "55161874bfc2187c6b3048a524a89f94aef6d0f665247d5db6138eeaadb8e1a5",
+    "fig6.csv": "7b41e2dfd68928bd74a6dcdae0559ca212f300f4736da2334f0f7168b1f7d495",
+    "fig7_a.csv": "c9df9c57e0e65a2589151ea1cb42383bb15722f77f306fc816179300b7453c18",
+    "fig7_b.csv": "db7609c73c682b4c1b8cb33c53d3894968221f62350044260ce61f64dee1959e",
     "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
@@ -431,6 +431,19 @@ class TestRunWithPresets:
         assert header == SWEEP_COLUMNS
         assert len(rows) == 16  # K = 1..8, two schemes
 
+    def test_fig7_reads_one_gbu_column_for_every_user_count(self, tmp_path):
+        # each file fixes (P0, eps0, eps_s), and every K of the run reads the same
+        # sorted GBU column, so the cells that depend on the GBU gain alone are
+        # equal down the file
+        out = str(tmp_path / "fig7.csv")
+        argv = ["run", "fig7", "--trials", "3000", "--seed", "4", "--out", out, "--no-timestamp"]
+        assert main(argv) == 0
+        for name in ("fig7_a.csv", "fig7_b.csv"):
+            _, header, rows = read_csv(str(tmp_path / name))
+            assert len(rows) == 16
+            for column in ("mc_gbu_outage", "case3_frac"):
+                assert len({row[header.index(column)] for row in rows}) == 1, (name, column)
+
     def test_monte_carlo_columns_are_pinned(self, tmp_path):
         # K = 1..8, both schemes, three blocks: any change to the draws, the case
         # partition or an outage rule moves this hash and must be made on purpose
@@ -559,6 +572,31 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert new.split(" = ")[0] in err and "overflows" in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key", ["target_rate_gbu", "target_rate_gfu"])
+    @pytest.mark.parametrize("rate", ["1e-17", "5e-324"])
+    def test_rate_whose_threshold_rounds_to_zero_in_config(self, tmp_path, capsys, key, rate):
+        # 2**rate - 1 is 0.0 there, a threshold the kernel would divide by
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace(f"{key} = 1.0", f"{key} = {rate}"))
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert f"{key} = {float(rate)!r} rounds its SNR threshold" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_rate_whose_threshold_rounds_to_zero_is_a_row_error(self, tmp_path):
+        text = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = target_rate")
+        text = text.replace("grid = 5 10 15", "grid = 1e-17 1 5e-324").replace("5000", "200")
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        columns = [header.index(c) for c in ("axis_value", "scheme", "error")]
+        rounds = "target_rate_gbu = {} rounds its SNR threshold 2**rate - 1 to 0"
+        assert [tuple(row[c] for c in columns) for row in rows] == [
+            ("1e-17", "", rounds.format("1e-17")),
+            ("1.0", "cr-rsma-sgf", ""),
+            ("1.0", "cr-noma-sgf", ""),
+            ("5e-324", "", rounds.format("5e-324")),
+        ]
 
     @pytest.mark.parametrize("swept_key", ["gfu_power_db = 10\n", ""], ids=["set", "left-out"])
     @pytest.mark.parametrize("grid", ["5 4000", "4000 5"])

@@ -60,6 +60,15 @@ class TestSystemConfig:
             make_config(**{name: rate})
         assert make_config(**{name: math.nextafter(1024.0, 0.0)})  # 2**rate - 1 still fits
 
+    @pytest.mark.parametrize("name", ["target_rate_gbu", "target_rate_gfu"])
+    @pytest.mark.parametrize("rate", [1e-17, 5e-324])
+    def test_rejects_a_rate_whose_threshold_rounds_to_zero(self, name, rate):
+        # 2**rate rounds to 1.0, so the threshold 2**rate - 1 would be 0.0
+        with pytest.raises(ValueError, match=f"^{name} = {rate!r} rounds its SNR threshold"):
+            make_config(**{name: rate})
+        cfg = make_config(**{name: 2e-16})  # the threshold is the spacing of doubles at 1
+        assert cfg.eps0 * cfg.eps_s == 2.0**-52
+
     @pytest.mark.parametrize("name", ["gbu_power_db", "gfu_power_db"])
     def test_from_db_names_an_overflowing_power(self, name):
         powers = {"gbu_power_db": 20.0, "gfu_power_db": 10.0, name: 4000.0}
@@ -149,21 +158,22 @@ class TestSampling:
 
         rows, cols = shape
         gains = sample_gain_matrix(rows, cols, philox())
-        expected = -np.log1p(-philox().random((cols, rows))).T
+        # drawn user by user, the GBU first, and handed over with the GBU last
+        expected = -np.log1p(-philox().random((cols, rows)))[::-1].T
         # the last (GBU) column is handed over ascending; one row has nothing to sort
         expected[:, -1].sort()
         assert gains.shape == shape
-        assert gains.flags.f_contiguous
+        assert gains[:, ::-1].flags.f_contiguous
         assert gains.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cols", [2, 6, 9])
-    def test_one_row_draw_is_the_row_major_draw(self, cols):
-        # the scalar path draws one row, which fills the same in either layout
+    def test_one_row_draw_is_the_reversed_row_major_draw(self, cols):
+        # the scalar path draws one row: the GBU's gain is the first uniform
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
 
         row_major = -np.log1p(-philox().random((1, cols)))
-        assert sample_gain_matrix(1, cols, philox()).tobytes() == row_major.tobytes()
+        assert sample_gain_matrix(1, cols, philox()).tobytes() == row_major[:, ::-1].tobytes()
 
     @pytest.mark.parametrize("rows", [65536, 1001])
     def test_out_buffer_matches_fresh_draw(self, rows):
@@ -173,7 +183,7 @@ class TestSampling:
             return np.random.Generator(np.random.Philox(key=(np.uint64(7), np.uint64(3))))
 
         buf = np.full(65536 * 6, np.nan)
-        target = buf[: rows * 6].reshape(6, rows).T
+        target = buf[: rows * 6].reshape(6, rows)[::-1].T
         gains = sample_gain_matrix(rows, 6, philox(), out=target)
         assert gains is target
         assert np.shares_memory(gains, buf)
@@ -181,10 +191,10 @@ class TestSampling:
         assert np.isnan(buf[rows * 6 :]).all()
 
     @pytest.mark.parametrize("rows", [65536, 1001, 1])
-    def test_narrow_draw_is_the_prefix_of_the_wide_one(self, rows):
+    def test_narrow_draw_is_the_suffix_of_the_wide_one(self, rows):
         # a full, a partial and a one-row block: the Monte Carlo engine reads every
-        # user count's GFU columns as the leading columns of the widest draw, in
-        # place, and its GBU column as a sorted copy of the next column
+        # user count's draw, sorted GBU column included, as the last columns of the
+        # widest draw, in place
         def philox():
             return np.random.Generator(np.random.Philox(key=(np.uint64(5), np.uint64(2))))
 
@@ -193,17 +203,16 @@ class TestSampling:
         assert (np.diff(wide[:, -1]) >= 0.0).all()
         for k in range(1, kmax + 1):
             narrow = sample_gain_matrix(rows, k + 1, philox())
-            assert narrow[:, :k].tobytes() == wide[:, :k].tobytes()
-            assert narrow[:, k].tobytes() == np.sort(wide[:, k]).tobytes()
-            assert wide[:, :k].flags.f_contiguous
+            assert narrow.tobytes() == wide[:, kmax - k :].tobytes()
 
     def test_out_buffer_must_match_the_draw(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_gain_matrix(4, 3, rng, out=np.empty((5, 3), order="F"))
-        # row-major storage would be filled in memory order, reordering the draw
-        with pytest.raises(ValueError, match="F-contiguous"):
-            sample_gain_matrix(4, 3, rng, out=np.empty((4, 3)))
+            sample_gain_matrix(4, 3, rng, out=np.empty(15).reshape(3, 5)[::-1].T)
+        # any other storage would be filled in memory order, reordering the draw
+        for order in ("C", "F"):
+            with pytest.raises(ValueError, match="F-contiguous"):
+                sample_gain_matrix(4, 3, rng, out=np.empty((4, 3), order=order))
 
     def test_unit_mean(self):
         rng = np.random.default_rng(11)

@@ -147,9 +147,10 @@ class TestEstimateOutage:
         )
 
     def test_configs_share_gbu_terms_only_when_all_gbu_side_inputs_match(self):
-        # the GBU-side terms are keyed by (K, P0, GBU rate, GFU rate); a change of
-        # any one of them, or of the GFU power alone, must not reuse another's terms.
-        # Each K reads its own prefix of the block, so its GBU gains differ too
+        # the GBU-side terms are keyed by (P0, GBU rate, GFU rate); a change of any
+        # one of them must not reuse another's terms, and configs that differ in the
+        # GFU power or the user count alone share them, since every K reads the same
+        # sorted GBU column beside its own GFU columns
         base = config(num_gfus=3, power_gbu=100.0, power_gfu=30.0, rate_gbu=1.5, rate_gfu=1.0)
         configs = [
             base,
@@ -165,6 +166,25 @@ class TestEstimateOutage:
         for i, cfg in enumerate(configs):
             alone = _simulate([cfg], BLOCK_SIZE + 1, 8, workers=1)
             np.testing.assert_array_equal(tallies[:, i], alone[:, 0])
+
+    def test_gbu_terms_run_once_per_block_and_gbu_side_group(self, monkeypatch):
+        # fig7's grid: K = 1..8 at two (P0, Ps) pairs, over two blocks, one partial.
+        # The pairs differ in P0, so they are two GBU-side groups whatever K is
+        calls, gbu_terms = [], montecarlo._gbu_terms
+
+        def counted(config, gain_gbu, s):
+            calls.append((config.power_gbu, len(gain_gbu)))
+            return gbu_terms(config, gain_gbu, s)
+
+        monkeypatch.setattr(montecarlo, "_gbu_terms", counted)
+        configs = [
+            SystemConfig.from_db(k, p0_db, ps_db, 1.5, 2.0)
+            for p0_db, ps_db in ((20.0, 10.0), (10.0, 20.0))
+            for k in range(1, 9)
+        ]
+        _simulate(configs, BLOCK_SIZE + 7, 8, workers=1)
+        p0 = sorted({cfg.power_gbu for cfg in configs})
+        assert sorted(calls) == sorted((power, rows) for power in p0 for rows in (BLOCK_SIZE, 7))
 
     def test_vanishing_target_never_misses(self):
         cfg = config(rate_gfu=1e-9)
@@ -251,7 +271,7 @@ def record_draw_threads(monkeypatch) -> list[tuple[int, str]]:
     return draws
 
 
-# three user counts read their prefixes of the widest draw, and the last config
+# three user counts read their last columns of the widest draw, and the last config
 # has a GBU-side group of its own
 BLOCK_CONFIGS = [
     SystemConfig.from_db(k, 15.0, ps, 3.0, 2.0) for k in (1, 5, 2) for ps in (0.0, 20.0)
@@ -421,7 +441,7 @@ class TestVectorisedKernels:
         # the kernel reads the rows sorted by GBU gain, where the window is a range
         order = np.argsort(g0)
         g0, gfu, made_rows = g0[order], gfu[order], np.argsort(order)[:5]
-        s = _scratch(len(g0))
+        s = _scratch(len(g0), ())
         window = np.arange(len(g0)) >= _gbu_terms(cfg, g0, s)[2]
         # decode-last candidates: Case II rows whose strongest GFU cannot be decoded first
         p0g0 = cfg.power_gbu * g0
@@ -487,12 +507,12 @@ class TestVectorisedKernels:
             for got, want in zip(_evaluate_trials(cfg, g0, np.asfortranarray(gfu)), expected):
                 np.testing.assert_array_equal(got, want)
 
-            # the engine's tallies on the same rows, handed over sorted by GBU gain
+            # the engine's tallies on the same rows, handed over sorted by GBU gain in
+            # the last column, the GFU gains in the columns before it
             order = np.argsort(g0, kind="stable")
+            gains = np.asfortranarray(np.column_stack([gfu[order], g0[order]]))
             tallies = np.zeros((1, 10), dtype=np.int64)
-            montecarlo._run_block(
-                [cfg], [[0]], g0[order], np.asfortranarray(gfu[order]), _scratch(len(g0)), tallies
-            )
+            montecarlo._run_block([cfg], [[0]], gains, _scratch(len(g0), (num_gfus,)), tallies)
             case_idx, rsma, noma, gbu = expected
             want = [
                 *np.bincount(case_idx, minlength=3),

@@ -15,7 +15,7 @@ from sgfsim.model import (
 from sgfsim.protocol import CaseLabel, evaluate_transmission, gbu_oma_outage
 
 
-SCALAR_OUTPUT_SHA256 = "1044a278338aa1d0769f7fade0b7552c8548439119fa275158525d9a87a2c69e"
+SCALAR_OUTPUT_SHA256 = "74d580d89dc98c7533672eef4680ddbe1fddff16d67f5e093514d1ce40c3ad29"
 
 OUTCOME_FIELDS = (
     "case_label", "tau_hat", "tau", "alpha", "beta", "rate_gbu", "rate_gfu_s1",
@@ -270,7 +270,8 @@ class TestProtocolInvariants:
 def test_scalar_outputs_are_pinned():
     # repr of every drawn gain, every TransmissionOutcome field and every
     # cr_noma_rate result over seeded blocks plus hand-built boundary blocks;
-    # pinned before the one-pass scalar protocol went in
+    # pinned before the one-pass scalar protocol went in, and again when each draw
+    # gave the GBU its first uniform
     settings = [(30.0, 18.2, 2.5, 1.5), (20.0, 8.24, 2.5, 1.5), (15.0, 20.0, 3.0, 3.0), (10.0, 10.0, 1.0, 0.5)]
     blocks = []
     for k in (1, 2, 5, 8):
