@@ -34,6 +34,8 @@ from sgfsim.montecarlo import _config_on_axis
 
 # SHA-256 of TestOutageQuadrature.test_outputs_are_pinned's seeded outputs
 QUADRATURE_OUTPUT_SHA256 = "242221fd5b021b479270922b62fa9652e7487d35494ad5bdca38aeda870827c9"
+# SHA-256 of TestOutageExact.test_outputs_are_pinned's seeded outputs
+SERIES_OUTPUT_SHA256 = "c4da903842f726e0e1113ef5f7468a895841329899169b252868f123d5b2b323"
 
 
 def config(num_gfus=2, power_gbu=10.0, power_gfu=10.0, rate_gbu=1.0, rate_gfu=1.0):
@@ -268,6 +270,32 @@ class TestOutageExact:
         points = [cfg for cfg in preset_points() if cfg.num_gfus >= 2]
         warned = sum(series_warns_or_matches_quadrature(cfg)[1] for cfg in points)
         assert 0 < warned < len(points)
+
+    def test_outputs_are_pinned(self):
+        # 12 seeded configs over K 2..24, powers -20..80 dB and rates 0.05..8
+        # (4 of them raise): the bits of every term and total, the class of
+        # every raise, and the message and file of every warning, which must
+        # name the caller
+        rng = np.random.default_rng(3141)
+        digest = hashlib.sha256()
+        for _ in range(12):
+            k = int(rng.integers(2, 25))
+            gbu_db, gfu_db = rng.uniform(-20.0, 80.0, 2).tolist()
+            rate_gbu, rate_gfu = rng.uniform(0.05, 8.0, 2).tolist()
+            cfg = SystemConfig.from_db(k, gbu_db, gfu_db, rate_gbu, rate_gfu)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    b = outage_exact(cfg)
+                    text = " ".join(
+                        map(float.hex, (b.p_case1, *b.p_case2_terms, b.p_case3, b.total))
+                    )
+                except (ValueError, ArithmeticError) as err:
+                    text = type(err).__name__
+            for w in caught:
+                text += f" | {w.message} | {os.path.basename(w.filename)}"
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == SERIES_OUTPUT_SHA256
 
 
 class TestQuadratureOracle:
