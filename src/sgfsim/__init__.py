@@ -11,7 +11,6 @@ CLI.
 """
 
 from .analytic import (
-    AnalyticTerms,
     ConditioningWarning,
     NumericalRangeError,
     OutageBreakdown,
@@ -53,7 +52,6 @@ from .zones import RegionCorners, ZoneLabel, classify_rate_pair, region_corners
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticTerms",
     "CaseLabel",
     "CaseTallies",
     "ChannelRealization",

@@ -10,8 +10,8 @@ GBU gain. The evaluation routes are:
   ~1e-13 relative and raises ``NumericalRangeError`` where the two rules
   disagree,
 * ``outage_exact`` - the paper's alternating binomial series over the
-  exponential integral kernel ``nu_kernel`` (K >= 2), kept as the reference
-  formula,
+  exponential integral kernel ``nu_kernel`` (every K >= 1), kept as the
+  reference formula,
 * ``outage_probability_highsnr`` / ``outage_diversity_asymptote`` - high-SNR
   power laws; at K = 1 the diversity law eps_s / P_s is the approximation.
 
@@ -31,7 +31,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from math import comb, exp, expm1, factorial
+from math import comb, exp, expm1
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .model import SystemConfig
 __all__ = [
     "NumericalRangeError",
     "ConditioningWarning",
-    "AnalyticTerms",
     "OutageBreakdown",
     "nu_kernel",
     "outage_exact",
@@ -106,56 +105,6 @@ def _clip_probability(value: float, where: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
-class AnalyticTerms:
-    """Coefficients of the outage series for one configuration (K >= 2).
-
-    ``mu1``/``mu2`` drive the bucket where every GFU clears the threshold,
-    ``mu3``/``mu4`` the buckets where k users fall below it, ``mu5``/``mu6``
-    the bucket where only the strongest clears it.
-    """
-
-    config: SystemConfig
-
-    def __post_init__(self) -> None:
-        if self.config.num_gfus < 2:
-            raise ValueError("series coefficients require num_gfus >= 2")
-
-    def phi_k(self, k: int) -> float:
-        kk = self.config.num_gfus
-        if not 1 <= k <= kk - 2:
-            raise ValueError(f"phi_k defined for 1 <= k <= {kk - 2}, got {k}")
-        return factorial(kk) / (factorial(k) * factorial(kk - k))
-
-    def mu1(self, n: int) -> float:
-        cfg = self.config
-        return exp((cfg.num_gfus - n * (1.0 + cfg.eps0) * (1.0 + cfg.eps_s)) / cfg.power_gfu)
-
-    def mu2(self, n: int) -> float:
-        cfg = self.config
-        return (cfg.num_gfus - n) / (cfg.power_gfu * cfg.eta0) - n * cfg.power_gbu / cfg.power_gfu
-
-    def mu3(self, k: int, m: int) -> float:
-        cfg = self.config
-        return exp(
-            (cfg.num_gfus - k - m * (1.0 + cfg.eps0) * (1.0 + cfg.eps_s)) / cfg.power_gfu
-        )
-
-    def mu4(self, k: int, m: int) -> float:
-        cfg = self.config
-        return (cfg.num_gfus - k - m) / (cfg.power_gfu * cfg.eta0) - m * cfg.power_gbu / cfg.power_gfu
-
-    @property
-    def mu5(self) -> float:
-        cfg = self.config
-        return 1.0 / (cfg.power_gfu * cfg.eta0)
-
-    @property
-    def mu6(self) -> float:
-        cfg = self.config
-        return -cfg.power_gbu / cfg.power_gfu
-
-
 def nu_kernel(n: int, mu: float, config: SystemConfig) -> float:
     """Integral of exp(-(n/(Ps*eta0) + mu + 1) x) over [eta0, eta0*(1+eps_s)].
 
@@ -210,7 +159,7 @@ def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreak
 
 
 def outage_exact(config: SystemConfig) -> OutageBreakdown:
-    """Exact outage probability of the admitted GFU, per case (K >= 2).
+    """Exact outage probability of the admitted GFU, per case (every K >= 1).
 
     The paper's binomial series, valid for all positive target rates and
     kept as the reference formula; ``outage_quadrature`` is the production
@@ -222,10 +171,6 @@ def outage_exact(config: SystemConfig) -> OutageBreakdown:
     or nonfinite series, or one whose Ps * eta0 is 0.0, raises
     ``NumericalRangeError``.
     """
-    if config.num_gfus < 2:
-        raise ValueError(
-            "outage_exact requires num_gfus >= 2; use outage_probability for num_gfus == 1"
-        )
     try:
         return _outage_exact_series(config)
     except OverflowError as err:
@@ -235,61 +180,58 @@ def outage_exact(config: SystemConfig) -> OutageBreakdown:
         ) from err
     except ZeroDivisionError as err:
         raise NumericalRangeError(
-            "closed-form series divides by Ps * eta0, which is 0.0 in double precision; "
-            "the GBU target rate is too small"
+            "closed-form series divides by Ps * eta0 = Ps * eps0 / P0, which is 0.0 in "
+            "double precision; the GBU power is too large for this GFU power and GBU "
+            "target rate"
         ) from err
 
 
 def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
     big_k = config.num_gfus
-    terms = AnalyticTerms(config)
-    ps = config.power_gfu
+    ps, p0 = config.power_gfu, config.power_gbu
     eta0, eta_s = config.eta0, config.eta_s
     e0, es = config.eps0, config.eps_s
 
     def sign(i: int) -> float:
         return -1.0 if i % 2 else 1.0
 
-    # bucket k = 0: every GFU clears the threshold
-    bucket0 = [
-        comb(big_k, n) * sign(n) * terms.mu1(n) * nu_kernel(0, terms.mu2(n), config)
-        for n in range(big_k + 1)
-    ]
-    p2_terms = [_series_sum(bucket0, "case-II k=0 series")]
-
-    # buckets 1 <= k <= K-2
-    for k in range(1, big_k - 1):
-        bucket = [
+    def bucket(k: int) -> list[float]:
+        """Terms of the series where k GFU gains fall below the threshold: m
+        expands the K - k gains above it, n the k below it."""
+        return [
             comb(big_k - k, m) * sign(m) * comb(k, n) * sign(n) * exp(n / ps)
-            * terms.mu3(k, m) * nu_kernel(n, terms.mu4(k, m), config)
+            * exp((big_k - k - m * (1.0 + e0) * (1.0 + es)) / ps)
+            * nu_kernel(n, (big_k - k - m) / (ps * eta0) - m * p0 / ps, config)
             for m in range(big_k - k + 1)
             for n in range(k + 1)
         ]
-        p2_terms.append(terms.phi_k(k) * _series_sum(bucket, f"case-II k={k} series"))
+
+    # case-II buckets k = 0..K-2; a loop, not a comprehension, so that a
+    # warning's stacklevel reaches the caller of outage_exact
+    p2_terms = []
+    for k in range(big_k - 1):
+        p2_terms.append(comb(big_k, k) * _series_sum(bucket(k), f"case-II k={k} series"))
 
     # bucket k = K-1: only the strongest GFU clears the threshold
     scale = exp(-(e0 + es + e0 * es) / ps)
     last = [
         comb(big_k - 1, n) * sign(n) * exp(n / ps)
-        * (exp(1.0 / ps) * nu_kernel(n, terms.mu5, config)
-           - scale * nu_kernel(n, terms.mu6, config))
+        * (exp(1.0 / ps) * nu_kernel(n, 1.0 / (ps * eta0), config)
+           - scale * nu_kernel(n, -p0 / ps, config))
         for n in range(big_k)
     ]
     p2_terms.append(big_k * _series_sum(last, "case-II k=K-1 series"))
 
-    # case I: the strongest GFU fits under a positive threshold
-    case1 = [
-        comb(big_k, n) * sign(n) * exp(n / ps) * nu_kernel(n, 0.0, config)
-        for n in range(big_k + 1)
-    ]
-    p1 = _series_sum(case1, "case-I series") + (-expm1(-eta_s)) ** big_k * exp(
+    # case I: the strongest GFU fits under a positive threshold; the series is
+    # the bucket k = K, where every GFU gain falls below it
+    p1 = _series_sum(bucket(big_k), "case-I series") + (-expm1(-eta_s)) ** big_k * exp(
         -eta0 * (1.0 + es)
     )
 
     # case III: the threshold is zero
     case3 = []
     for n in range(big_k + 1):
-        denom = 1.0 + n * eta_s * config.power_gbu
+        denom = 1.0 + n * eta_s * p0
         case3.append(comb(big_k, n) * sign(n) * exp(-n * eta_s) * (-expm1(-denom * eta0)) / denom)
     p3 = _series_sum(case3, "case-III series")
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from math import comb, exp, expm1, factorial
+from math import comb, exp, expm1
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from scipy.integrate import quad
 import sgfsim
 from sgfsim import cli
 from sgfsim.analytic import (
-    AnalyticTerms,
     ConditioningWarning,
     NumericalRangeError,
     OutageBreakdown,
@@ -115,36 +114,6 @@ def preset_points():
                 )
 
 
-class TestAnalyticTerms:
-    @pytest.mark.parametrize("k_users", range(2, 21))
-    def test_phi_factorial_identities(self, k_users):
-        terms = AnalyticTerms(config(num_gfus=k_users))
-        for k in range(1, k_users - 1):
-            assert terms.phi_k(k) == factorial(k_users) / (
-                factorial(k) * factorial(k_users - k)
-            )
-
-    def test_phi_k_domain(self):
-        terms = AnalyticTerms(config(num_gfus=4))
-        with pytest.raises(ValueError):
-            terms.phi_k(0)
-        with pytest.raises(ValueError):
-            terms.phi_k(3)
-
-    def test_bucket_constants(self):
-        cfg = config(num_gfus=5, power_gbu=20.0, power_gfu=4.0, rate_gbu=2.0, rate_gfu=1.0)
-        terms = AnalyticTerms(cfg)
-        e0, es = cfg.eps0, cfg.eps_s
-        assert terms.mu1(2) == pytest.approx(exp((5 - 2 * (1 + e0) * (1 + es)) / 4.0))
-        assert terms.mu2(2) == pytest.approx(3 / (4.0 * cfg.eta0) - 2 * 20.0 / 4.0)
-        assert terms.mu5 == pytest.approx(1.0 / (4.0 * cfg.eta0))
-        assert terms.mu6 == pytest.approx(-5.0)
-
-    def test_requires_two_users(self):
-        with pytest.raises(ValueError):
-            AnalyticTerms(config(num_gfus=1))
-
-
 class TestNuKernel:
     def test_degenerate_branch_is_interval_length(self):
         cfg = config()
@@ -176,10 +145,6 @@ class TestNuKernel:
 
 
 class TestOutageExact:
-    def test_dispatch_guards(self):
-        with pytest.raises(ValueError, match="outage_probability"):
-            outage_exact(config(num_gfus=1))
-
     def test_asymptotic_regime(self):
         with pytest.warns(ConditioningWarning):
             breakdown = outage_exact(config(num_gfus=2, power_gbu=1000.0, power_gfu=1000.0))
@@ -201,7 +166,11 @@ class TestOutageExact:
         # eta0 = (2**1e-15 - 1) / 1.7e308 is the least subnormal double and Ps * eta0
         # rounds to 0.0, so the series would divide by it (a rate whose threshold
         # itself rounds to 0.0 is rejected by SystemConfig)
-        with pytest.raises(NumericalRangeError, match="divides by Ps \\* eta0"):
+        message = (
+            r"divides by Ps \* eta0 = Ps \* eps0 / P0, which is 0\.0 in double precision; "
+            "the GBU power is too large for this GFU power and GBU target rate"
+        )
+        with pytest.raises(NumericalRangeError, match=message):
             outage_exact(SystemConfig(2, 1.7e308, 0.1, 1e-15, 1.0))
 
     @pytest.mark.parametrize(
@@ -221,6 +190,11 @@ class TestOutageExact:
                 config(num_gfus=4, power_gbu=100.0, power_gfu=15.8, rate_gbu=0.7, rate_gfu=3.9),
                 False,
                 id="cfg2",
+            ),
+            pytest.param(
+                config(num_gfus=1, power_gbu=100.0, power_gfu=6.7, rate_gbu=2.5, rate_gfu=1.5),
+                False,
+                id="cfg3-single-user",
             ),
         ],
     )
@@ -267,7 +241,7 @@ class TestOutageExact:
         assert total == pytest.approx(1.03e-14, rel=0.01)
 
     def test_warns_or_matches_quadrature_on_every_preset_point(self):
-        points = [cfg for cfg in preset_points() if cfg.num_gfus >= 2]
+        points = list(preset_points())
         warned = sum(series_warns_or_matches_quadrature(cfg)[1] for cfg in points)
         assert 0 < warned < len(points)
 
