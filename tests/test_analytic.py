@@ -5,7 +5,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from math import comb, exp, expm1
+from math import comb, exp, expm1, factorial
 
 import numpy as np
 import pytest
@@ -112,6 +112,81 @@ def preset_points():
                 yield _config_on_axis(
                     request.base_config, request.axis, value, request.gbu_to_gfu_power_ratio
                 )
+
+
+def paper_form(cfg):
+    """(case I, case-II buckets, case III) of the paper's series as it is
+    printed: bucket 0 and case I in their own forms, buckets 1..K-2 weighted by
+    the factorial quotient K! / (k! (K-k)!), bucket K-1 with its two kernels;
+    at K = 1 bucket 0 is bucket K-1."""
+    big_k, ps, p0 = cfg.num_gfus, cfg.power_gfu, cfg.power_gbu
+    e0, es, eta0, eta_s = cfg.eps0, cfg.eps_s, cfg.eta0, cfg.eta_s
+    band = (1.0 + e0) * (1.0 + es)
+
+    def sign(i):
+        return -1.0 if i % 2 else 1.0
+
+    def mu3(k, m):
+        return exp((big_k - k - m * band) / ps)
+
+    def mu4(k, m):
+        return (big_k - k - m) / (ps * eta0) - m * p0 / ps
+
+    p2_terms = []
+    for k in range(big_k - 1):
+        if k == 0:
+            terms = [
+                comb(big_k, n) * sign(n) * mu3(0, n) * nu_kernel(0, mu4(0, n), cfg)
+                for n in range(big_k + 1)
+            ]
+            phi = 1
+        else:
+            terms = [
+                comb(big_k - k, m) * sign(m) * comb(k, n) * sign(n) * exp(n / ps)
+                * mu3(k, m) * nu_kernel(n, mu4(k, m), cfg)
+                for m in range(big_k - k + 1)
+                for n in range(k + 1)
+            ]
+            phi = factorial(big_k) / (factorial(k) * factorial(big_k - k))
+        p2_terms.append(phi * math.fsum(terms))
+    mu5, mu6 = 1.0 / (ps * eta0), -p0 / ps
+    scale = exp(-(e0 + es + e0 * es) / ps)
+    last = [
+        comb(big_k - 1, n) * sign(n) * exp(n / ps)
+        * (exp(1.0 / ps) * nu_kernel(n, mu5, cfg) - scale * nu_kernel(n, mu6, cfg))
+        for n in range(big_k)
+    ]
+    p2_terms.append(big_k * math.fsum(last))
+    case1 = [
+        comb(big_k, n) * sign(n) * exp(n / ps) * nu_kernel(n, 0.0, cfg) for n in range(big_k + 1)
+    ]
+    p1 = math.fsum(case1) + (-expm1(-eta_s)) ** big_k * exp(-eta0 * (1.0 + es))
+    case3 = []
+    for n in range(big_k + 1):
+        denom = 1.0 + n * eta_s * p0
+        case3.append(comb(big_k, n) * sign(n) * exp(-n * eta_s) * (-expm1(-denom * eta0)) / denom)
+    return p1, p2_terms, math.fsum(case3)
+
+
+class TestPaperForm:
+    """The one-bucket series against the paper's printed form of it."""
+
+    @pytest.mark.parametrize("k_users", range(1, 21))
+    def test_matches_paper_form_bit_for_bit(self, k_users):
+        cfg = config(num_gfus=k_users, power_gbu=5.0, power_gfu=2.0, rate_gbu=2.0, rate_gfu=1.0)
+        with warnings.catch_warnings():
+            # cancellation is not at issue here: both sides sum the same terms
+            warnings.simplefilter("ignore", ConditioningWarning)
+            breakdown = outage_exact(cfg)
+        assert breakdown == _build_breakdown(*paper_form(cfg))
+
+    def test_single_user_preset_points_are_silent(self):
+        # at K = 1 the series never cancels enough to warn on a preset point
+        points = [cfg for cfg in preset_points() if cfg.num_gfus == 1]
+        assert len(points) == 26
+        for cfg in points:
+            total = outage_exact(cfg).total
+            assert total == pytest.approx(outage_quadrature(cfg).total, rel=1e-12, abs=0.0)
 
 
 class TestNuKernel:
