@@ -195,7 +195,7 @@ _SECTION_KEYS = {
 }
 # where a metadata line says its value came from
 _SOURCES = ("caption", "text", "choice")
-# metadata keys each run writes itself, so a [metadata] line may not set them
+# metadata keys a run may write itself, so a [metadata] line may not set them
 _RUN_KEYS = ("trials", "seed", "config_file")
 
 
@@ -408,8 +408,9 @@ def _execute_spec(
     fmt: str,
     timestamp: bool,
 ) -> list[str]:
-    """Write one spec's file(s): a zone grid, or the sweep ``rows`` computed for it."""
-    run_meta = (*spec.metadata, ("trials", str(trials), "choice"), ("seed", str(seed), "choice"))
+    """Write one spec's file(s): a zone grid, or the sweep ``rows`` computed for it.
+    Only a sweep file records trials and seed; a zone grid reads neither."""
+    run_meta = spec.metadata
     if spec.zone is not None:
         header = ZONE_COLUMNS
         body = _zone_body(*spec.zone)
@@ -418,6 +419,7 @@ def _execute_spec(
         cells = body.replace("\n", ",").split(",")[:-1] if fmt == "json" else []
         columns = [cells[i :: len(header)] for i in range(len(header))]
     else:
+        run_meta += (("trials", str(trials), "choice"), ("seed", str(seed), "choice"))
         header = SWEEP_COLUMNS
         cells = [_sweep_row_cells(row, trials, seed) for row in rows]
         _write_csv(out, run_meta, header, timestamp, cells_rows=cells)
@@ -491,7 +493,7 @@ def _cmd_run(args) -> int:
         "metadata": dict.fromkeys(zone, "choice"),
     }
     trials, seed, specs = _load_experiment(args.preset, args.config, overrides)
-    # zone runs record trials and seed too, so every run checks them before writing
+    # a zone run uses none of these, but every run checks them before writing
     check_run(trials, seed, args.workers)
     default_out = f"{args.preset}.csv" if args.preset else "results.csv"
 

@@ -169,20 +169,20 @@ def sample_gain_matrix(
     so sorting it alone leaves the law of any sum over rows unchanged, while
     a leading slice of rows is no longer a random sample: it holds the
     lowest last-column gains. This is the single sampling path shared by the
-    scalar API and the Monte Carlo blocks. ``out``, a float64 (rows, cols)
-    array in the same layout (F-contiguous once its columns are reversed),
-    receives the draw (the same values as a fresh one) and is returned.
+    scalar API and the Monte Carlo blocks. ``out``, a C-contiguous float64
+    (cols, rows) array, takes the uniforms in the generator's order; the
+    result is then a view of it, bit for bit a fresh draw.
     """
     # the generator fills the uniforms in memory order, so any other layout reorders the draw
-    if out is not None and not out[:, ::-1].flags.f_contiguous:
-        raise ValueError("out must be F-contiguous once its columns are reversed")
-    u = rng.random((cols, rows), out=None if out is None else out[:, ::-1].T)
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    u = rng.random((cols, rows), out=out)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
     if rows > 1:
         u[0].sort()
-    return u[::-1].T if out is None else out
+    return u[::-1].T
 
 
 def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> ChannelRealization:

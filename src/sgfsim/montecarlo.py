@@ -15,16 +15,17 @@ are the same as if it had been drawn alone, and every K reads the same GBU
 column.
 
 The GBU gains arrive ascending, so the kernel's GBU-side rules cut row ranges
-rather than masks. Rows are independent and the GFU gains do not depend on
-the GBU gain, so this order leaves the law of every tally unchanged.
+rather than masks: Case III, the GBU outage and the window where a GFU may be
+decoded last (``_gbu_terms``). Rows are independent and the GFU gains do not
+depend on the GBU gain, so this order leaves the law of every tally unchanged.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
 for it: the widest draw, a row maximum per user count and the per-trial
-scratch, reused by every block and config. Each per-trial term is one buffer
-of that workspace, written by one stage: a user count's row maximum, the
-GBU-side terms, or one config's masks. The GBU-side terms of a block depend
-only on (P0, eps0, eps_s), so they are computed once for all configs sharing
-those, whatever their user counts.
+scratch, reused by every block and config (a run's shorter last block gets
+its own). Each per-trial term is one buffer of that workspace, written by one
+stage: a user count's row maximum, the GBU-side terms, or one config's masks.
+The GBU-side terms of a block depend only on (P0, eps0, eps_s), so they are
+computed once for all configs sharing those, whatever their user counts.
 
 Each worker draws block ``b + 1`` on one helper thread, into a second draw
 buffer, while it works on block ``b``: the generator fill, the exponential
@@ -130,14 +131,6 @@ def _scratch(rows: int, counts) -> SimpleNamespace:
     )
 
 
-def _prefix(scratch: SimpleNamespace, rows: int) -> SimpleNamespace:
-    """The first ``rows`` of every buffer, for a partial block."""
-    return SimpleNamespace(
-        **{name: buf[:rows] for name, buf in vars(scratch).items() if name != "best_gain"},
-        best_gain={k: buf[:rows] for k, buf in scratch.best_gain.items()},
-    )
-
-
 def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int, int]:
     """The GBU side of the case partition and outage rules over ascending
     ``gain_gbu``, written into ``s``; returns the row ranges it cuts as
@@ -230,9 +223,10 @@ def _evaluate_trials(
     # gathered column by column, each column contiguous, as in the engine's blocks
     gains_gfu = gains_gfu.T.take(order, axis=1).T
     s = _scratch(len(order), (config.num_gfus,))
-    n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
-    np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
-    _outage_masks(config, gains_gfu, s, n3, w0)
+    with np.errstate(over="ignore"):
+        n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
+        np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
+        _outage_masks(config, gains_gfu, s, n3, w0)
     # the Case II buffers hold nothing on Case III's rows
     for case2_flags in (s.case2, s.rsma_case2, s.noma_case2):
         case2_flags[:n3] = False
@@ -336,14 +330,17 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies)
         """Block ``blocks[i]``, each user count's draw its last columns."""
         block = blocks[i]
         n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        # the sampler's layout, so a partial block fills the leading (cols, n) slab
-        out = buffers[i % len(buffers)][: n * cols].reshape(cols, n)[::-1].T
+        # the generator's (cols, n) order, so a partial block fills the leading slab
+        out = buffers[i % len(buffers)][: n * cols].reshape(cols, n)
         return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
 
-    # the executor starts its thread on the first submit, so one block starts none
-    with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
+    # the executor starts its thread on the first submit, so one block starts none;
+    # a product past the float range is inf, which every threshold test handles
+    with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper, np.errstate(over="ignore"):
         for block, gains in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
-            _run_block(configs, groups, gains, _prefix(scratch, len(gains)), tallies[block])
+            if len(gains) < rows:
+                scratch = _scratch(len(gains), counts)
+            _run_block(configs, groups, gains, scratch, tallies[block])
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> np.ndarray:

@@ -71,7 +71,7 @@ PRESET_FILE_SHA256 = {
     "fig6.csv": "7b41e2dfd68928bd74a6dcdae0559ca212f300f4736da2334f0f7168b1f7d495",
     "fig7_a.csv": "c9df9c57e0e65a2589151ea1cb42383bb15722f77f306fc816179300b7453c18",
     "fig7_b.csv": "db7609c73c682b4c1b8cb33c53d3894968221f62350044260ce61f64dee1959e",
-    "zone.csv": "9fc4606fa4664720ace172d5e769b2ff96737b5ec3345415fa4d133a952fa7b9",
+    "zone.csv": "f836951e9292c41a31d3e210ecba639b2414b916f8b6108c1ede39a8e4b3a4b0",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
 # draws moves the two pins above and leaves this one
@@ -89,8 +89,8 @@ PRESET_NON_MONTE_CARLO_SHA256 = {
 }
 # `sgfsim run zone --grid 40 --format json --no-timestamp`: the CSV and its JSON mirror
 ZONE_JSON_MIRROR_SHA256 = {
-    "zone.csv": "26436779ba06bc1a580f4a5a8175e64966316a662c14bf676ea71436f0b619f7",
-    "zone.json": "29c38584f2bce2c7c9cc99cf3d00d7616ea53eb1fc4f52368859c33617837312",
+    "zone.csv": "b60949dd0861d52135d63840580ff8e4ff4b5cf771c9a8730eae24119a018eac",
+    "zone.json": "a4b3099ab4fa5bf14f308fb1226c48518ff9fbb5034f8ffbf2de32acf7f0192e",
 }
 
 
@@ -852,7 +852,7 @@ class TestUsageErrors:
         ids=["seed", "trials"],
     )
     def test_zone_run_checks_trials_and_seed(self, tmp_path, capsys, flag, value, message):
-        # a zone run records trials and seed, so it checks them as a sweep does
+        # a zone run uses neither trials nor seed, but checks both as a sweep does
         out = str(tmp_path / "zone.csv")
         assert main(["run", "zone", "--grid", "3", flag, value, "--out", out]) == 1
         assert message in capsys.readouterr().err

@@ -523,6 +523,40 @@ class TestVectorisedKernels:
             assert tallies[0].tolist() == want
 
 
+class TestExtremePowers:
+    """Accepted powers whose products pass the float range: each product is inf,
+    which every threshold test handles, and nothing warns."""
+
+    # P0 g0 passes it in _gbu_terms: tau_hat is inf, so every row is in Case I
+    HUGE_GBU = SystemConfig(2, 1.7e308, 0.1, 1e-15, 1.0)
+    # Ps g passes it in _outage_masks: no GFU is in outage
+    HUGE_GFU = SystemConfig(2, 10.0, 1.7e308, 1.0, 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_is_silent(self, workers):
+        # two blocks, the second partial; at two workers each runs one
+        for scheme in Scheme:
+            est = estimate_outage(self.HUGE_GBU, scheme, trials=70_000, seed=1, workers=workers)
+            assert est.case_tallies.occurrences == (70_000, 0, 0)
+            est = estimate_outage(self.HUGE_GFU, scheme, trials=70_000, seed=1, workers=workers)
+            assert sum(est.case_tallies.occurrences) == 70_000
+            assert est.gfu_outage_count == 0
+
+    def test_kernels_are_silent_and_match_the_scalar_protocol(self):
+        g0, gfu = sorted_block(np.random.default_rng(5), 1000, 2)
+        # the scalar protocol reads inf from Python floats without a warning
+        case_idx, gfu_out, gbu_out = evaluate_rsma_trials(self.HUGE_GBU, g0, gfu)
+        for i in range(len(g0)):
+            real = ChannelRealization(float(g0[i]), tuple(float(g) for g in gfu[i]))
+            outcome = evaluate_transmission(self.HUGE_GBU, real)
+            assert case_idx[i] == CASE_INDEX[outcome.case_label] == 0
+            assert bool(gfu_out[i]) == outcome.gfu_outage
+            assert bool(gbu_out[i]) == outcome.gbu_outage
+        for kernel in (evaluate_rsma_trials, evaluate_noma_trials):
+            _, gfu_out, _ = kernel(self.HUGE_GFU, g0, gfu)
+            assert not gfu_out.any()
+
+
 class TestProbeContract:
     """A benchmark probe rebuilds block 0 from the public sampler and kernels, with
     the GBU as the sampler's last column, and checks it against ``estimate_outage``."""
