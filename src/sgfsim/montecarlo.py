@@ -27,9 +27,11 @@ stage: a user count's row maximum, the GBU-side terms, or one config's masks.
 The GBU-side terms of a block depend only on (P0, eps0, eps_s), so they are
 computed once for all configs sharing those, whatever their user counts.
 
-Each worker draws block ``b + 1`` on one helper thread, into a second draw
-buffer, while it works on block ``b``: the generator fill, the exponential
-transform and the sort release the interpreter lock. Every block is still
+Each worker draws the first block of its chunk itself. Each pass of its block
+loop then hands the draw of the next block to one helper thread, into the draw
+buffer the current block does not use, works on the current block and takes
+the drawn one: the generator fill, the exponential transform and the sort
+release the interpreter lock. Every block is still
 drawn by the same function from its own ``(seed, b)`` generator, so the
 tallies do not depend on where it was drawn.
 """
@@ -302,25 +304,11 @@ def _run_block(configs, groups, gains: np.ndarray, s, tallies: np.ndarray) -> No
             tallies[i] = (rows - n2 - n3, n2, n3, o1, rsma, o3, o1, noma, o3, n_gbu)
 
 
-def _drawn_blocks(draw, count: int, helper: ThreadPoolExecutor):
-    """``draw(0)``, ..., ``draw(count - 1)`` in order. The first is drawn here; each
-    next one runs on ``helper`` while the caller works on the one just yielded, so
-    ``draw(i)`` must not write what ``draw(i - 1)`` returned. A draw that raises
-    raises here."""
-    drawn = draw(0)
-    for i in range(1, count):
-        pending = helper.submit(draw, i)
-        yield drawn
-        drawn = pending.result()
-    yield drawn
-
-
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies) -> None:
     """Assign the ``tallies`` rows of a contiguous run of blocks, on one workspace
     allocated here once: the widest draw, a row maximum per user count and the
-    per-trial scratch. From the second block on, a helper thread draws each block
-    into the other of two draw buffers while the previous one is worked on; a
-    single block is drawn here, into one."""
+    per-trial scratch. The first block is drawn here; each next one is drawn on a
+    helper thread while the one before it is worked on."""
     counts = {c.num_gfus for c in configs}
     rows, cols = min(BLOCK_SIZE, trials), max(counts) + 1
     buffers = [np.empty(rows * cols) for _ in range(min(2, len(blocks)))]
@@ -337,10 +325,16 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies)
     # the executor starts its thread on the first submit, so one block starts none;
     # a product past the float range is inf, which every threshold test handles
     with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper, np.errstate(over="ignore"):
-        for block, gains in zip(blocks, _drawn_blocks(draw, len(blocks), helper)):
+        gains = draw(0)
+        for i, block in enumerate(blocks):
+            # block i + 1 fills the buffer that block i does not use; a draw that
+            # raises raises at result()
+            ahead = helper.submit(draw, i + 1) if i + 1 < len(blocks) else None
             if len(gains) < rows:
                 scratch = _scratch(len(gains), counts)
             _run_block(configs, groups, gains, scratch, tallies[block])
+            if ahead:
+                gains = ahead.result()
 
 
 def _simulate(configs: list[SystemConfig], trials: int, seed: int, workers: int) -> np.ndarray:
