@@ -21,7 +21,7 @@ from .analytic import (
     outage_probability,
     outage_probability_highsnr,
 )
-from .baselines import cr_noma_rate
+from .baselines import cr_noma_outage, cr_noma_rate
 from .model import (
     ChannelRealization,
     SystemConfig,
@@ -68,6 +68,7 @@ __all__ = [
     "ZoneLabel",
     "achievable_rates",
     "classify_rate_pair",
+    "cr_noma_outage",
     "cr_noma_rate",
     "db_to_linear",
     "estimate_outage",

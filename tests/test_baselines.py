@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgfsim.baselines import cr_noma_rate
+from sgfsim.baselines import cr_noma_outage, cr_noma_rate
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import Scheme, estimate_outage
 from sgfsim.protocol import CaseLabel, evaluate_transmission
@@ -79,7 +79,8 @@ class TestCrNomaOutage:
     def test_meeting_target_is_not_outage(self):
         cfg = config(num_gfus=2, power_gbu=4.0, power_gfu=1.0)
         real = ChannelRealization(1.0, (2.0, 10.0))  # rate log2(3) >= target 1
-        assert not cr_noma_rate(cfg, real)[0] < cfg.target_rate_gfu
+        assert cr_noma_rate(cfg, real)[0] >= cfg.target_rate_gfu
+        assert not cr_noma_outage(cfg, real)
 
     def test_outage_bit_matches_rate_splitting_outside_middle_case(self):
         cfg = config(num_gfus=2, power_gbu=6.0, power_gfu=3.0, rate_gfu=1.4)
@@ -89,7 +90,7 @@ class TestCrNomaOutage:
             out = evaluate_transmission(cfg, real)
             if out.case_label is CaseLabel.CASE_II:
                 continue
-            assert (cr_noma_rate(cfg, real)[0] < cfg.target_rate_gfu) == out.gfu_outage
+            assert cr_noma_outage(cfg, real) == out.gfu_outage
 
     def test_baseline_floors_while_rate_splitting_decays(self):
         # locked-ratio sweep: the baseline's outage stops improving with SNR

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgfsim import montecarlo
-from sgfsim.baselines import cr_noma_rate
+from sgfsim.baselines import cr_noma_outage
 from sgfsim.model import ChannelRealization, SystemConfig, db_to_linear, sample_gain_matrix
 from sgfsim.montecarlo import (
     BLOCK_SIZE,
@@ -395,7 +395,7 @@ class TestVectorisedKernels:
                 assert bool(gfu_out[i]) == outcome.gfu_outage
                 assert bool(gbu_out[i]) == outcome.gbu_outage
             else:
-                assert bool(gfu_out[i]) == (cr_noma_rate(cfg, real)[0] < cfg.target_rate_gfu)
+                assert bool(gfu_out[i]) == cr_noma_outage(cfg, real)
 
     @pytest.mark.parametrize("num_gfus", [1, 5])
     def test_fused_kernel_matches_single_scheme_kernels(self, num_gfus):
@@ -434,8 +434,7 @@ class TestVectorisedKernels:
         _, noma_out, _ = evaluate_noma_trials(cfg, g0, np.asfortranarray(gfu))
         for i in range(len(g0)):
             real = ChannelRealization(float(g0[i]), tuple(sorted(float(g) for g in gfu[i])))
-            rate, _ = cr_noma_rate(cfg, real)
-            assert bool(noma_out[i]) == (rate < cfg.target_rate_gfu), i
+            assert bool(noma_out[i]) == cr_noma_outage(cfg, real), i
         assert noma_out[:5].tolist() == [False, False, True, True, True]
 
         # the kernel reads the rows sorted by GBU gain, where the window is a range
