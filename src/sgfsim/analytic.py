@@ -280,14 +280,19 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     nothing cancels, and all K + 1 rows are integrated in one product.
 
     The 48- and the 64-node rule are both evaluated and the 64-node breakdown
-    is returned. ``NumericalRangeError`` is raised where their totals differ
-    by more than 1e-10 relative (the integrands vary too fast for a fixed
-    rule) or where the total is below the smallest normal double.
+    is returned. ``NumericalRangeError`` is raised where an integrand's
+    argument overflows a double, where their totals differ by more than 1e-10
+    relative (the integrands vary too fast for a fixed rule) or where the
+    total is below the smallest normal double.
     """
     big_k = config.num_gfus
     u, w = _GAUSS_NODES, _GAUSS_WEIGHTS
     e0, es = config.eps0, config.eps_s
     eta0, eta_s = config.eta0, config.eta_s
+    # the largest arguments the integrands take; past the double range numpy would
+    # warn of the overflow and of the inf * 0 it leads to
+    if math.inf in (eta0 * (1.0 + es), eta_s * (1.0 + e0), eta_s * (1.0 + config.power_gbu * eta0)):
+        raise NumericalRangeError("quadrature overflowed double precision")
     try:
         ks, rest, binomials = _order_table(big_k)
 
@@ -338,10 +343,10 @@ def outage_diversity_asymptote(config: SystemConfig) -> float:
 
 def _in_range(evaluate, config: SystemConfig, what: str) -> float:
     """``evaluate(config)``, or ``NumericalRangeError`` naming ``what`` where a
-    term or the value overflows a double."""
+    term or the value overflows a double, a divisor that underflows to 0 included."""
     try:
         value = evaluate(config)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise NumericalRangeError(f"{what} overflowed double precision")

@@ -451,6 +451,13 @@ class TestOutageQuadrature:
         with pytest.raises(NumericalRangeError, match="^quadrature overflowed double precision$"):
             outage_quadrature(SystemConfig.from_db(1100, 30, 20, 1, 1))
 
+    def test_overflowing_argument_raises_without_warning(self):
+        # eta0 = eps0 / P0 is inf: the integrands would overflow, then multiply inf by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRangeError, match="^quadrature overflowed double precision$"):
+                outage_quadrature(SystemConfig(2, 1e-300, 1e-300, 1000.0, 1000.0))
+
     def test_per_k_tables_refuse_writes(self):
         for column in _order_table(5):
             with pytest.raises(ValueError, match="read-only"):
@@ -567,6 +574,27 @@ class TestDiversityAsymptote:
         for fn in (outage_diversity_asymptote, outage_probability_highsnr):
             with pytest.raises(NumericalRangeError, match="overflowed double precision"):
                 fn(cfg)
+
+
+def test_evaluators_are_silent_over_the_accepted_range():
+    # 1,000 seeded configs over K 1..64, powers 1e-300..1e300 and rates 1e-3..1e3:
+    # each evaluator answers or raises NumericalRangeError, and none warns
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for _ in range(1000):
+        k = int(rng.integers(1, 65))
+        powers = (10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist()
+        rates = (10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist()
+        cfg = SystemConfig(k, *powers, *rates)
+        for evaluate in (outage_quadrature, outage_probability_highsnr, outage_diversity_asymptote):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    evaluate(cfg)
+                    outcomes.add((evaluate.__name__, "answered"))
+                except NumericalRangeError:
+                    outcomes.add((evaluate.__name__, "raised"))
+    assert len(outcomes) == 6
 
 
 class TestSingleUser:
