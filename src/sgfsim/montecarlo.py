@@ -28,12 +28,12 @@ The GBU-side terms of a block depend only on (P0, eps0, eps_s), so they are
 computed once for all configs sharing those, whatever their user counts.
 
 Each worker draws the first block of its chunk itself. Each pass of its block
-loop then hands the draw of the next block to one helper thread, into the draw
+loop then hands the next block's draw to one helper thread, into the draw
 buffer the current block does not use, works on the current block and takes
-the drawn one: the generator fill, the exponential transform and the sort
-release the interpreter lock. Every block is still
-drawn by the same function from its own ``(seed, b)`` generator, so the
-tallies do not depend on where it was drawn.
+the drawn one; the generator fill, the exponential transform and the sort
+release the interpreter lock. Every block is still drawn by the same function
+from its own ``(seed, b)`` generator, so the tallies do not depend on where it
+was drawn.
 """
 
 from __future__ import annotations
