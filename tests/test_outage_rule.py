@@ -59,7 +59,9 @@ def boundary_block(cfg, threshold, u, ulps, weaker):
     for _ in range(abs(ulps)):
         gain = math.nextafter(gain, math.copysign(math.inf, ulps))
     # at decode_last the strongest GFU, in Case II, can be decoded neither first nor last
-    strongest = ((tau_hat + first_floor) / 2.0 / cfg.power_gfu,) if threshold == "decode_last" else ()
+    strongest = ()
+    if threshold == "decode_last":
+        strongest = ((tau_hat + first_floor) / 2.0 / cfg.power_gfu,)
     gains = sorted(gain * w for w in weaker[: cfg.num_gfus - 1 - len(strongest)])
     return ChannelRealization(gain_gbu, (*gains, gain, *strongest))
 
@@ -99,7 +101,8 @@ def seeded_blocks(seed, thresholds, min_gfus):
         weaker = rng.uniform(0.0, 1.0, 7).tolist()
         for threshold in thresholds:
             u = float(rng.uniform(0.01, 0.99))
-            yield cfg, threshold, [boundary_block(cfg, threshold, u, ulps, weaker) for ulps in range(-4, 5)]
+            blocks = [boundary_block(cfg, threshold, u, ulps, weaker) for ulps in range(-4, 5)]
+            yield cfg, threshold, blocks
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
