@@ -541,7 +541,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:
-        # e.g. a config file's num_gfus sizing the draw buffers past the host's memory
+        # e.g. a huge trial count's tallies, or many workers' draw buffers, two of
+        # (K + 1) * 65,536 doubles each
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1
 

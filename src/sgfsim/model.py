@@ -44,6 +44,31 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
+# The input box; README's "Config file format" section gives each edge's reason.
+# Inside it every threshold is positive, and every product the kernel and the
+# scalar protocol form, C(K, k) included, is a finite double.
+_POWERS = (1e-15, 1e15, "[1e-15, 1e15] (+-150 dB)")
+_RATES = (2.0**-20, 64.0, "[2**-20, 64]")
+_BOX = {
+    "num_gfus": (1, 256, "[1, 256]"),
+    "power_gbu": _POWERS,
+    "power_gfu": _POWERS,
+    "target_rate_gbu": _RATES,
+    "target_rate_gfu": _RATES,
+}
+
+
+def _check_field(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` lies in its box edges
+    (``num_gfus`` an ``int``, not a ``bool``)."""
+    if name == "num_gfus" and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValueError(f"num_gfus must be an integer, got {value!r}")
+    low, high, edges = _BOX[name]
+    # written so that NaN fails it too
+    if not low <= value <= high:
+        raise ValueError(f"{name} = {value!r} lies outside the input box {edges}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one group: user count, transmit SNRs, target rates.
@@ -60,20 +85,8 @@ class SystemConfig:
     target_rate_gfu: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_gfus, int) or isinstance(self.num_gfus, bool):
-            raise ValueError(f"num_gfus must be an integer, got {self.num_gfus!r}")
-        if self.num_gfus < 1:
-            raise ValueError(f"num_gfus must be >= 1, got {self.num_gfus}")
-        for name in ("power_gbu", "power_gfu", "target_rate_gbu", "target_rate_gfu"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            # 2.0 ** rate, the SNR threshold plus one, overflows a double from 1024 on
-            if name.startswith("target_rate") and value >= 1024.0:
-                raise ValueError(f"{name} = {value!r} overflows its SNR threshold 2**rate - 1")
-            # and rounds to 1.0 below about 1.6e-16, where the threshold would be 0.0
-            if name.startswith("target_rate") and 2.0 ** value == 1.0:
-                raise ValueError(f"{name} = {value!r} rounds its SNR threshold 2**rate - 1 to 0")
+        for name in _BOX:
+            _check_field(name, getattr(self, name))
 
     @classmethod
     def from_db(
@@ -186,9 +199,9 @@ def sample_gain_matrix(
 
 
 def sample_channel_realization(num_gfus: int, rng: np.random.Generator) -> ChannelRealization:
-    """Sample one fading block: K GFU gains (returned sorted) plus the GBU gain."""
-    if num_gfus < 1:
-        raise ValueError(f"num_gfus must be >= 1, got {num_gfus}")
+    """Sample one fading block: K GFU gains (returned sorted) plus the GBU gain;
+    ``num_gfus`` is checked as ``SystemConfig`` checks it."""
+    _check_field("num_gfus", num_gfus)
     row = sample_gain_matrix(1, num_gfus + 1, rng)[0].tolist()
     gbu = row.pop()
     row.sort()

@@ -225,10 +225,9 @@ def _evaluate_trials(
     # gathered column by column, each column contiguous, as in the engine's blocks
     gains_gfu = gains_gfu.T.take(order, axis=1).T
     s = _scratch(len(order), (config.num_gfus,))
-    with np.errstate(over="ignore"):
-        n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
-        np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
-        _outage_masks(config, gains_gfu, s, n3, w0)
+    n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
+    np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
+    _outage_masks(config, gains_gfu, s, n3, w0)
     # the Case II buffers hold nothing on Case III's rows
     for case2_flags in (s.case2, s.rsma_case2, s.noma_case2):
         case2_flags[:n3] = False
@@ -322,9 +321,8 @@ def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies)
         out = buffers[i % len(buffers)][: n * cols].reshape(cols, n)
         return sample_gain_matrix(n, cols, _block_generator(seed, block), out=out)
 
-    # the executor starts its thread on the first submit, so one block starts none;
-    # a product past the float range is inf, which every threshold test handles
-    with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper, np.errstate(over="ignore"):
+    # the executor starts its thread on the first submit, so one block starts none
+    with ThreadPoolExecutor(1, thread_name_prefix="sgfsim-draw") as helper:
         gains = draw(0)
         for i, block in enumerate(blocks):
             # block i + 1 fills the buffer that block i does not use; a draw that

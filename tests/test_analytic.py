@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import comb, exp, expm1, factorial
 
 import numpy as np
@@ -237,16 +239,15 @@ class TestOutageExact:
         with pytest.raises(NumericalRangeError):
             outage_exact(SystemConfig(20, 1e6, 1.0, 6.0, 6.0))
 
-    def test_zero_eta0_reported_as_range_error(self):
-        # eta0 = (2**1e-15 - 1) / 1.7e308 is the least subnormal double and Ps * eta0
-        # rounds to 0.0, so the series would divide by it (a rate whose threshold
-        # itself rounds to 0.0 is rejected by SystemConfig)
-        message = (
-            r"divides by Ps \* eta0 = Ps \* eps0 / P0, which is 0\.0 in double precision; "
-            "the GBU power is too large for this GFU power and GBU target rate"
-        )
-        with pytest.raises(NumericalRangeError, match=message):
-            outage_exact(SystemConfig(2, 1.7e308, 0.1, 1e-15, 1.0))
+    def test_least_ps_eta0_is_positive(self):
+        # the series divides by Ps * eta0 = Ps * eps0 / P0, least at this corner of
+        # the input box; one step past it SystemConfig rejects the GBU power
+        corner = SystemConfig(2, 1e15, 1e-15, 2.0**-20, 1.0)
+        assert corner.power_gfu * corner.eta0 > 6.6e-37
+        with pytest.raises(NumericalRangeError, match="^closed-form series overflowed"):
+            outage_exact(corner)  # exp(n / Ps) at Ps = 1e-15
+        with pytest.raises(ValueError, match="^power_gbu = "):
+            replace(corner, power_gbu=math.nextafter(1e15, math.inf))
 
     @pytest.mark.parametrize(
         "cfg,warns",
@@ -355,10 +356,11 @@ class TestQuadratureOracle:
         assert total > 0.99
 
     def test_vanishing_target_removes_outage(self):
-        total = outage_quadrature(config(num_gfus=2, rate_gfu=1e-9)).total
+        # the least GFU target rate in the input box
+        total = outage_quadrature(config(num_gfus=2, rate_gfu=2.0**-20)).total
         assert total < 1e-9
         with pytest.warns(ConditioningWarning):
-            series = outage_exact(config(num_gfus=2, rate_gfu=1e-9)).total
+            series = outage_exact(config(num_gfus=2, rate_gfu=2.0**-20)).total
         assert series < 1e-9
 
 
@@ -447,16 +449,24 @@ class TestOutageQuadrature:
             digest.update(text.encode() + b"\n")
         assert digest.hexdigest() == QUADRATURE_OUTPUT_SHA256
 
-    def test_binomial_overflow_raises(self):
-        with pytest.raises(NumericalRangeError, match="^quadrature overflowed double precision$"):
-            outage_quadrature(SystemConfig.from_db(1100, 30, 20, 1, 1))
+    def test_binomials_fit_at_the_largest_k(self):
+        # C(K, k) would overflow a double from K = 1030; the input box ends at K = 256
+        _, _, binomials = _order_table(256)
+        assert binomials.max() == float(comb(256, 128)) < 5.8e75
+        with pytest.raises(ValueError, match="^num_gfus = 257 lies outside the input box"):
+            SystemConfig.from_db(257, 30, 20, 1, 1)
 
-    def test_overflowing_argument_raises_without_warning(self):
-        # eta0 = eps0 / P0 is inf: the integrands would overflow, then multiply inf by 0
+    def test_largest_arguments_are_finite(self):
+        # eta0 (1 + eps_s) and eta_s (1 + eps0) are largest at this corner of the input
+        # box; one step past it SystemConfig rejects the power
+        corner = SystemConfig(2, 1e-15, 1e-15, 64.0, 64.0)
+        assert corner.eta0 * (1.0 + corner.eps_s) == corner.eta_s * (1.0 + corner.eps0) < 3.5e53
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalRangeError, match="^quadrature overflowed double precision$"):
-                outage_quadrature(SystemConfig(2, 1e-300, 1e-300, 1000.0, 1000.0))
+            with pytest.raises(NumericalRangeError, match="below the smallest normal double"):
+                outage_quadrature(corner)
+        with pytest.raises(ValueError, match="^power_gfu = "):
+            replace(corner, power_gfu=math.nextafter(1e-15, 0.0))
 
     def test_per_k_tables_refuse_writes(self):
         for column in _order_table(5):
@@ -566,26 +576,41 @@ class TestDiversityAsymptote:
             slope = (math.log10(high) - math.log10(low)) / 2.0
             assert slope == pytest.approx(-k_users, rel=1e-12)
 
-    @pytest.mark.parametrize("num_gfus, gfu_power_db", [(1, -3200.0), (40, -100.0)])
+    @pytest.mark.parametrize("num_gfus, gfu_power_db", [(40, -100.0)])
     def test_overflow_is_a_range_error(self, num_gfus, gfu_power_db):
-        # eps_s / Ps overflows at K = 1, where highsnr is the power law; at K = 40
-        # (eps_s / Ps) ** K is about 2e496
+        # (eps_s / Ps) ** K is about 2e496 at K = 40
         cfg = SystemConfig.from_db(num_gfus, 10.0, gfu_power_db, 1.0, 8.0)
         for fn in (outage_diversity_asymptote, outage_probability_highsnr):
             with pytest.raises(NumericalRangeError, match="overflowed double precision"):
                 fn(cfg)
 
+    def test_single_user_power_law_fits_the_box(self):
+        # at K = 1, where highsnr is the power law, eps_s / Ps is at most 1.8e34 in
+        # the input box; it overflowed at -3200 dB, which is now rejected
+        corner = SystemConfig(1, 10.0, 1e-15, 1.0, 64.0)
+        for fn in (outage_diversity_asymptote, outage_probability_highsnr):
+            assert fn(corner) == (2.0**64 - 1.0) / 1e-15
+        with pytest.raises(ValueError, match="^power_gfu = "):
+            SystemConfig.from_db(1, 10.0, -3200.0, 1.0, 8.0)
+
 
 def test_evaluators_are_silent_over_the_accepted_range():
-    # 1,000 seeded configs over K 1..64, powers 1e-300..1e300 and rates 1e-3..1e3:
+    # 1,000 seeded configs over the input box, K 1..256, powers 1e-15..1e15 and rates
+    # 2**-20..64, log-uniform, then its corners, with 1 between each pair of edges:
     # each evaluator answers or raises NumericalRangeError, and none warns
     rng = np.random.default_rng(13)
+    drawn = [
+        SystemConfig(
+            int(rng.integers(1, 257)),
+            *(10.0 ** rng.uniform(-15.0, 15.0, 2)).tolist(),
+            *(2.0 ** rng.uniform(-20.0, 6.0, 2)).tolist(),
+        )
+        for _ in range(1000)
+    ]
+    edges = [(1e-15, 1.0, 1e15)] * 2 + [(2.0**-20, 1.0, 64.0)] * 2
+    corners = [SystemConfig(k, *fields) for k in (1, 2, 256) for fields in product(*edges)]
     outcomes = set()
-    for _ in range(1000):
-        k = int(rng.integers(1, 65))
-        powers = (10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist()
-        rates = (10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist()
-        cfg = SystemConfig(k, *powers, *rates)
+    for cfg in drawn + corners:
         for evaluate in (outage_quadrature, outage_probability_highsnr, outage_diversity_asymptote):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from sgfsim.cli import (
     ZONE_COLUMNS,
     main,
 )
-from sgfsim.model import db_to_linear
+from sgfsim.model import SystemConfig, db_to_linear
 from sgfsim.zones import classify_grid
 
 SWEEP_CONFIG = """
@@ -557,20 +560,20 @@ class TestUsageErrors:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, message",
         [
-            ("gbu_power_db = 20", "gbu_power_db = 4000"),
-            ("gfu_power_db = 10", "gfu_power_db = 4000"),
-            ("target_rate_gbu = 1.0", "target_rate_gbu = 1100"),
-            ("target_rate_gfu = 1.0", "target_rate_gfu = 1100"),
+            ("gbu_power_db = 20", "gbu_power_db = 4000", "overflows"),
+            ("gfu_power_db = 10", "gfu_power_db = 4000", "overflows"),
+            ("target_rate_gbu = 1.0", "target_rate_gbu = 1100", "lies outside the input box"),
+            ("target_rate_gfu = 1.0", "target_rate_gfu = 1100", "lies outside the input box"),
         ],
     )
-    def test_overflowing_value_in_config(self, tmp_path, capsys, old, new):
+    def test_overflowing_value_in_config(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert new.split(" = ")[0] in err and "overflows" in err
+        assert new.split(" = ")[0] in err and message in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key", ["target_rate_gbu", "target_rate_gfu"])
@@ -580,7 +583,7 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace(f"{key} = 1.0", f"{key} = {rate}"))
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert f"{key} = {float(rate)!r} rounds its SNR threshold" in capsys.readouterr().err
+        assert f"{key} = {float(rate)!r} lies outside the input box" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_rate_whose_threshold_rounds_to_zero_is_a_row_error(self, tmp_path):
@@ -590,7 +593,7 @@ class TestUsageErrors:
         assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
         _, header, rows = read_csv(out)
         columns = [header.index(c) for c in ("axis_value", "scheme", "error")]
-        rounds = "target_rate_gbu = {} rounds its SNR threshold 2**rate - 1 to 0"
+        rounds = "target_rate_gbu = {} lies outside the input box [2**-20, 64]"
         assert [tuple(row[c] for c in columns) for row in rows] == [
             ("1e-17", "", rounds.format("1e-17")),
             ("1.0", "cr-rsma-sgf", ""),
@@ -617,6 +620,56 @@ class TestUsageErrors:
         cells = [tuple(row[c] for c in columns) for row in rows]
         assert cells == [cell for value in grid.split() for cell in expected[value]]
 
+    @pytest.mark.parametrize(
+        "field, edges, key, key_edges, axis",
+        [
+            ("num_gfus", (1, 256), "num_gfus", (1, 256), "num_gfus"),
+            ("power_gbu", (1e-15, 1e15), "gbu_power_db", (-150.0, 150.0), "gbu_power_db"),
+            ("power_gfu", (1e-15, 1e15), "gfu_power_db", (-150.0, 150.0), "gfu_power_db"),
+            # the target_rate axis sets both rates, and the GBU's is checked first
+            ("target_rate_gbu", (2.0**-20, 64.0), "target_rate_gbu", (2.0**-20, 64.0), "target_rate"),
+            ("target_rate_gfu", (2.0**-20, 64.0), "target_rate_gfu", (2.0**-20, 64.0), None),
+        ],
+    )
+    def test_one_step_outside_the_input_box(
+        self, tmp_path, capsys, field, edges, key, key_edges, axis
+    ):
+        # one step past each edge, as a field, as a config-file key (powers in dB)
+        # and as a grid point: the field is rejected, the file exits 2 and the
+        # point is an error row naming it
+        def outside(edge, direction):
+            if isinstance(edge, int):
+                return edge + direction
+            return math.nextafter(edge, direction * math.inf)
+
+        base = SystemConfig(2, 100.0, 10.0, 1.0, 1.0)
+        for direction, edge, key_edge in zip((-1, 1), edges, key_edges):
+            assert replace(base, **{field: edge})
+            value = outside(edge, direction)
+            with pytest.raises(ValueError, match=rf"^{field} = {value!r} lies outside the input box"):
+                replace(base, **{field: value})
+
+            line = f"{key} = {outside(key_edge, direction)!r}"
+            text = re.sub(rf"^{key} = .*$", line, SWEEP_CONFIG, flags=re.M)
+            out = str(tmp_path / f"file{direction}.csv")
+            assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f": {field} = " in err and "lies outside the input box" in err
+            assert not os.path.exists(out)
+
+            if axis is None:
+                continue
+            grid = f"{key_edge!r} {outside(key_edge, direction)!r}"
+            text = SWEEP_CONFIG.replace("axis = gfu_power_db", f"axis = {axis}")
+            text = text.replace("grid = 5 10 15", f"grid = {grid}").replace("5000", "200")
+            out = str(tmp_path / f"grid{direction}.csv")
+            assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+            _, header, rows = read_csv(out)
+            schemes = [row[header.index("scheme")] for row in rows]
+            assert schemes == ["cr-rsma-sgf", "cr-noma-sgf", ""]
+            error = rows[2][header.index("error")]
+            assert error.startswith(f"{field} = ") and "lies outside the input box" in error
+
     def test_locked_power_overflow_is_a_row_error(self, tmp_path):
         # the GFU power the lock sets overflows at every point; the file never set it
         text = SWEEP_CONFIG.replace("axis = gfu_power_db", "axis = gbu_power_db")
@@ -627,7 +680,7 @@ class TestUsageErrors:
         _, header, rows = read_csv(out)
         assert [row[header.index("axis_value")] for row in rows] == ["5.0", "10.0", "15.0"]
         assert {row[header.index("error")] for row in rows} == {
-            "power_gfu must be finite and > 0, got inf"
+            "power_gfu = inf lies outside the input box [1e-15, 1e15] (+-150 dB)"
         }
 
     @pytest.mark.parametrize(
@@ -866,13 +919,13 @@ class TestUsageErrors:
         ],
     )
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch, message, shown):
-        # num_gfus from a config file has no upper bound, and the engine sizes its
-        # draw buffers from it; stand in for the failed allocation without making it
+        # the engine sizes its tallies by the trial count and its draw buffers by the
+        # worker count and K; stand in for a failed allocation without making it
         def exhausted(*args):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "sweeps", exhausted)
-        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("num_gfus = 2", "num_gfus = 100000"))
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("num_gfus = 2", "num_gfus = 256"))
         out = str(tmp_path / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err == shown

@@ -54,20 +54,24 @@ class TestSystemConfig:
             make_config(**overrides)
 
     @pytest.mark.parametrize("name", ["target_rate_gbu", "target_rate_gfu"])
-    @pytest.mark.parametrize("rate", [1024.0, 1100.0])
+    @pytest.mark.parametrize("rate", [math.nextafter(64.0, math.inf), 1024.0, 1100.0])
     def test_rejects_a_rate_whose_threshold_overflows(self, name, rate):
-        with pytest.raises(ValueError, match=f"^{name} = {rate!r} overflows"):
+        # 2**rate - 1 overflows a double from 1024 on; the input box ends at 64
+        message = rf"^{name} = {rate!r} lies outside the input box \[2\*\*-20, 64\]$"
+        with pytest.raises(ValueError, match=message):
             make_config(**{name: rate})
-        assert make_config(**{name: math.nextafter(1024.0, 0.0)})  # 2**rate - 1 still fits
+        cfg = make_config(**{name: 64.0})
+        assert cfg.eps0 * cfg.eps_s == 2.0**64 - 1.0
 
     @pytest.mark.parametrize("name", ["target_rate_gbu", "target_rate_gfu"])
-    @pytest.mark.parametrize("rate", [1e-17, 5e-324])
+    @pytest.mark.parametrize("rate", [math.nextafter(2.0**-20, 0.0), 1e-17, 5e-324])
     def test_rejects_a_rate_whose_threshold_rounds_to_zero(self, name, rate):
-        # 2**rate rounds to 1.0, so the threshold 2**rate - 1 would be 0.0
-        with pytest.raises(ValueError, match=f"^{name} = {rate!r} rounds its SNR threshold"):
+        # 2**rate rounds to 1.0 below about 1.6e-16, where the threshold 2**rate - 1
+        # would be 0.0; the input box starts at 2**-20, where its rounding is 1.7e-10 relative
+        with pytest.raises(ValueError, match=rf"^{name} = {rate!r} lies outside the input box"):
             make_config(**{name: rate})
-        cfg = make_config(**{name: 2e-16})  # the threshold is the spacing of doubles at 1
-        assert cfg.eps0 * cfg.eps_s == 2.0**-52
+        cfg = make_config(**{name: 2.0**-20})
+        assert cfg.eps0 * cfg.eps_s == pytest.approx(math.expm1(math.log(2.0) * 2.0**-20), rel=2e-10)
 
     @pytest.mark.parametrize("name", ["gbu_power_db", "gfu_power_db"])
     def test_from_db_names_an_overflowing_power(self, name):
@@ -147,9 +151,14 @@ class TestSampling:
         assert real.gains_gfu == tuple(np.sort(row[:-1]).tolist())
         assert all(type(g) is float for g in (real.gain_gbu, *real.gains_gfu))
 
-    def test_rejects_zero_users(self):
-        with pytest.raises(ValueError):
-            sample_channel_realization(0, np.random.default_rng(0))
+    @pytest.mark.parametrize("num_gfus", [0, 257, True, 2.0, np.int64(2)])
+    def test_checks_num_gfus_as_system_config_does(self, num_gfus):
+        with pytest.raises(ValueError, match="^num_gfus ") as sampled:
+            sample_channel_realization(num_gfus, np.random.default_rng(0))
+        with pytest.raises(ValueError) as configured:
+            make_config(num_gfus=num_gfus)
+        assert str(sampled.value) == str(configured.value)
+        assert sample_channel_realization(256, np.random.default_rng(0)).num_gfus == 256
 
     @pytest.mark.parametrize("shape", [(65536, 6), (1, 6)])
     def test_in_place_transform_is_bit_identical(self, shape):

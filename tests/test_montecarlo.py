@@ -1,7 +1,9 @@
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -187,7 +189,8 @@ class TestEstimateOutage:
         assert sorted(calls) == sorted((power, rows) for power in p0 for rows in (BLOCK_SIZE, 7))
 
     def test_vanishing_target_never_misses(self):
-        cfg = config(rate_gfu=1e-9)
+        # the least GFU target rate in the input box
+        cfg = config(rate_gfu=2.0**-20)
         est = estimate_outage(cfg, Scheme.CR_RSMA_SGF, trials=100_000, seed=3)
         assert est.gfu_outage_prob == 0.0
 
@@ -522,38 +525,47 @@ class TestVectorisedKernels:
             assert tallies[0].tolist() == want
 
 
-class TestExtremePowers:
-    """Accepted powers whose products pass the float range: each product is inf,
-    which every threshold test handles, and nothing warns."""
+# the input box's corners, each power and rate at one of its edges, at K = 1, 2 and
+# 256; every product the kernel forms is monotone in each field, so its extremes lie there
+BOX_CORNERS = [
+    SystemConfig(k, *fields)
+    for k in (1, 2, 256)
+    for fields in product(*[(1e-15, 1e15)] * 2, *[(2.0**-20, 64.0)] * 2)
+]
 
-    # P0 g0 passes it in _gbu_terms: tau_hat is inf, so every row is in Case I
-    HUGE_GBU = SystemConfig(2, 1.7e308, 0.1, 1e-15, 1.0)
-    # Ps g passes it in _outage_masks: no GFU is in outage
-    HUGE_GFU = SystemConfig(2, 10.0, 1.7e308, 1.0, 1.0)
+
+class TestInputBoxCorners:
+    """Every product the kernel and the scalar protocol form is finite inside the
+    input box, so the engine runs its corners silently and the scalar protocol
+    reads each row as the kernel does."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_is_silent(self, workers):
-        # two blocks, the second partial; at two workers each runs one
-        for scheme in Scheme:
-            est = estimate_outage(self.HUGE_GBU, scheme, trials=70_000, seed=1, workers=workers)
-            assert est.case_tallies.occurrences == (70_000, 0, 0)
-            est = estimate_outage(self.HUGE_GFU, scheme, trials=70_000, seed=1, workers=workers)
-            assert sum(est.case_tallies.occurrences) == 70_000
-            assert est.gfu_outage_count == 0
+        # two blocks for K <= 2, the second partial, so at two workers each runs one;
+        # at K = 256 less than one block, so the draw buffer holds about 2 MB
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in BOX_CORNERS:
+                trials = 70_000 if cfg.num_gfus <= 2 else 1_000
+                for scheme in Scheme:
+                    est = estimate_outage(cfg, scheme, trials=trials, seed=1, workers=workers)
+                    assert sum(est.case_tallies.occurrences) == trials
 
-    def test_kernels_are_silent_and_match_the_scalar_protocol(self):
-        g0, gfu = sorted_block(np.random.default_rng(5), 1000, 2)
-        # the scalar protocol reads inf from Python floats without a warning
-        case_idx, gfu_out, gbu_out = evaluate_rsma_trials(self.HUGE_GBU, g0, gfu)
-        for i in range(len(g0)):
-            real = ChannelRealization(float(g0[i]), tuple(float(g) for g in gfu[i]))
-            outcome = evaluate_transmission(self.HUGE_GBU, real)
-            assert case_idx[i] == CASE_INDEX[outcome.case_label] == 0
-            assert bool(gfu_out[i]) == outcome.gfu_outage
-            assert bool(gbu_out[i]) == outcome.gbu_outage
-        for kernel in (evaluate_rsma_trials, evaluate_noma_trials):
-            _, gfu_out, _ = kernel(self.HUGE_GFU, g0, gfu)
-            assert not gfu_out.any()
+    def test_scalar_flags_equal_the_kernels(self):
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in BOX_CORNERS:
+                g0, gfu = sorted_block(rng, 500, cfg.num_gfus)
+                case_idx, rsma_out, gbu_out = evaluate_rsma_trials(cfg, g0, gfu)
+                _, noma_out, _ = evaluate_noma_trials(cfg, g0, gfu)
+                for i in range(len(g0)):
+                    real = ChannelRealization(float(g0[i]), tuple(gfu[i].tolist()))
+                    outcome = evaluate_transmission(cfg, real)
+                    assert case_idx[i] == CASE_INDEX[outcome.case_label]
+                    assert rsma_out[i] == outcome.gfu_outage
+                    assert gbu_out[i] == outcome.gbu_outage
+                    assert noma_out[i] == cr_noma_outage(cfg, real)
 
 
 class TestProbeContract:
