@@ -15,17 +15,23 @@ are the same as if it had been drawn alone, and every K reads the same GBU
 column.
 
 The GBU gains arrive ascending, so the kernel's GBU-side rules cut row ranges
-rather than masks: Case III, the GBU outage and the window where a GFU may be
-decoded last (``_gbu_terms``). Rows are independent and the GFU gains do not
-depend on the GBU gain, so this order leaves the law of every tally unchanged.
+rather than masks (``_gbu_terms``): Case III, the GBU outage, the window where
+a GFU may be decoded last, the rows where tau_hat < eps_s, on which the Case I
+outage is Case I itself, and the rows past which rate splitting's Case II
+outage cannot occur. Rows are independent and the GFU gains do not depend on
+the GBU gain, so this order leaves the law of every tally unchanged. The
+baseline's decode-last test reads the window's contiguous slices where its
+candidate rows are dense and gathers them where they are sparse.
 
 Each worker takes a contiguous chunk of blocks and allocates one workspace
 for it: the widest draw, a row maximum per user count and the per-trial
 scratch, reused by every block and config (a run's shorter last block gets
 its own). Each per-trial term is one buffer of that workspace, written by one
 stage: a user count's row maximum, the GBU-side terms, or one config's masks.
-The GBU-side terms of a block depend only on (P0, eps0, eps_s), so they are
-computed once for all configs sharing those, whatever their user counts.
+Each user count's GFU columns extend the next smaller count's, so its row
+maximum extends that one by the columns it adds. The GBU-side terms of a
+block depend only on (P0, eps0, eps_s), so they are computed once for all
+configs sharing those, whatever their user counts.
 
 Each worker draws the first block of its chunk itself. Each pass of its block
 loop then hands the next block's draw to one helper thread, into the draw
@@ -117,27 +123,44 @@ class OutageEstimate:
         return self.gfu_outage_count >= MIN_RESOLVED_OUTAGES
 
 
-_FLOAT_SCRATCH = ("tau_hat", "interference", "first_floor", "best")
-_BOOL_SCRATCH = ("case1", "case2", "shared", "rsma_case2", "noma_case2")
+_FLOAT_SCRATCH = ("tau_hat", "interference", "first_floor", "best", "received")
+_BOOL_SCRATCH = ("case2", "shared", "rsma_case2", "noma_case2", "low", "high")
+# the decode-last test reads the window's contiguous slices when more than one
+# row in this many is a candidate, and the gathered candidate rows otherwise:
+# per config and 65,536-row block, the gathered rows cost less below about one
+# candidate in eight, the slices above about two in five, and the two were
+# within 10% of each other between (numpy 2.4, 2 vCPUs)
+_SLICE_DENSITY = 4
+
+
+class _RowCuts(NamedTuple):
+    """The row ranges ``_gbu_terms`` cuts on a block sorted by GBU gain: Case III
+    is rows ``[0, n3)``, the GBU outages ``[0, n_gbu)``, the window where some
+    GFU may be decoded last ``[w0, n)``, tau_hat >= eps_s on ``[we, n)`` and
+    the rate-splitting Case II outage possible on ``[0, wr)`` only."""
+
+    n3: int
+    n_gbu: int
+    w0: int
+    we: int
+    wr: int
 
 
 def _scratch(rows: int, counts) -> SimpleNamespace:
     """One buffer of ``rows`` per per-trial term: ``best_gain[k]``, the row
-    maximum of user count ``k`` for each ``k`` in ``counts``, the terms
-    ``_gbu_terms`` writes and those ``_outage_masks`` writes, each overwritten
-    by the next block, GBU-side group or config."""
+    maximum of user count ``k`` for each ``k`` in ``counts``, ascending, the
+    terms ``_gbu_terms`` writes and those ``_outage_masks`` writes, each
+    overwritten by the next block, GBU-side group or config."""
     return SimpleNamespace(
-        best_gain={k: np.empty(rows) for k in counts},
+        best_gain={k: np.empty(rows) for k in sorted(counts)},
         **{name: np.empty(rows) for name in _FLOAT_SCRATCH},
         **{name: np.empty(rows, dtype=bool) for name in _BOOL_SCRATCH},
     )
 
 
-def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int, int]:
+def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> _RowCuts:
     """The GBU side of the case partition and outage rules over ascending
-    ``gain_gbu``, written into ``s``; returns the row ranges it cuts as
-    ``(n3, n_gbu, w0)``: Case III is rows ``[0, n3)``, the GBU outages
-    ``[0, n_gbu)`` and the window where some GFU may be decoded last ``[w0, n)``.
+    ``gain_gbu``, written into ``s``; returns the row ranges it cuts.
 
     These terms depend only on the GBU gain and (P0, eps0, eps_s), so every
     config sharing those three reads them: the admission threshold ``tau_hat``
@@ -146,7 +169,8 @@ def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int,
     multiplication and division by a positive constant and addition of a
     constant are monotone, so each term never decreases along the rows, and
     each rule holds on a range found by bisection: Case III is tau_hat <= 0,
-    the GBU outage g0 < eta0 and the window tau_hat > eps_s.
+    the GBU outage g0 < eta0, the window tau_hat > eps_s and the rate-splitting
+    Case II outage needs interference < case2_ceiling.
     """
     # in-place steps reuse the float buffers; each value is the same expression
     p0g0 = np.multiply(config.power_gbu, gain_gbu, out=s.interference)
@@ -154,61 +178,78 @@ def _gbu_terms(config: SystemConfig, gain_gbu: np.ndarray, s) -> tuple[int, int,
     tau_hat -= 1.0
     interference = np.add(1.0, p0g0, out=p0g0)
     np.multiply(config.eps_s, interference, out=s.first_floor)
-    return (
+    return _RowCuts(
         int(np.searchsorted(tau_hat, 0.0, side="right")),
         int(np.searchsorted(gain_gbu, config.eta0)),
         int(np.searchsorted(tau_hat, config.eps_s, side="right")),
+        int(np.searchsorted(tau_hat, config.eps_s)),
+        int(np.searchsorted(interference, config.case2_ceiling)),
     )
 
 
-def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s, n3: int, w0: int) -> None:
+def _outage_masks(config: SystemConfig, gains_gfu: np.ndarray, s, cuts: _RowCuts) -> None:
     """The case partition and the outage rules of both schemes, written into ``s``
     on the rows of a block sorted by GBU gain: ``shared``, the GFU outages both
     schemes share, on Case III's rows ``[0, n3)`` and on the rest ``[n3, n)``,
-    where it is Case I's; and on ``[n3, n)`` the Case I and II masks ``case1``
-    and ``case2`` and each scheme's Case II GFU outages ``rsma_case2`` and
-    ``noma_case2``.
+    where it is Case I's; on ``[n3, n)`` the Case II mask ``case2`` and the
+    baseline's Case II GFU outages ``noma_case2``; and on ``[n3, wr)`` the
+    rate-splitting Case II GFU outages ``rsma_case2``, which are none past ``wr``.
 
     ``s`` holds ``_gbu_terms`` for this config's (P0, eps0, eps_s), which cut
-    ``n3`` and ``w0``, and, in ``best_gain[K]``, the row maximum of ``gains_gfu``,
-    the config's K GFU columns in any order. The outage tests compare received
-    powers with thresholds written from the stored eps0 and eps_s, as the
-    analytic integrals are; they are the one outage rule, which
+    the row ranges ``cuts``, and, in ``best_gain[K]``, the row maximum of
+    ``gains_gfu``, the config's K GFU columns in any order. The outage tests
+    compare received powers with thresholds written from the stored eps0 and
+    eps_s, as the analytic integrals are; they are the one outage rule, which
     ``protocol.evaluate_transmission`` applies with the same float
     expressions, and match the rate-versus-target tests in real arithmetic
     only. The schemes share the admission window and the case partition and
     differ only in Case II.
     """
     ps, es = config.power_gfu, config.eps_s
+    n3, w0, we, wr = cuts.n3, cuts.w0, cuts.we, cuts.wr
     best = np.multiply(ps, s.best_gain[config.num_gfus], out=s.best)
     # Case III decodes the admitted GFU first
     np.less(best[:n3], s.first_floor[:n3], out=s.shared[:n3])
-    best, tau_hat = best[n3:], s.tau_hat[n3:]
-    case1 = np.less_equal(best, tau_hat, out=s.case1[n3:])
-    case2 = np.logical_not(case1, out=s.case2[n3:])
-    # Case I decodes it interference-free
-    out_case1 = np.less(best, es, out=s.shared[n3:])
-    out_case1 &= case1
-    noma_case2 = np.less(best, s.first_floor[n3:], out=s.noma_case2[n3:])
+    # Case I is best <= tau_hat; no NaN reaches the kernel, so Case II is its negation
+    case2 = np.less(s.tau_hat[n3:], best[n3:], out=s.case2[n3:])
+    # Case I decodes it interference-free, in outage iff best < eps_s: before we,
+    # tau_hat < eps_s, so every Case I row is in outage; from we on, best < eps_s
+    # puts the row in Case I
+    np.logical_not(case2[: we - n3], out=s.shared[n3:we])
+    np.less(best[we:], es, out=s.shared[we:])
+    noma_case2 = np.less(best[n3:], s.first_floor[n3:], out=s.noma_case2[n3:])
     noma_case2 &= case2
+    # past wr, interference + best >= interference >= case2_ceiling as best >= 0;
     # best is not read again, so its buffer takes interference + best
-    split = np.add(s.interference[n3:], best, out=best)
-    rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2[n3:])
-    rsma_case2 &= case2
+    split = np.add(s.interference[n3:wr], best[n3:wr], out=best[n3:wr])
+    rsma_case2 = np.less(split, config.case2_ceiling, out=s.rsma_case2[n3:wr])
+    rsma_case2 &= s.case2[n3:wr]
     # Without splitting, Case II may instead decode last a GFU under the threshold;
     # that works iff some GFU has received power in [eps_s, tau_hat), which is empty
     # outside the window. The strongest GFU is above the threshold, so it never
     # passes and column order is irrelevant.
     if config.num_gfus > 1:
         in_window = s.noma_case2[w0:]
-        candidates = np.flatnonzero(in_window)
-        if candidates.size:
-            tau_candidates = s.tau_hat[w0:].take(candidates)
-            decodable_last = np.zeros(candidates.size, dtype=bool)
+        candidates = np.count_nonzero(in_window)
+        if candidates:
+            # the whole window, read in place, where candidates are dense, and the
+            # gathered candidate rows elsewhere; the rest of the window is False
+            if candidates * _SLICE_DENSITY > len(in_window):
+                rows = slice(None)
+            else:
+                rows = np.flatnonzero(in_window)
+            tau = s.tau_hat[w0:][rows]
+            count = len(tau)
+            # a view of the window or a copy of its candidates
+            undecodable = in_window[rows]
+            low, high = s.low[:count], s.high[:count]
             for j in range(gains_gfu.shape[1]):
-                received = ps * gains_gfu[w0:, j].take(candidates)
-                decodable_last |= (received >= es) & (received < tau_candidates)
-            in_window[candidates[decodable_last]] = False
+                received = np.multiply(ps, gains_gfu[w0:, j][rows], out=s.received[:count])
+                np.less(received, es, out=low)
+                np.greater_equal(received, tau, out=high)
+                low |= high
+                undecodable &= low
+            in_window[rows] = undecodable
 
 
 def _evaluate_trials(
@@ -225,15 +266,16 @@ def _evaluate_trials(
     # gathered column by column, each column contiguous, as in the engine's blocks
     gains_gfu = gains_gfu.T.take(order, axis=1).T
     s = _scratch(len(order), (config.num_gfus,))
-    n3, n_gbu, w0 = _gbu_terms(config, gain_gbu[order], s)
+    cuts = _gbu_terms(config, gain_gbu[order], s)
     np.max(gains_gfu, axis=1, out=s.best_gain[config.num_gfus])
-    _outage_masks(config, gains_gfu, s, n3, w0)
-    # the Case II buffers hold nothing on Case III's rows
+    _outage_masks(config, gains_gfu, s, cuts)
+    # the Case II buffers hold nothing on Case III's rows, nor rsma_case2 past wr
     for case2_flags in (s.case2, s.rsma_case2, s.noma_case2):
-        case2_flags[:n3] = False
+        case2_flags[: cuts.n3] = False
+    s.rsma_case2[cuts.wr :] = False
     rows = np.arange(len(order))
-    case_idx = s.case2.view(np.int8) + 2 * (rows < n3).view(np.int8)
-    flags = (case_idx, s.shared | s.rsma_case2, s.shared | s.noma_case2, rows < n_gbu)
+    case_idx = s.case2.view(np.int8) + 2 * (rows < cuts.n3).view(np.int8)
+    flags = (case_idx, s.shared | s.rsma_case2, s.shared | s.noma_case2, rows < cuts.n_gbu)
     unsorted = tuple(np.empty_like(flag) for flag in flags)
     for out, flag in zip(unsorted, flags):
         out[order] = flag
@@ -290,17 +332,24 @@ def _run_block(configs, groups, gains: np.ndarray, s, tallies: np.ndarray) -> No
     rows = len(gains)
     gain_gbu = gains[:, -1]
     gains_gfu = {k: gains[:, -1 - k : -1] for k in s.best_gain}
+    # the user counts ascend and each K's columns extend the last K' < K's, so a
+    # row maximum takes the one before it and the columns it adds
+    below = 0
     for k, best_gain in s.best_gain.items():
-        np.max(gains_gfu[k], axis=1, out=best_gain)
+        np.max(gains[:, -1 - k : -1 - below], axis=1, out=best_gain)
+        if below:
+            np.maximum(best_gain, s.best_gain[below], out=best_gain)
+        below = k
     for members in groups:
-        n3, n_gbu, w0 = _gbu_terms(configs[members[0]], gain_gbu, s)
+        cuts = _gbu_terms(configs[members[0]], gain_gbu, s)
+        n3 = cuts.n3
         for i in members:
-            _outage_masks(configs[i], gains_gfu[configs[i].num_gfus], s, n3, w0)
+            _outage_masks(configs[i], gains_gfu[configs[i].num_gfus], s, cuts)
             n2 = np.count_nonzero(s.case2[n3:])
             o1, o3 = np.count_nonzero(s.shared[n3:]), np.count_nonzero(s.shared[:n3])
-            rsma = np.count_nonzero(s.rsma_case2[n3:])
+            rsma = np.count_nonzero(s.rsma_case2[n3 : cuts.wr])
             noma = np.count_nonzero(s.noma_case2[n3:])
-            tallies[i] = (rows - n2 - n3, n2, n3, o1, rsma, o3, o1, noma, o3, n_gbu)
+            tallies[i] = (rows - n2 - n3, n2, n3, o1, rsma, o3, o1, noma, o3, cuts.n_gbu)
 
 
 def _run_blocks(configs, groups, trials: int, seed: int, blocks: range, tallies) -> None:

@@ -524,6 +524,137 @@ class TestVectorisedKernels:
             ]
             assert tallies[0].tolist() == want
 
+    @pytest.mark.parametrize("num_gfus", [1, 2, 5, 20])
+    def test_case1_and_split_cuts_are_exact(self, num_gfus):
+        # P0 = Ps = 1 and rates 1/1: g0 = 2 gives tau_hat = eps_s = 1 exactly and
+        # g0 = 3 gives 1 + P0 g0 = case2_ceiling = 4 exactly, and received powers
+        # equal the gains
+        exact = config(num_gfus, power_gbu=1.0, power_gfu=1.0, rate_gbu=1.0, rate_gfu=1.0)
+        configs = [exact] + [SystemConfig.from_db(num_gfus, *params) for params in KERNEL_CONFIGS]
+        rng = np.random.default_rng(4000 + num_gfus)
+        for cfg in configs:
+            # the GBU gains where tau_hat reaches eps_s and where 1 + P0 g0 reaches
+            # case2_ceiling, and a few ulps either side of each
+            cuts = []
+            for cut in (cfg.eta0 * (1.0 + cfg.eps_s), (cfg.case2_ceiling - 1.0) / cfg.power_gbu):
+                low = high = cut
+                cuts.append(cut)
+                for _ in range(3):
+                    low, high = np.nextafter(low, 0.0), np.nextafter(high, np.inf)
+                    cuts += [low, high]
+            # per cut value, strongest received powers at eps_s, at tau_hat, at the
+            # Case II outage edge case2_ceiling - (1 + P0 g0) and an ulp either side
+            strongest = []
+            for g0 in cuts:
+                p0g0 = cfg.power_gbu * g0
+                for edge in (cfg.eps_s, p0g0 / cfg.eps0 - 1.0, cfg.case2_ceiling - (1.0 + p0g0)):
+                    edge = max(edge, 0.0)
+                    for power in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                        strongest.append((g0, power / cfg.power_gfu))
+            planted_g0, best = np.array(strongest).T
+            g0 = np.concatenate([planted_g0, rng.exponential(size=3000)])
+            # the other GFUs below the strongest, one of them tied with it or, where
+            # the strongest is above tau_hat, at tau_hat, too high to be decoded last
+            planted = best[:, None] * rng.uniform(size=(len(best), num_gfus))
+            planted[:, 0] = best
+            if num_gfus > 1:
+                planted[::2, 1] = best[::2]
+                tau = cfg.power_gbu * planted_g0 / cfg.eps0 - 1.0
+                at_tau = (best * cfg.power_gfu > tau) & (tau > 0.0)
+                planted[at_tau, 1] = tau[at_tau] / cfg.power_gfu
+            planted = rng.permuted(planted, axis=1)
+            gfu = np.concatenate([planted, rng.exponential(size=(3000, num_gfus))])
+            shuffle = rng.permutation(len(g0))
+            g0, gfu = g0[shuffle], gfu[shuffle]
+            p0g0 = cfg.power_gbu * g0
+            if cfg is exact:
+                assert (p0g0 / cfg.eps0 - 1.0 == cfg.eps_s).sum() == 9
+                # 1 + (3 + ulp) rounds to 4 as well
+                assert (1.0 + p0g0 == cfg.case2_ceiling).sum() == 18
+            expected = reference_kernels(cfg, g0, np.sort(gfu, axis=1))
+            for got, want in zip(_evaluate_trials(cfg, g0, np.asfortranarray(gfu)), expected):
+                np.testing.assert_array_equal(got, want)
+            # the Case I outage holds on both sides of the tau_hat = eps_s cut
+            case_idx, rsma, noma, gbu = expected
+            tau_hat = p0g0 / cfg.eps0 - 1.0
+            for side in (tau_hat < cfg.eps_s, tau_hat >= cfg.eps_s):
+                assert (side & (case_idx == 0) & rsma).any()
+
+            order = np.argsort(g0, kind="stable")
+            gains = np.asfortranarray(np.column_stack([gfu[order], g0[order]]))
+            tallies = np.zeros((1, 10), dtype=np.int64)
+            montecarlo._run_block([cfg], [[0]], gains, _scratch(len(g0), (num_gfus,)), tallies)
+            want = [
+                *np.bincount(case_idx, minlength=3),
+                *np.bincount(case_idx[rsma], minlength=3),
+                *np.bincount(case_idx[noma], minlength=3),
+                np.count_nonzero(gbu),
+            ]
+            assert tallies[0].tolist() == want
+
+    # (K, Ps dB, whether the decode-last test reads the window's slices) at P0 =
+    # 15 dB and rates 3/3, each on a clear side of the density rule on its block
+    DECODE_LAST_SIDES = [
+        (2, 5.0, False),
+        (2, 15.0, True),
+        (5, 30.0, False),
+        (5, 15.0, True),
+        (20, 25.0, False),
+        (20, 15.0, True),
+    ]
+
+    @pytest.mark.parametrize("num_gfus, ps_db, slices", DECODE_LAST_SIDES)
+    def test_decode_last_reads_slices_or_gathered_rows(self, num_gfus, ps_db, slices):
+        cfg = SystemConfig.from_db(num_gfus, 15.0, ps_db, 3.0, 3.0)
+        rng = np.random.default_rng(5000 + num_gfus)
+        g0, gfu = sorted_block(rng, 8000, num_gfus)
+        # the rule's side: the window's candidates, Case II rows whose strongest GFU
+        # cannot be decoded first, against the window's rows
+        p0g0 = cfg.power_gbu * g0
+        tau_hat, best = p0g0 / cfg.eps0 - 1.0, cfg.power_gfu * gfu[:, -1]
+        window = tau_hat > cfg.eps_s
+        candidates = window & (tau_hat < best) & (best < cfg.eps_s * (1.0 + p0g0))
+        assert candidates.sum() > 10
+        density = candidates.sum() * montecarlo._SLICE_DENSITY / window.sum()
+        assert (density > 1.5) if slices else (density < 0.75)
+
+        expected = reference_kernels(cfg, g0, gfu)
+        got = _evaluate_trials(cfg, g0, np.asfortranarray(rng.permuted(gfu, axis=1)))
+        for flags, want in zip(got, expected):
+            np.testing.assert_array_equal(flags, want)
+        noma = got[2]
+        # some candidates are rescued by a GFU decoded last, and some are not
+        assert noma[candidates].any() and not noma[candidates].all()
+        for i in range(len(g0)):
+            real = ChannelRealization(float(g0[i]), tuple(gfu[i].tolist()))
+            assert bool(noma[i]) == cr_noma_outage(cfg, real), i
+
+    def test_running_row_maximum_equals_each_count_alone(self):
+        counts = (1, 2, 5, 8, 20)
+        rng = np.random.default_rng(6000)
+        # the sampler's layout, 21 columns with the sorted GBU last; in every tenth
+        # row a GFU of each count's added columns ties the row's strongest
+        gains = sample_gain_matrix(5000, 21, rng)
+        top = gains[:, :-1].max(axis=1)
+        for k in counts:
+            gains[::10, -1 - k] = top[::10]
+        for p0_db, ps_db, rate_gbu, rate_gfu in KERNEL_CONFIGS:
+            configs = [SystemConfig.from_db(k, p0_db, ps_db, rate_gbu, rate_gfu) for k in counts]
+            s = _scratch(len(gains), counts)
+            together = np.zeros((len(configs), 10), dtype=np.int64)
+            montecarlo._run_block(configs, [list(range(len(configs)))], gains, s, together)
+            for i, (k, cfg) in enumerate(zip(counts, configs)):
+                np.testing.assert_array_equal(s.best_gain[k], gains[:, -1 - k : -1].max(axis=1))
+                alone = np.zeros((1, 10), dtype=np.int64)
+                montecarlo._run_block([cfg], [[0]], gains, _scratch(len(gains), (k,)), alone)
+                assert together[i].tolist() == alone[0].tolist()
+        # a run's short last block, over the engine's own draws
+        configs = [SystemConfig.from_db(k, 30.0, 18.2, 2.5, 1.5) for k in counts]
+        trials = BLOCK_SIZE + 777
+        together = _simulate(configs, trials, 11, 1)
+        for i, cfg in enumerate(configs):
+            np.testing.assert_array_equal(together[:, i], _simulate([cfg], trials, 11, 1)[:, 0])
+
 
 # the input box's corners, each power and rate at one of its edges, at K = 1, 2 and
 # 256; every product the kernel forms is monotone in each field, so its extremes lie there
