@@ -18,9 +18,17 @@ import math
 from bisect import bisect_left
 
 from .model import ChannelRealization, SystemConfig
-from .protocol import _CASE_I, _CASE_III, _check_gain_gbu, _decide
+from .protocol import _CASE_I, _CASE_II, _CASE_III, _decide
 
 __all__ = ["cr_noma_outage", "cr_noma_rate"]
+
+
+def _decode_last(config: SystemConfig, gains: tuple[float, ...], tau: float) -> tuple[int, float]:
+    """The 1-based ordered index and the received power of the strongest GFU
+    received below ``tau``, the one Case II can decode last; (0, 0.0) if none is."""
+    # the ascending gains put every received power below tau in a prefix
+    below = bisect_left(gains, tau, key=config.power_gfu.__mul__)
+    return below, config.power_gfu * gains[below - 1] if below else 0.0
 
 
 def cr_noma_rate(
@@ -34,28 +42,18 @@ def cr_noma_rate(
     its interference is within budget) or the strongest user (decoded
     first); ties go to the strongest user.
     """
-    gain_gbu = realization.gain_gbu
-    _check_gain_gbu(gain_gbu)
-    p0g0 = config.power_gbu * gain_gbu
-    best = config.power_gfu * realization.gain_best
-    gains = realization.gains_gfu
-    big_k = len(gains)
     # the same three cases as the rate-splitting scheme
-    case, _, tau, _, _ = _decide(config, p0g0, best)
-
-    rate_decode_first = math.log2(1.0 + best / (p0g0 + 1.0))
-    if case is _CASE_III:
-        return rate_decode_first, big_k
+    case, p_gbu, p_best, tau_hat = _decide(config, realization)
+    big_k = len(realization.gains_gfu)
     if case is _CASE_I:
-        return math.log2(1.0 + best), big_k
-
-    # the ascending gains put every received power below tau in a prefix
-    below = bisect_left(gains, tau, key=config.power_gfu.__mul__)
-    if below == 0:
-        return rate_decode_first, big_k
-    rate_decode_last = math.log2(1.0 + config.power_gfu * gains[below - 1])
-    if rate_decode_last > rate_decode_first:
-        return rate_decode_last, below
+        return math.log2(1.0 + p_best), big_k
+    rate_decode_first = math.log2(1.0 + p_best / (p_gbu + 1.0))
+    if case is _CASE_II:
+        below, p_last = _decode_last(config, realization.gains_gfu, tau_hat)
+        # with no user below tau, log2(1 + 0.0) = 0 never wins
+        rate_decode_last = math.log2(1.0 + p_last)
+        if rate_decode_last > rate_decode_first:
+            return rate_decode_last, below
     return rate_decode_first, big_k
 
 
@@ -67,18 +65,12 @@ def cr_noma_outage(config: SystemConfig, realization: ChannelRealization) -> boo
     and Case II the same test as Case III with no GFU received in
     ``[eps_s, tau_hat)``, where it could be decoded last. Equality is success.
     """
-    gain_gbu = realization.gain_gbu
-    _check_gain_gbu(gain_gbu)
-    p0g0 = config.power_gbu * gain_gbu
-    best = config.power_gfu * realization.gain_best
-    case, _, tau, _, _ = _decide(config, p0g0, best)
+    case, p_gbu, p_best, tau_hat = _decide(config, realization)
     if case is _CASE_I:
-        return best < config.eps_s
-    if best >= config.eps_s * (1.0 + p0g0):
+        return p_best < config.eps_s
+    if p_best >= config.eps_s * (1.0 + p_gbu):
         return False
     if case is _CASE_III:
         return True
-    # the strongest received power below tau is the one to decode last, if any is
-    gains = realization.gains_gfu
-    below = bisect_left(gains, tau, key=config.power_gfu.__mul__)
-    return below == 0 or config.power_gfu * gains[below - 1] < config.eps_s
+    # no user below tau_hat reads as power 0.0, under eps_s > 0
+    return _decode_last(config, realization.gains_gfu, tau_hat)[1] < config.eps_s

@@ -258,10 +258,16 @@ def _evaluate_trials(
     """Vectorised protocol of both schemes over many fading blocks: the block
     kernel on the rows sorted by GBU gain, its flags put back in the given order.
 
-    ``gains_gfu`` columns may be in any order. Returns (case index in {0,1,2}
+    ``gains_gfu`` columns may be in any order; its shape must be
+    ``(len(gain_gbu), config.num_gfus)``. Returns (case index in {0,1,2}
     for Cases I/II/III, rate-splitting GFU outage flag, non-splitting GFU
     outage flag, GBU outage flag).
     """
+    if gain_gbu.ndim != 1 or gains_gfu.shape != (len(gain_gbu), config.num_gfus):
+        raise ValueError(
+            f"gains_gfu of shape {gains_gfu.shape} does not match gain_gbu of shape "
+            f"{gain_gbu.shape} and num_gfus = {config.num_gfus}"
+        )
     order = np.argsort(gain_gbu)
     # gathered column by column, each column contiguous, as in the engine's blocks
     gains_gfu = gains_gfu.T.take(order, axis=1).T

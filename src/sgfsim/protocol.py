@@ -71,33 +71,34 @@ def _check_gain_gbu(gain_gbu: float) -> None:
 
 
 def _decide(
-    config: SystemConfig, p_gbu: float, p_best: float
-) -> tuple[CaseLabel, float, float, float, float]:
-    """The case, both thresholds and the (alpha, beta) split of one block, which
-    ``evaluate_transmission`` returns, from the received powers of the GBU and
-    the strongest GFU (the caller checks their gains).
+    config: SystemConfig, realization: ChannelRealization
+) -> tuple[CaseLabel, float, float, float]:
+    """The checked decision of one block: its case, the received powers of the
+    GBU and the strongest GFU, and tau_hat, from a record whose gains it checks.
 
     tau_hat is the largest residual interference under which the GBU still
     meets its target; the broadcast tau clips it at zero. tau == 0, the boundary
-    tau_hat == 0 included, is Case III (1, 1); a received GFU power equal to a
-    positive tau is Case I (0, 0). Case II's rate split can fall below zero and
-    is clamped to [0, 1]; outage decisions never consult it.
+    tau_hat == 0 included, is Case III; a received GFU power equal to a
+    positive tau is Case I.
 
-    The admitted GFU's outage is defined by these float comparisons, evaluated
-    as written, which are those of ``montecarlo._outage_masks``: Case I
-    ``p_best < eps_s``, Case II ``(1 + p_gbu) + p_best < case2_ceiling`` and
+    The admitted GFU's outage is defined by float comparisons of these powers,
+    evaluated as written, which are those of ``montecarlo._outage_masks``: Case
+    I ``p_best < eps_s``, Case II ``(1 + p_gbu) + p_best < case2_ceiling`` and
     Case III ``p_best < eps_s * (1 + p_gbu)``. Equality is success. The
     log2 rate against the target is the same test in real arithmetic only.
     """
+    gain_gbu, gain_best = realization.gain_gbu, realization.gain_best
+    _check_gain_gbu(gain_gbu)
+    # written so that NaN fails it too
+    if not (0.0 <= gain_best):
+        raise ValueError(f"gain_best must be >= 0, got {gain_best!r}")
+    p_gbu = config.power_gbu * gain_gbu
+    p_best = config.power_gfu * gain_best
     tau_hat = p_gbu / config.eps0 - 1.0
     # the broadcast threshold max(0, tau_hat): tau_hat is never NaN or -0.0 here
     if tau_hat <= 0.0:
-        return _CASE_III, tau_hat, 0.0, 1.0, 1.0
-    if p_best <= tau_hat:
-        return _CASE_I, tau_hat, tau_hat, 0.0, 0.0
-    alpha = 1.0 - tau_hat / p_best
-    beta = 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu
-    return _CASE_II, tau_hat, tau_hat, min(1.0, max(0.0, alpha)), min(1.0, max(0.0, beta))
+        return _CASE_III, p_gbu, p_best, tau_hat
+    return (_CASE_I if p_best <= tau_hat else _CASE_II), p_gbu, p_best, tau_hat
 
 
 def gbu_oma_outage(config: SystemConfig, gain_gbu: float) -> bool:
@@ -111,33 +112,34 @@ def evaluate_transmission(
 ) -> TransmissionOutcome:
     """Run the full protocol on one fading block and report rates and outages.
 
+    Cases I and III pin the split (alpha, beta) at (0, 0) and (1, 1). Case
+    II's puts the second stream's interference at tau: 0 < tau < p_best keeps
+    alpha in [0, 1], and beta, below zero where tau alone carries the target
+    rate, is clamped at zero; outage decisions never consult the split.
+
     The outage flags are the threshold comparisons of ``_decide``; in Case II
     an outage is also the silence. The rates are log2 and are reported as
     computed, so a rate can sit on the other side of its target from its flag
     only within a few ulps of a threshold.
     """
-    gain_gbu, gain_best = realization.gain_gbu, realization.gain_best
-    _check_gain_gbu(gain_gbu)
-    # written so that NaN fails it too
-    if not (0.0 <= gain_best):
-        raise ValueError(f"gain_best must be >= 0, got {gain_best!r}")
-    p_gbu = config.power_gbu * gain_gbu
-    p_best = config.power_gfu * gain_best
-    case, tau_hat, tau, alpha, beta = _decide(config, p_gbu, p_best)
-    # achievable_rates rejects the NaN SINR of an infinite gain
-    rate_s1, rate_gbu, rate_s2 = achievable_rates(*_sic_sinrs(p_gbu, p_best, alpha))
-
+    case, p_gbu, p_best, tau_hat = _decide(config, realization)
     gfu_silent = gbu_outage = False
     if case is _CASE_I:
+        tau, alpha, beta = tau_hat, 0.0, 0.0
         gfu_outage = p_best < config.eps_s
     elif case is _CASE_II:
+        tau, alpha = tau_hat, 1.0 - tau_hat / p_best
+        beta = max(0.0, 1.0 - math.log2(1.0 + tau_hat) / config.target_rate_gfu)
         gfu_outage = gfu_silent = (1.0 + p_gbu) + p_best < config.case2_ceiling
-        if gfu_silent:
-            # admitted user backs off, the GBU transmits alone
-            rate_gbu = math.log2(1.0 + p_gbu)
     else:
+        tau, alpha, beta = 0.0, 1.0, 1.0
         gfu_outage = p_best < config.eps_s * (1.0 + p_gbu)
-        gbu_outage = gbu_oma_outage(config, gain_gbu)
+        gbu_outage = gbu_oma_outage(config, realization.gain_gbu)
+    # achievable_rates rejects the NaN SINR of an infinite gain
+    rate_s1, rate_gbu, rate_s2 = achievable_rates(*_sic_sinrs(p_gbu, p_best, alpha))
+    if gfu_silent:
+        # admitted user backs off, the GBU transmits alone
+        rate_gbu = math.log2(1.0 + p_gbu)
 
     return TransmissionOutcome(
         case, tau_hat, tau, alpha, beta, rate_gbu, rate_s1, rate_s2, rate_s1 + rate_s2,

@@ -7,13 +7,14 @@ reads, or a cell that ``sgfsim run`` prints, is broken.
 """
 
 import ast
+import dataclasses
 import functools
 import inspect
 
 import numpy as np
 import pytest
 
-from sgfsim import acceptance, montecarlo
+from sgfsim import acceptance, analytic, cli, montecarlo
 from sgfsim.acceptance import CRITERIA, DEFAULT_SEED
 from sgfsim.protocol import evaluate_transmission
 from sgfsim.zones import ZoneLabel
@@ -95,6 +96,47 @@ def test_zone_geometry_catches_a_baseline_cell_outside_the_pentagon(monkeypatch)
     result = acceptance.criterion_zone_geometry(DEFAULT_SEED)
     assert not result.passed
     assert ", 1 containment violations," in result.detail
+
+
+def test_per_case_decomposition_catches_swapped_case_terms(monkeypatch):
+    """Quadrature terms of Cases I and III filed under each other miss the
+    per-case tallies; the total, and so every sweep row, is unchanged."""
+    quadrature = analytic.outage_quadrature
+
+    def swapped(config):
+        breakdown = quadrature(config)
+        return dataclasses.replace(breakdown, p_case1=breakdown.p_case3, p_case3=breakdown.p_case1)
+
+    monkeypatch.setattr(analytic, "outage_quadrature", swapped)
+    # the grid is cached per seed; no other test may read rows built under the plant
+    acceptance._mc_grid.cache_clear()
+    try:
+        result = acceptance.criterion_case_decomposition(DEFAULT_SEED)
+    finally:
+        acceptance._mc_grid.cache_clear()
+    failures = result.detail.split("; ")[1:]
+    assert not result.passed
+    assert failures and all(" case I: " in f or " case III: " in f for f in failures), result.detail
+
+
+def test_determinism_catches_a_worker_dependent_tally(monkeypatch):
+    """One extra Case I occurrence on the last block of a threaded run changes the
+    estimate and every preset's files but the zone preset's, which draws no blocks."""
+    simulate = montecarlo._simulate
+
+    def planted(configs, trials, seed, workers):
+        tallies = simulate(configs, trials, seed, workers)
+        if workers > 1:
+            tallies[-1, :, 0] += 1
+        return tallies
+
+    monkeypatch.setattr(montecarlo, "_simulate", planted)
+    result = acceptance.criterion_determinism(DEFAULT_SEED)
+    assert not result.passed
+    assert result.detail.split("; ") == [
+        "estimate differs between 1 and 8 workers",
+        *(f"preset {name} output not byte-identical" for name in cli.PRESET_NAMES if name != "zone"),
+    ]
 
 
 @pytest.mark.parametrize(

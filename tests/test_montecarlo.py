@@ -418,6 +418,21 @@ class TestVectorisedKernels:
                 for got, want in zip(noma, (fused[0], fused[2], fused[3])):
                     np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "num_gfus, gbu_rows, gfu_shape",
+        [(1, 20_000, (20_000, 5)), (5, 100, (20_000, 5)), (5, 20_000, (100, 5))],
+        ids=["columns", "fewer-gbu-rows", "fewer-gfu-rows"],
+    )
+    def test_mismatched_shapes_rejected(self, num_gfus, gbu_rows, gfu_shape):
+        # each once read other rows or columns than it was given, or raised IndexError
+        cfg = config(num_gfus=num_gfus)
+        rng = np.random.default_rng(5)
+        g0, gfu = rng.exponential(size=gbu_rows), rng.exponential(size=gfu_shape)
+        shapes = rf"gains_gfu of shape \({gfu_shape[0]}, 5\) .* gain_gbu of shape \({gbu_rows},\)"
+        for kernel in (evaluate_rsma_trials, evaluate_noma_trials):
+            with pytest.raises(ValueError, match=shapes):
+                kernel(cfg, g0, gfu)
+
     def test_decode_last_window_is_exact(self):
         # eps0 = 3 > eps_s = 1 and P0 = eps0, so tau_hat = g0 - 1 is exact. Hand-made
         # Case II rows whose strongest GFU cannot be decoded first, then a random block:

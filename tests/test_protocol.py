@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgfsim.baselines import cr_noma_rate
+from sgfsim.baselines import cr_noma_outage, cr_noma_rate
 from sgfsim.model import (
     ChannelRealization,
     SystemConfig,
@@ -49,9 +49,9 @@ class TestThresholdFields:
         assert out.tau == 0.0
 
     def test_nan_gain_rejected(self):
-        # both per-block schemes check the GBU gain before reading a threshold from it
+        # every per-block function checks the GBU gain before reading a threshold from it
         block = SimpleNamespace(gain_gbu=math.nan, gains_gfu=(0.5, 2.0), gain_best=2.0)
-        for scheme in (evaluate_transmission, cr_noma_rate):
+        for scheme in (evaluate_transmission, cr_noma_rate, cr_noma_outage):
             with pytest.raises(ValueError, match="gain_gbu must be >= 0"):
                 scheme(config(), block)
 
@@ -142,9 +142,11 @@ class TestEvaluateTransmission:
 
     @pytest.mark.parametrize("gain_gbu, gain_best", [(-1.0, 2.0), (1.0, math.nan), (1.0, -2.0)])
     def test_bad_gain_rejected_on_a_bare_record(self, gain_gbu, gain_best):
+        # the rate-splitting protocol and both baseline functions read one checked decision
         block = SimpleNamespace(gain_gbu=gain_gbu, gains_gfu=(1.0, gain_best), gain_best=gain_best)
-        with pytest.raises(ValueError, match="must be >= 0"):
-            evaluate_transmission(config(), block)
+        for scheme in (evaluate_transmission, cr_noma_rate, cr_noma_outage):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                scheme(config(), block)
 
     @pytest.mark.parametrize("gain_gbu, gains_gfu", [(1.0, (0.5, math.inf)), (0.1, (0.5, math.inf))])
     def test_infinite_gain_rejected(self, gain_gbu, gains_gfu):
