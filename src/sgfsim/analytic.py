@@ -4,11 +4,14 @@ The admitted user is the maximum of K unit-mean exponential gains, so every
 case probability reduces to expectations of order-statistic CDFs over the
 GBU gain. The evaluation routes are:
 
-* ``outage_quadrature`` - the production evaluator (any K >= 1): fixed 48-
+* ``outage_probability`` - the production evaluator (any K >= 1): fixed 48-
   and 64-node Gauss-Legendre rules over the positive order-statistic
-  integrands, split at the kink x* = eta0 * (1 + eps_s); it answers to
-  ~1e-13 relative and raises ``NumericalRangeError`` where the two rules
-  disagree,
+  integrands, split at the kink x* = eta0 * (1 + eps_s), where the K + 1
+  case-I/II integrands sum to one order-statistic CDF, one power per node;
+  it answers to ~1e-13 relative and raises ``NumericalRangeError`` where the
+  two rules disagree or the total is below the smallest normal double,
+* ``outage_quadrature`` - the same total, with the per-case breakdown that
+  integrates each case-II bucket on its own by the 64-node rule,
 * ``outage_exact`` - the paper's alternating binomial series over the
   exponential integral kernel ``nu_kernel`` (every K >= 1), kept as the
   reference formula,
@@ -143,7 +146,10 @@ class OutageBreakdown:
         return math.fsum(self.p_case2_terms)
 
 
-def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreakdown:
+def _build_breakdown(
+    p1: float, p2_terms: list[float], p3: float, total: float | None = None
+) -> OutageBreakdown:
+    """Clip the parts to [0, 1]; ``total`` defaults to the clipped sum of the parts."""
     if all(0.0 <= t <= 1.0 for t in (p1, *p2_terms, p3)):
         # in range, so clipping is abs: it maps -0.0 to 0.0 and keeps the rest
         p1, p2, p3 = abs(p1), tuple(map(abs, p2_terms)), abs(p3)
@@ -154,7 +160,8 @@ def _build_breakdown(p1: float, p2_terms: list[float], p3: float) -> OutageBreak
             _clip_probability(t, f"case-II probability (k={k})") for k, t in enumerate(p2_terms)
         )
         p3 = _clip_probability(p3, "case-III probability")
-    total = _clip_probability(math.fsum((p1, *p2, p3)), "total outage probability")
+    if total is None:
+        total = _clip_probability(math.fsum((p1, *p2, p3)), "total outage probability")
     return OutageBreakdown(p_case1=p1, p_case2_terms=p2, p_case3=p3, total=total)
 
 
@@ -244,13 +251,14 @@ def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, np.ndarray
 
 # the 64-node rule answers and the 48-node rule checks it
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
-_GAUSS_NODES_COMPLEMENT = 1.0 - _GAUSS_NODES
+# the 64-node rule alone, for the per-case parts
+_FINE_NODES, _FINE_WEIGHTS = _GAUSS_NODES[48:], np.ascontiguousarray(_GAUSS_WEIGHTS[48:, 1])
 
 
 @functools.cache
 def _order_table(big_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (K+1, 1) columns of k, K - k and C(K, k), k = 0..K, for
-    ``outage_quadrature``; they depend on K alone."""
+    ``_bucket_rows``; they depend on K alone."""
     ks = np.arange(big_k + 1)[:, None]
     binomials = np.array([float(comb(big_k, k)) for k in range(big_k + 1)])[:, None]
     table = (ks, big_k - ks, binomials)
@@ -259,45 +267,54 @@ def _order_table(big_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
-    """Outage probability of the admitted GFU by Gauss-Legendre quadrature (K >= 1).
+def _bucket_rows(config: SystemConfig, u: np.ndarray) -> np.ndarray:
+    """(K+1, nodes) case-I/II integrands at x = eta0 * (1 + eps_s * u), without exp(-x).
 
-    The production evaluator behind ``outage_probability``: the three case
-    integrals over the GBU gain x ~ Exp(1). With F(y) = -expm1(-y) and u in
-    [0, 1], the case-I/II interval [eta0, x*] is x = eta0 * (1 + eps_s * u).
-    There the weakest GFU gain that clears the threshold is a = eta_s * u
-    and the band of gains below the ceiling is d = (1 + eps0) * eta_s * (1 - u).
-    Case-II bucket k is the product C(K, k) F(a)^k (exp(-a) F(d))^(K-k) exp(-x)
-    of positive factors, and the row k = K is the case-I core F(a)^K exp(-x);
-    nothing cancels, and all K + 1 rows are integrated in one product.
-
-    The 48- and the 64-node rule are both evaluated and the 64-node breakdown
-    is returned. ``NumericalRangeError`` is raised where their totals differ
-    by more than 1e-10 relative (the integrands vary too fast for a fixed
-    rule) or where the total is below the smallest normal double.
+    The weakest GFU gain that clears the threshold is a = eta_s * u and the
+    band of gains below the ceiling is d = (1 + eps0) * eta_s * (1 - u). Row
+    k < K is case-II bucket k, C(K, k) F(a)^k (exp(-a) F(d))^(K-k), and row K
+    is the case-I core F(a)^K: products of positive factors.
     """
-    big_k = config.num_gfus
-    u, w = _GAUSS_NODES, _GAUSS_WEIGHTS
-    e0, es = config.eps0, config.eps_s
-    eta0, eta_s = config.eta0, config.eta_s
-    ks, rest, binomials = _order_table(big_k)
+    ks, rest, binomials = _order_table(config.num_gfus)
+    minus_a = -(config.eta_s * u)
+    band = np.exp(minus_a) * -np.expm1(-(1.0 + config.eps0) * config.eta_s * (1.0 - u))
+    return binomials * (-np.expm1(minus_a)) ** ks * band**rest
 
-    # case III: x in [0, eta0]
-    x = eta0 * u
-    p3 = eta0 * ((-np.expm1(-eta_s * (1.0 + config.power_gbu * x))) ** big_k * np.exp(-x) @ w)
 
-    # case-II buckets k = 0..K-1 and the case-I core, x in [eta0, x*]
-    minus_a = -(eta_s * u)
-    band = np.exp(minus_a) * -np.expm1(-(1.0 + e0) * eta_s * _GAUSS_NODES_COMPLEMENT)
-    rows = (-np.expm1(minus_a)) ** ks * band**rest
-    density = eta0 * es * np.exp(-eta0 * (1.0 + es * u))  # dx/du times exp(-x)
-    terms = binomials * (rows @ (w * density[:, None]))
+def _rows_sum(config: SystemConfig, u: np.ndarray) -> np.ndarray:
+    """The sum of the K + 1 ``_bucket_rows``, one power per node.
 
-    # case-I tail: beyond x* the strongest GFU clears the threshold alone
-    tail = (-expm1(-eta_s)) ** big_k * exp(-eta0 * (1.0 + es))
-    # per rule: the K + 1 integrated rows and the case-III integral
-    columns, p3 = terms.T.tolist(), p3.tolist()
-    coarse, fine = (math.fsum((*columns[j], tail, p3[j])) for j in (0, 1))
+    By the binomial theorem it is (F(a) + exp(-a) F(d))^K = F(a + d)^K, the
+    CDF of the strongest of K gains at a + d = eta_s * (1 + eps0 * (1 - u)).
+    """
+    return (-np.expm1(-config.eta_s * (1.0 + config.eps0 * (1.0 - u)))) ** config.num_gfus
+
+
+def _density(config: SystemConfig, u: np.ndarray) -> np.ndarray:
+    """dx/du times exp(-x) over the case-I/II interval x = eta0 * (1 + eps_s * u)."""
+    eta0, es = config.eta0, config.eps_s
+    return eta0 * es * np.exp(-eta0 * (1.0 + es * u))
+
+
+def _case3_integrand(config: SystemConfig, u: np.ndarray) -> np.ndarray:
+    """Case-III integrand over x = eta0 * u in [0, eta0], times dx/du."""
+    x = config.eta0 * u
+    cdf = -np.expm1(-config.eta_s * (1.0 + config.power_gbu * x))
+    return config.eta0 * cdf**config.num_gfus * np.exp(-x)
+
+
+def _case1_tail(config: SystemConfig) -> float:
+    """Case I beyond x*, where the strongest GFU clears the threshold alone."""
+    return (-expm1(-config.eta_s)) ** config.num_gfus * exp(-config.eta0 * (1.0 + config.eps_s))
+
+
+def _quadrature_total(config: SystemConfig) -> float:
+    """The 64-node total over ``_rows_sum``, ``_case3_integrand`` and the case-I
+    tail, checked against the 48-node total and clipped to [0, 1]."""
+    u = _GAUSS_NODES
+    integrand = _rows_sum(config, u) * _density(config, u) + _case3_integrand(config, u)
+    tail = _case1_tail(config)
+    coarse, fine = (math.fsum((rule, tail)) for rule in (integrand @ _GAUSS_WEIGHTS).tolist())
     if fine < sys.float_info.min:
         raise NumericalRangeError(
             f"quadrature total {fine!r} is below the smallest normal double; no "
@@ -308,7 +325,26 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
             f"the 48- and 64-node rules disagree ({coarse!r} vs {fine!r}); "
             "the integrands vary too fast for a fixed quadrature rule here"
         )
-    return _build_breakdown(columns[1][big_k] + tail, columns[1][:big_k], p3[1])
+    return _clip_probability(fine, "total outage probability")
+
+
+def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
+    """Outage probability of the admitted GFU by Gauss-Legendre quadrature, per case (K >= 1).
+
+    The three case integrals over the GBU gain x ~ Exp(1), with F(y) =
+    -expm1(-y): case III over [0, eta0], and case I and the K case-II buckets
+    over [eta0, x*], x* = eta0 * (1 + eps_s), where every integrand is a
+    product of positive factors (``_bucket_rows``), plus the case-I tail
+    beyond x*. ``total`` and its ``NumericalRangeError`` are those of
+    ``outage_probability``, which integrates the buckets' sum with the 48-
+    and the 64-node rule. The parts are integrated by the 64-node rule alone,
+    so they add up to ``total`` to rounding, not bit for bit.
+    """
+    total = _quadrature_total(config)
+    u, w = _FINE_NODES, _FINE_WEIGHTS
+    terms = (_bucket_rows(config, u) @ (w * _density(config, u))).tolist()
+    p3 = float(_case3_integrand(config, u) @ w)
+    return _build_breakdown(terms[-1] + _case1_tail(config), terms[:-1], p3, total)
 
 
 def outage_diversity_asymptote(config: SystemConfig) -> float:
@@ -338,8 +374,17 @@ def _in_range(evaluate, config: SystemConfig, what: str) -> float:
 
 
 def outage_probability(config: SystemConfig) -> float:
-    """Exact outage probability for any K >= 1."""
-    return outage_quadrature(config).total
+    """Exact outage probability for any K >= 1: ``outage_quadrature(config).total``
+    without the per-case breakdown.
+
+    The 48- and 64-node Gauss-Legendre rules integrate the sum of the case-I/II
+    integrands, F(eta_s * (1 + eps0 * (1 - u)))^K exp(-x), and the case-III
+    integrand; the closed-form case-I tail is added. ``NumericalRangeError`` is
+    raised where the two rules differ by more than 1e-10 relative (the
+    integrands vary too fast for a fixed rule) or where the total is below the
+    smallest normal double.
+    """
+    return _quadrature_total(config)
 
 
 def outage_probability_highsnr(config: SystemConfig) -> float:

@@ -16,11 +16,14 @@ from scipy.integrate import quad
 import sgfsim
 from sgfsim import cli
 from sgfsim.analytic import (
+    _GAUSS_NODES,
     ConditioningWarning,
     NumericalRangeError,
     OutageBreakdown,
+    _bucket_rows,
     _build_breakdown,
     _order_table,
+    _rows_sum,
     _series_sum,
     nu_kernel,
     outage_diversity_asymptote,
@@ -34,7 +37,7 @@ from sgfsim.montecarlo import _config_on_axis
 
 
 # SHA-256 of TestOutageQuadrature.test_outputs_are_pinned's seeded outputs
-QUADRATURE_OUTPUT_SHA256 = "242221fd5b021b479270922b62fa9652e7487d35494ad5bdca38aeda870827c9"
+QUADRATURE_OUTPUT_SHA256 = "5e1f14d806cc3418f42178b5e58a82b616efd411d0d6aa5e9d711d0ae8a5edd4"
 # SHA-256 of TestOutageExact.test_outputs_are_pinned's seeded outputs
 SERIES_OUTPUT_SHA256 = "c4da903842f726e0e1113ef5f7468a895841329899169b252868f123d5b2b323"
 
@@ -406,11 +409,60 @@ class TestOutageQuadrature:
             outage_quadrature(SystemConfig(50, 1.0, 1e9, 1.0, 1.0))
 
     def test_breakdown_consistency(self):
+        # the total integrates the buckets' sum with both rules and the parts take the
+        # 64-node rule bucket by bucket: over 2,000 README-range configs (K 1..20) the
+        # two differed by at most 3.1e-15 relative, and agreed exactly on 615
         breakdown = outage_quadrature(config(num_gfus=5, power_gbu=31.6, power_gfu=100.0))
         parts = [breakdown.p_case1, *breakdown.p_case2_terms, breakdown.p_case3]
         assert all(isinstance(p, float) and 0.0 < p <= 1.0 for p in parts)
         assert len(breakdown.p_case2_terms) == 5
-        assert breakdown.total == math.fsum(parts)
+        assert breakdown.total == pytest.approx(math.fsum(parts), rel=1e-14, abs=0.0)
+
+    def test_bucket_rows_sum_to_the_summed_integrand(self):
+        # sum_k C(K, k) F(a)^k (exp(-a) F(d))^(K-k) = F(a + d)^K at every node; over
+        # K 1..64 and 7,680 configs (README range and -20..80 dB, rates 0.1..8) the
+        # fsum of the rows held the one power to 6.1e-16 * K relative wherever it
+        # is above 1e-280 (below, the rows lose precision to subnormals)
+        rng = np.random.default_rng(1001)
+        for k_users in range(1, 65):
+            for _ in range(10):
+                cfg = SystemConfig.from_db(
+                    k_users, *rng.uniform(0.0, 50.0, 2).tolist(), *rng.uniform(0.5, 4.0, 2).tolist()
+                )
+                want = _rows_sum(cfg, _GAUSS_NODES)
+                got = np.array([math.fsum(col) for col in _bucket_rows(cfg, _GAUSS_NODES).T])
+                normal = want > 1e-280
+                assert np.all(np.abs(got - want)[normal] <= 1e-15 * k_users * want[normal]), cfg
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # from 20,000 configs drawn with np.random.default_rng(0), each K in 1..64,
+            # both powers in -20..80 dB and both rates in 0.1..8: the sum of the bucket
+            # integrals answered the first nine 1.2e-10 to 3.5e-9 off, where the bucket
+            # terms go subnormal, and the two rules disagreed on its sum for the last four
+            (56, 19.610544922481573, 65.82685034359774, 3.711124261737673, 1.09676034117646),
+            (58, -1.5348680352736785, 69.89235452350448, 0.7477350786384771, 5.45528883873334),
+            (56, 70.73639453552967, 68.69349926827614, 4.124096389599727, 1.5201112395813343),
+            (63, 21.36922306744558, 62.449142701284515, 1.8311390003151922, 3.442225322210992),
+            (51, 11.937025536934616, 63.6464516635904, 1.3518869571801928, 1.2783520789824603),
+            (60, 74.88618362347341, 54.96705863094965, 1.7056876404820007, 1.2923775355298488),
+            (61, 53.52032553221565, 62.570410451729, 5.47380714214295, 0.5533302220063318),
+            (51, 23.366274441644684, 66.51197133697185, 1.0572465898044843, 2.142802921510917),
+            (51, 47.905215199495345, 77.42894360774396, 2.2591476293381914, 4.222518686046017),
+            (36, -12.794387794958999, 78.98950270607027, 0.1008532537273587, 0.3075058915094704),
+            (62, 6.604958508551146, 75.94932455417971, 3.2187516893958708, 5.626172961260685),
+            (62, 57.29403148596063, 40.50824533019793, 1.173691341933257, 0.14603769347178763),
+            (59, 50.58607269882758, 76.65985957757253, 1.2291161631343956, 7.17008997230768),
+        ],
+    )
+    def test_relative_precision_where_the_buckets_underflow(self, cfg):
+        # totals from 2.5e-308 to 2.1e-297; measured within 4.7e-14 of the reference
+        cfg = SystemConfig.from_db(*cfg)
+        p1, p2_terms, p3 = reference_breakdown(cfg, epsabs=0.0)
+        want = math.fsum((p1, *p2_terms, p3))
+        assert outage_probability(cfg) == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert outage_quadrature(cfg).total == outage_probability(cfg)
 
     def test_accepts_single_user(self):
         cfg = config(num_gfus=1, power_gbu=100.0, power_gfu=6.7, rate_gbu=2.5, rate_gfu=1.5)
@@ -434,7 +486,9 @@ class TestOutageQuadrature:
     def test_outputs_are_pinned(self):
         # repr of every breakdown, or the type and message of every raise, over
         # 2,000 seeded configs wider than the README range (42 of them raise);
-        # pinned before the per-K tables and the one-pass range check went in
+        # re-pinned when the total moved to the buckets' summed integrand, which
+        # raised on the same 42 and answered #1610 (9.7e-302) 1.6e-14 off an
+        # adaptive reference, where the bucket-sum total had been 2.5e-10 off
         rng = np.random.default_rng(2718)
         digest = hashlib.sha256()
         for _ in range(2000):

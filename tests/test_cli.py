@@ -64,31 +64,31 @@ MONTE_CARLO_COLUMNS = (
 FIG7_MONTE_CARLO_SHA256 = "38712cc583b2faa35e0b2a8f6b0b47a8ce64678bed73e2355175bbad41daaf7c"
 # every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
 PRESET_FILE_SHA256 = {
-    "fig3_k1.csv": "08d8f1a6bb1c332a541375963d71bc3cbc1b9d154fffc24235b263d136b94928",
-    "fig3_k5.csv": "989e6bc8823b1a80d48299317be56fb9d977b9bc938a5e061c645392daa25e00",
-    "fig4_k1.csv": "9f0774d28a61932dedb05b8978751eb8fd0912202cb61dc84b38fce5c64c1226",
-    "fig4_k5.csv": "a082f197019ac6d16374be95cf800eecdbd5192e45c9e32bffadbebf4ac00c53",
+    "fig3_k1.csv": "bd0151eaedc5633002d9bddbefaaf85786c0c089027f335f949f0c6d481a6efc",
+    "fig3_k5.csv": "06512f75c1d37d6d338c3b3e10618c351509a21301a5a6c6be6c75b70d76db2a",
+    "fig4_k1.csv": "c3dfa8337d9771ef4938fc4c797c8bc6469783719783a8db50d499447bcda180",
+    "fig4_k5.csv": "c7ced47704dfed01c85ac48c3c1bbc64961a34389f2d945f07f882a48f25446d",
     "fig5_k1.csv": "61e66247cc20ad6ee637487b1070d13ec185561826c8258f99ee9d9c42f2540a",
-    "fig5_k2.csv": "b88c698fe3152773840fbf8eae1e9b29b361414579ec797f1b92f4a75f419112",
+    "fig5_k2.csv": "0ef7be135df49cc6782b4e475c6c83083913e24567411676023b21868f49749a",
     "fig5_k4.csv": "55161874bfc2187c6b3048a524a89f94aef6d0f665247d5db6138eeaadb8e1a5",
-    "fig6.csv": "7b41e2dfd68928bd74a6dcdae0559ca212f300f4736da2334f0f7168b1f7d495",
-    "fig7_a.csv": "c9df9c57e0e65a2589151ea1cb42383bb15722f77f306fc816179300b7453c18",
-    "fig7_b.csv": "db7609c73c682b4c1b8cb33c53d3894968221f62350044260ce61f64dee1959e",
+    "fig6.csv": "68e24dd7df50435a3d96e71b50e3881dc6986e9fd402dca934957f73ea811241",
+    "fig7_a.csv": "d75df7862c883530ea6c408765366d36c73a0e337895cc33512abd04105933c3",
+    "fig7_b.csv": "02155705cf309172daaddf7734ea7492fc6589e321da6608f4152f45f9d8f84c",
     "zone.csv": "f836951e9292c41a31d3e210ecba639b2414b916f8b6108c1ede39a8e4b3a4b0",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
 # draws moves the two pins above and leaves this one
 PRESET_NON_MONTE_CARLO_SHA256 = {
-    "fig3_k1.csv": "ab46f72744444b69f0898cc4d5ebe44cfb17aabfa0d75baa73ba640ad7ab0a26",
-    "fig3_k5.csv": "823440566fabee97480f4b4c970d2b8cc4dda8365087456bbad1ba05dfdcf9ca",
-    "fig4_k1.csv": "8b5a638628081e25c4f0e2c38754f64fde271ea8d14a0042903079a0161367d1",
-    "fig4_k5.csv": "b2b012ecff3ae16bb41af0aefa59ef174b50ab26c643205cfb654f35430a8197",
+    "fig3_k1.csv": "16136b5b09759a77a9fc91d56259f166a1869d0c2981035f075f96a7ef8a3c23",
+    "fig3_k5.csv": "4c143c8c1ad257433b593d94d71aa8719e4882a6e2866a453715418f5856b312",
+    "fig4_k1.csv": "6c2a3d891657265424fa18e5fe6efce5c73751d2d708fc76ad12ba73b8cc28ce",
+    "fig4_k5.csv": "3eea2cbcd32081a84f42e68e2789c5742ed7ef024b55519cffb6fdc1fc6b81cd",
     "fig5_k1.csv": "f028a4589853ec14b5d9c47715f7456ecf3dff9a95488a43b1c4a7854725d78d",
-    "fig5_k2.csv": "eb15ec123b261a1b56b7638c91e15e4e80538a245e7d55024aa5ab2a619a5afb",
+    "fig5_k2.csv": "755b2a234324980405f1c6d7803073c3fee86732c6ee47385686e3a0e122c207",
     "fig5_k4.csv": "359020d901af5e20de8768a56b90f9fa25c8d4cf409ef7dd59d17c7a900856a9",
-    "fig6.csv": "17d756d5fd6432ee10acdcc08934219fe874639ecc967c89c37c2c957c6eb04a",
-    "fig7_a.csv": "de6692fae0fdedce99e16200ea0aa8ed565ef30312bde80885e244ff0dfe66a1",
-    "fig7_b.csv": "56e026fca3056a6bb610978d5334bac53ce90573be11688c260fefc511b792c7",
+    "fig6.csv": "6665ee8a1537a8dcee9e958275c2e24b25e669b409c6e2578ae2b9c701d31831",
+    "fig7_a.csv": "1110a78e31a7043e3c13c3e258f5ab584cd19f543bcbc113fb0637abd0c58b58",
+    "fig7_b.csv": "1b4b74a81d21bc564698dc57a8fa3e8b4bf2cc312571db35c9099de71e558174",
 }
 # `sgfsim run zone --grid 40 --format json --no-timestamp`: the CSV and its JSON mirror
 ZONE_JSON_MIRROR_SHA256 = {
