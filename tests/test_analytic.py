@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 import sgfsim
 from sgfsim import cli
 from sgfsim.analytic import (
+    _EXP_DESIGN,
     _GAUSS_NODES,
     ConditioningWarning,
     NumericalRangeError,
@@ -23,8 +25,8 @@ from sgfsim.analytic import (
     _bucket_rows,
     _build_breakdown,
     _order_table,
-    _rows_sum,
     _series_sum,
+    _stacked_rows,
     nu_kernel,
     outage_diversity_asymptote,
     outage_exact,
@@ -37,7 +39,7 @@ from sgfsim.montecarlo import _config_on_axis
 
 
 # SHA-256 of TestOutageQuadrature.test_outputs_are_pinned's seeded outputs
-QUADRATURE_OUTPUT_SHA256 = "5e1f14d806cc3418f42178b5e58a82b616efd411d0d6aa5e9d711d0ae8a5edd4"
+QUADRATURE_OUTPUT_SHA256 = "99d6f9a0bc16feed415531020da6c37efb66683a054696c4eed3150e537737e0"
 # SHA-256 of TestOutageExact.test_outputs_are_pinned's seeded outputs
 SERIES_OUTPUT_SHA256 = "c4da903842f726e0e1113ef5f7468a895841329899169b252868f123d5b2b323"
 
@@ -84,6 +86,21 @@ def reference_breakdown(cfg, epsabs=1e-10, epsrel=1e-12):
     )
     p3 = integrate(lambda x: (-expm1(-eta_s * (1.0 + p0 * x))) ** big_k * exp(-x), 0.0, lo)
     return p1, p2_terms, p3
+
+
+@functools.cache
+def wide_set():
+    """The seeded wide set of README's "Numerical range": 20,000 configs, K 1..64,
+    both powers -20..80 dB and both rates 0.1..8, drawn in that order."""
+    rng = np.random.default_rng(0)
+    return tuple(
+        SystemConfig.from_db(
+            int(rng.integers(1, 65)),
+            *rng.uniform(-20, 80, 2).tolist(),
+            *rng.uniform(0.1, 8, 2).tolist(),
+        )
+        for _ in range(20000)
+    )
 
 
 def assert_terms_match_reference(breakdown, cfg, tol=1e-7):
@@ -419,20 +436,55 @@ class TestOutageQuadrature:
         assert breakdown.total == pytest.approx(math.fsum(parts), rel=1e-14, abs=0.0)
 
     def test_bucket_rows_sum_to_the_summed_integrand(self):
-        # sum_k C(K, k) F(a)^k (exp(-a) F(d))^(K-k) = F(a + d)^K at every node; over
-        # K 1..64 and 7,680 configs (README range and -20..80 dB, rates 0.1..8) the
-        # fsum of the rows held the one power to 6.1e-16 * K relative wherever it
-        # is above 1e-280 (below, the rows lose precision to subnormals)
+        # sum_k C(K, k) F(a)^k (exp(-a) F(d))^(K-k) = F(a + d)^K at every node: the fsum
+        # of the rows, times the pass's own exp(-x), held the pass's case-I/II row to
+        # 5.9e-16 * K relative wherever it is above 1e-280 (below, the rows lose
+        # precision to subnormals); exp(-x) from another rounding of x would add up to
+        # x * 2**-52 relative, about 5e-14 at x = 240
         rng = np.random.default_rng(1001)
         for k_users in range(1, 65):
             for _ in range(10):
                 cfg = SystemConfig.from_db(
                     k_users, *rng.uniform(0.0, 50.0, 2).tolist(), *rng.uniform(0.5, 4.0, 2).tolist()
                 )
-                want = _rows_sum(cfg, _GAUSS_NODES)
-                got = np.array([math.fsum(col) for col in _bucket_rows(cfg, _GAUSS_NODES).T])
+                want = _stacked_rows(cfg)[0]
+                eta0, es = cfg.eta0, cfg.eps_s
+                minus_x = _EXP_DESIGN[: _GAUSS_NODES.size] @ (-eta0, -eta0 * es, -eta0)
+                rows = _bucket_rows(cfg, _GAUSS_NODES)
+                got = np.array([math.fsum(col) for col in rows.T]) * np.exp(minus_x)
                 normal = want > 1e-280
                 assert np.all(np.abs(got - want)[normal] <= 1e-15 * k_users * want[normal]), cfg
+
+    def test_case3_row_is_the_case3_integrand(self):
+        # the case-III row times eta0 against the integrand F(eta_s (1 + P0 x))^K exp(-x)
+        # at x = eta0 u, times dx/du = eta0, written directly: over 3,000 README-range
+        # configs they held 4.4e-16 * K relative, the K-th power multiplying the
+        # rounding of its argument, which the pass forms as eta_s + (eta_s P0 eta0) u
+        rng = np.random.default_rng(1002)
+        for _ in range(3000):
+            k_users = int(rng.integers(1, 21))
+            cfg = SystemConfig.from_db(
+                k_users, *rng.uniform(0.0, 50.0, 2).tolist(), *rng.uniform(0.5, 4.0, 2).tolist()
+            )
+            x = cfg.eta0 * _GAUSS_NODES
+            cdf = -np.expm1(-cfg.eta_s * (1.0 + cfg.power_gbu * x))
+            want = cfg.eta0 * cdf**k_users * np.exp(-x)
+            got = cfg.eta0 * _stacked_rows(cfg)[1]
+            normal = want > 1e-280
+            assert np.all(np.abs(got - want)[normal] <= 1e-15 * k_users * want[normal]), cfg
+
+    def test_wide_set_raises_or_answers_as_documented(self):
+        # README's counts on the seeded wide set: a rewrite of the total that moves
+        # which configs raise, or why, fails here
+        reasons = ("rules disagree", "below the smallest normal double")
+        counts = dict.fromkeys((*reasons, "answered"), 0)
+        for cfg in wide_set():
+            try:
+                assert 0.0 <= outage_probability(cfg) <= 1.0
+                counts["answered"] += 1
+            except NumericalRangeError as err:
+                counts[next(reason for reason in reasons if reason in str(err))] += 1
+        assert list(counts.values()) == [2816, 354, 16830]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -488,7 +540,10 @@ class TestOutageQuadrature:
         # 2,000 seeded configs wider than the README range (42 of them raise);
         # re-pinned when the total moved to the buckets' summed integrand, which
         # raised on the same 42 and answered #1610 (9.7e-302) 1.6e-14 off an
-        # adaptive reference, where the bucket-sum total had been 2.5e-10 off
+        # adaptive reference, where the bucket-sum total had been 2.5e-10 off; and
+        # again for the stacked pass, which raised on the same 42, kept the case-I/II
+        # parts bit for bit and moved totals by at most 6.4e-15 relative and case-III
+        # parts above 1e-290 by at most 8.4e-15
         rng = np.random.default_rng(2718)
         digest = hashlib.sha256()
         for _ in range(2000):
@@ -594,7 +649,50 @@ def highsnr_double_sum(cfg):
     return total
 
 
+def highsnr_by_fsum(cfg):
+    """``outage_probability_highsnr`` at K >= 2 with the buckets 0..K-2 added term
+    by term, math.fsum over g ** (K - k): (value, largest term), or None where a
+    term or the value overflows."""
+    big_k, ps, e0, es = cfg.num_gfus, cfg.power_gfu, cfg.eps0, cfg.eps_s
+    try:
+        r = es / ps
+        rk, g = r**big_k, 1.0 + e0
+        gk1 = g ** (big_k + 1)
+        terms = [
+            e0 * rk * r / (big_k + 1) * math.fsum(g ** (big_k - k) for k in range(big_k - 1)),
+            e0 * g * (1.0 + es) * rk / ps,
+            -(g / e0) * (big_k * (1.0 + es) + 1.0) * rk / (ps * (big_k + 1)),
+            e0 * rk * r / (big_k + 1),
+            rk,
+            -e0 * (1.0 + es) * rk / ps,
+            (gk1 - 1.0) * rk / (ps * (big_k + 1)),
+            -((e0 * (big_k + 1) - 1.0) * gk1 + 1.0) * rk / (ps * ps * (big_k + 2) * (big_k + 1)),
+        ]
+    except OverflowError:
+        return None
+    value = 0.0
+    for term in terms:
+        value += term
+    return (value, max(map(abs, terms))) if math.isfinite(value) else None
+
+
 class TestHighSnrClosedForm:
+    def test_geometric_bucket_sum_matches_the_term_by_term_sum(self):
+        # K 2..256 at the box's power corners and rates 2**-20, 1 and 64, then the wide
+        # set: the closed form raises exactly where the fsum form does, and elsewhere
+        # holds it to 1e-14 of the largest term (measured: 6.9e-16 of it). Relative to
+        # the value it is 1.8e-13 at worst, where the terms cancel to far outside [0, 1]
+        edges = [(1e-15, 1e15)] * 2 + [(2.0**-20, 1.0, 64.0)] * 2
+        corners = [SystemConfig(k, *fields) for k in range(2, 257) for fields in product(*edges)]
+        for cfg in corners + [cfg for cfg in wide_set() if cfg.num_gfus > 1]:
+            want = highsnr_by_fsum(cfg)
+            try:
+                got = outage_probability_highsnr(cfg)
+            except NumericalRangeError:
+                assert want is None, cfg
+            else:
+                assert want is not None and abs(got - want[0]) <= 1e-14 * want[1], cfg
+
     @pytest.mark.parametrize("k_users", range(2, 21))
     def test_matches_exact_double_sum(self, k_users):
         rng = np.random.default_rng(1000 + k_users)

@@ -65,30 +65,30 @@ FIG7_MONTE_CARLO_SHA256 = "38712cc583b2faa35e0b2a8f6b0b47a8ce64678bed73e2355175b
 # every file of `sgfsim run <preset> --trials 3000 --seed 3 --no-timestamp`, whole
 PRESET_FILE_SHA256 = {
     "fig3_k1.csv": "bd0151eaedc5633002d9bddbefaaf85786c0c089027f335f949f0c6d481a6efc",
-    "fig3_k5.csv": "06512f75c1d37d6d338c3b3e10618c351509a21301a5a6c6be6c75b70d76db2a",
-    "fig4_k1.csv": "c3dfa8337d9771ef4938fc4c797c8bc6469783719783a8db50d499447bcda180",
-    "fig4_k5.csv": "c7ced47704dfed01c85ac48c3c1bbc64961a34389f2d945f07f882a48f25446d",
+    "fig3_k5.csv": "b9f9e7e024427d639585d0b2879f82ae89af691b1af17f1d50d53ca2e6f86069",
+    "fig4_k1.csv": "8d2f7aa759403eafbcd491d37e24d9c68b9db5086c611dc815a76808465c4a4a",
+    "fig4_k5.csv": "5069822e09da2a11937bb8e8287a5e213ed7053676ab4ea2d44f01bfbf68883c",
     "fig5_k1.csv": "61e66247cc20ad6ee637487b1070d13ec185561826c8258f99ee9d9c42f2540a",
     "fig5_k2.csv": "0ef7be135df49cc6782b4e475c6c83083913e24567411676023b21868f49749a",
-    "fig5_k4.csv": "55161874bfc2187c6b3048a524a89f94aef6d0f665247d5db6138eeaadb8e1a5",
-    "fig6.csv": "68e24dd7df50435a3d96e71b50e3881dc6986e9fd402dca934957f73ea811241",
-    "fig7_a.csv": "d75df7862c883530ea6c408765366d36c73a0e337895cc33512abd04105933c3",
-    "fig7_b.csv": "02155705cf309172daaddf7734ea7492fc6589e321da6608f4152f45f9d8f84c",
+    "fig5_k4.csv": "188fb657a7f3fd37c5b39e5003c04e00cde37105177c97189d0a152f30176d77",
+    "fig6.csv": "ba86d760782f2de4ebcb4868e44812ec8894553d2de1db1186ba7fb5fb0ae660",
+    "fig7_a.csv": "a45cef06b44082f2cc50a45f4ba2c18a179df83817f66731c20bb3aecd072d46",
+    "fig7_b.csv": "77296ec595acfa45c202f8b06c633c24ae4fc2f9302f3b7ca229327f8238e639",
     "zone.csv": "f836951e9292c41a31d3e210ecba639b2414b916f8b6108c1ede39a8e4b3a4b0",
 }
 # the fig3-fig7 files of that run with every Monte Carlo cell emptied: a change to the
 # draws moves the two pins above and leaves this one
 PRESET_NON_MONTE_CARLO_SHA256 = {
     "fig3_k1.csv": "16136b5b09759a77a9fc91d56259f166a1869d0c2981035f075f96a7ef8a3c23",
-    "fig3_k5.csv": "4c143c8c1ad257433b593d94d71aa8719e4882a6e2866a453715418f5856b312",
-    "fig4_k1.csv": "6c2a3d891657265424fa18e5fe6efce5c73751d2d708fc76ad12ba73b8cc28ce",
-    "fig4_k5.csv": "3eea2cbcd32081a84f42e68e2789c5742ed7ef024b55519cffb6fdc1fc6b81cd",
+    "fig3_k5.csv": "d176335eae132b381fdd647f4eb742be7715368402713f29002d18076343ed1e",
+    "fig4_k1.csv": "da06e770749c737610c1418eaa32b62595ba11b36631f32d12f821257e6c12c2",
+    "fig4_k5.csv": "b7f73dde6f72f576c57cdffa52c01d007d5ab082919821d371df37d93751f058",
     "fig5_k1.csv": "f028a4589853ec14b5d9c47715f7456ecf3dff9a95488a43b1c4a7854725d78d",
     "fig5_k2.csv": "755b2a234324980405f1c6d7803073c3fee86732c6ee47385686e3a0e122c207",
-    "fig5_k4.csv": "359020d901af5e20de8768a56b90f9fa25c8d4cf409ef7dd59d17c7a900856a9",
-    "fig6.csv": "6665ee8a1537a8dcee9e958275c2e24b25e669b409c6e2578ae2b9c701d31831",
-    "fig7_a.csv": "1110a78e31a7043e3c13c3e258f5ab584cd19f543bcbc113fb0637abd0c58b58",
-    "fig7_b.csv": "1b4b74a81d21bc564698dc57a8fa3e8b4bf2cc312571db35c9099de71e558174",
+    "fig5_k4.csv": "7e3e7ce23e03d5795199c1516e6f35b8134ef18db442a319c980ba7bfa77c377",
+    "fig6.csv": "907274a6a241b9c35fcb62549c4af02ab73db41369be56b30c4ba640a8854d4a",
+    "fig7_a.csv": "824493f6504c778f07163053661af7728b720b05cb420f432d7f2325f6f9f08b",
+    "fig7_b.csv": "0fd8cced91c308d4c11c0e146b4c0fbd0e51bd111790527d07e3cc7329dc26d1",
 }
 # `sgfsim run zone --grid 40 --format json --no-timestamp`: the CSV and its JSON mirror
 ZONE_JSON_MIRROR_SHA256 = {
