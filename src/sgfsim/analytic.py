@@ -6,8 +6,9 @@ case probability is an expectation of order-statistic CDFs over the GBU gain:
 * ``outage_probability`` - the production evaluator (any K >= 1): the case-I/II
   sum, one CDF on [eta0, eta0 * (1 + eps_s)], and case III on [0, eta0], both
   F(B)^K exp(-C), in one stacked pass over the 48- and 64-node Gauss-Legendre
-  nodes (about 12 us per config); it answers to ~1e-13 relative and raises
-  ``NumericalRangeError`` where the rules disagree or the total is subnormal,
+  nodes (a median 7.9 us per config, timed in ``outage_probability``); it
+  answers to ~1e-13 relative and raises ``NumericalRangeError`` where the
+  rules disagree or the total is subnormal,
 * ``outage_quadrature`` - the same pass, plus the per-case breakdown that
   integrates each case-II bucket on its own by the 64-node rule,
 * ``outage_exact`` - the paper's alternating binomial series over the
@@ -20,7 +21,12 @@ GFU power. Each is summed with ``math.fsum``, correctly rounded, so what is
 lost is the terms' own rounding magnified by the condition number kappa =
 sum|t| / |sum t|; a ``ConditioningWarning`` naming the series and kappa is
 emitted when kappa * 2**-53 exceeds 1e-10 relative. The high-SNR
-approximation is a closed form whose sums collapse exactly: it does not cancel.
+approximation is a closed form whose double sums collapse exactly, but its eight
+terms still cancel, and it warns of nothing: at ``SystemConfig(5,
+43558.71200385824, 4.558262202765404, 3.3741913090350355, 0.7897775433939338)``
+it is -0.00431 and its largest term 1,907 times larger, so each term's rounding
+of about 2**-52 bounds the value's relative error by about 1907 * 2**-52 = 4e-13
+(6.6e-14 off the same eight terms in exact rational arithmetic).
 """
 
 from __future__ import annotations
@@ -234,47 +240,50 @@ def _outage_exact_series(config: SystemConfig) -> OutageBreakdown:
     return _build_breakdown(p1, p2_terms, p3)
 
 
-def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of two Gauss-Legendre rules on [0, 1], side by side, and a
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: every call of every thread shares them, so an
+    in-place step that aliased one raises instead of changing later answers."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, ...]:
+    """Read-only nodes of two Gauss-Legendre rules on [0, 1], side by side, and a
     (nodes, 2) weight matrix whose columns apply the coarse and the fine rule."""
     rules = [np.polynomial.legendre.leggauss(n) for n in (coarse, fine)]
     nodes = 0.5 * (np.concatenate([x for x, _ in rules]) + 1.0)
     weights = np.zeros((nodes.size, 2))
     weights[:coarse, 0] = 0.5 * rules[0][1]
     weights[coarse:, 1] = 0.5 * rules[1][1]
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 # the 64-node rule answers and the 48-node rule checks it
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
-# the 64-node rule alone, for the case-II buckets
-_FINE_NODES, _FINE_WEIGHTS = _GAUSS_NODES[48:], np.ascontiguousarray(_GAUSS_WEIGHTS[48:, 1])
+# the 64-node rule alone, for the case-II buckets; views, so read-only too
+_FINE_NODES, _FINE_WEIGHTS = _GAUSS_NODES[48:], _GAUSS_WEIGHTS[48:, 1]
 
 
-def _stacked_designs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_designs(u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Read-only (2 * nodes, 3) matrices, the case-I/II sum's rows over case III's,
     that ``_stacked_rows`` multiplies into -B and -C."""
     one, zero, u = np.ones((u.size, 1)), np.zeros((u.size, 1)), u[:, None]
     arg = np.block([[one, 1.0 - u, zero], [one, zero, u]])
     exponent = np.block([[one, u, zero], [zero, zero, u]])
-    for design in (arg, exponent):
-        design.setflags(write=False)
-    return arg, exponent
+    return _read_only(arg, exponent)
 
 
 _ARG_DESIGN, _EXP_DESIGN = _stacked_designs(_GAUSS_NODES)
 
 
 @functools.cache
-def _order_table(big_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _order_table(big_k: int) -> tuple[np.ndarray, ...]:
     """Read-only (K+1, 1) columns of k, K - k and C(K, k), k = 0..K, for
     ``_bucket_rows``; they depend on K alone."""
     ks = np.arange(big_k + 1)[:, None]
     binomials = np.array([float(comb(big_k, k)) for k in range(big_k + 1)])[:, None]
-    table = (ks, big_k - ks, binomials)
-    for column in table:
-        column.setflags(write=False)
-    return table
+    return _read_only(ks, big_k - ks, binomials)
 
 
 def _bucket_rows(config: SystemConfig, u: np.ndarray) -> np.ndarray:
@@ -302,20 +311,32 @@ def _stacked_rows(config: SystemConfig) -> np.ndarray:
     Row 0 is the case-I/II sum at x = eta0 * (1 + eps_s * u), B = eta_s * (1 +
     eps0 * (1 - u)), to which the K + 1 ``_bucket_rows`` sum (binomial theorem);
     row 1 is case III at x = eta0 * u, B = eta_s * (1 + P0 * x); C = x on both.
-    Each term of -B and -C has one sign, so nothing cancels."""
+    Each term of -B and -C has one sign, so nothing cancels. The two products
+    are the only arrays made and each call owns them: every later step runs in
+    place, and calls from several threads share no buffer."""
     eta0, eta_s = config.eta0, config.eta_s
-    minus_b = _ARG_DESIGN @ (-eta_s, -eta_s * config.eps0, -eta_s * config.power_gbu * eta0)
-    minus_c = _EXP_DESIGN @ (-eta0, -eta0 * config.eps_s, -eta0)
-    return ((-np.expm1(minus_b)) ** config.num_gfus * np.exp(minus_c)).reshape(2, -1)
+    b_terms = np.array((-eta_s, -eta_s * config.eps0, -eta_s * config.power_gbu * eta0))
+    c_terms = np.array((-eta0, -eta0 * config.eps_s, -eta0))
+    # -B, and -C, which becomes the GBU gain's density exp(-C)
+    rows, density = _ARG_DESIGN.dot(b_terms), _EXP_DESIGN.dot(c_terms)
+    np.expm1(rows, out=rows)
+    np.negative(rows, out=rows)
+    rows **= config.num_gfus
+    rows *= np.exp(density, out=density)
+    return rows.reshape(2, -1)
 
 
 def _quadrature(config: SystemConfig) -> tuple[float, float]:
     """The 64-node total, checked against the 48-node total and clipped to
     [0, 1], and its case-III part, from one pass over ``_stacked_rows``."""
-    # (case-I/II sum, case III) by the 48-node rule, then by the 64-node rule
-    by_rule = (_stacked_rows(config) @ _GAUSS_WEIGHTS).T.tolist()
+    # each row by the 48-node rule, then by the 64-node rule
+    (sum_coarse, sum_fine), (case3_coarse, case3_fine) = (
+        _stacked_rows(config).dot(_GAUSS_WEIGHTS).tolist()
+    )
     eta0, tail = config.eta0, _case1_tail(config)
-    coarse, fine = (math.fsum((eta0 * config.eps_s * s, eta0 * s3, tail)) for s, s3 in by_rule)
+    width = eta0 * config.eps_s
+    coarse = math.fsum((width * sum_coarse, eta0 * case3_coarse, tail))
+    fine = math.fsum((width * sum_fine, eta0 * case3_fine, tail))
     if fine < sys.float_info.min:
         raise NumericalRangeError(
             f"quadrature total {fine!r} is below the smallest normal double; no "
@@ -326,7 +347,7 @@ def _quadrature(config: SystemConfig) -> tuple[float, float]:
             f"the 48- and 64-node rules disagree ({coarse!r} vs {fine!r}); "
             "the integrands vary too fast for a fixed quadrature rule here"
         )
-    return _clip_probability(fine, "total outage probability"), eta0 * by_rule[1][1]
+    return _clip_probability(fine, "total outage probability"), eta0 * case3_fine
 
 
 def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
@@ -337,10 +358,11 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     x* = eta0 * (1 + eps_s), each a product of positive factors
     (``_bucket_rows``), and the case-I tail beyond x*. ``total``, its
     ``NumericalRangeError`` and ``p_case3`` come from ``outage_probability``'s
-    pass; case I and the buckets take the 64-node rule one by one (about 25 us
-    more per config at K <= 20), so the parts add up to ``total`` to rounding,
-    not bit for bit. A part below about 1e-290 carries no relative precision:
-    its bucket terms go subnormal, and summation order alone can move it 3x.
+    pass; case I and the buckets take the 64-node rule one by one (a median 22 us
+    more per config, on ``outage_probability``'s configs and host), so the parts
+    add up to ``total`` to rounding, not bit for bit. A part below about 1e-290
+    carries no relative precision: its bucket terms go subnormal, and summation
+    order alone can move it 3x.
     """
     total, p3 = _quadrature(config)
     u, eta0, es = _FINE_NODES, config.eta0, config.eps_s
@@ -380,8 +402,9 @@ def outage_probability(config: SystemConfig) -> float:
     without the per-case breakdown.
 
     One pass over the nodes of both Gauss-Legendre rules evaluates the case-I/II
-    sum and case III (``_stacked_rows``), 11-13 us per config at K <= 20 on a
-    2-vCPU host. ``NumericalRangeError`` is raised where the 48- and 64-node
+    sum and case III (``_stacked_rows``): 7.9 us per config, the median over
+    perfbench's analytic-range configs (K <= 20) on a 2-vCPU x86-64 Xeon with
+    numpy 2.4.6. ``NumericalRangeError`` is raised where the 48- and 64-node
     totals differ by more than 1e-10 relative (the integrands vary too fast for
     a fixed rule) or where the total is below the smallest normal double.
     """

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -15,6 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 import sgfsim
+import sgfsim.analytic as analytic_module
 from sgfsim import cli
 from sgfsim.analytic import (
     _EXP_DESIGN,
@@ -86,6 +89,34 @@ def reference_breakdown(cfg, epsabs=1e-10, epsrel=1e-12):
     )
     p3 = integrate(lambda x: (-expm1(-eta_s * (1.0 + p0 * x))) ** big_k * exp(-x), 0.0, lo)
     return p1, p2_terms, p3
+
+
+@functools.cache
+def pinned_configs():
+    """The 2,000 seeded configs of ``TestOutageQuadrature.test_outputs_are_pinned``."""
+    rng = np.random.default_rng(2718)
+    configs = []
+    for _ in range(2000):
+        k = int(rng.integers(1, 51))
+        gbu_db, gfu_db = rng.uniform(-10.0, 70.0, 2).tolist()
+        rate_gbu, rate_gfu = rng.uniform(0.1, 6.0, 2).tolist()
+        configs.append(SystemConfig.from_db(k, gbu_db, gfu_db, rate_gbu, rate_gfu))
+    return tuple(configs)
+
+
+def outcomes(evaluate, configs):
+    """repr of ``evaluate`` on each config, or the type and message of its raise."""
+    texts = []
+    for cfg in configs:
+        try:
+            texts.append(repr(evaluate(cfg)))
+        except (ValueError, ArithmeticError) as err:
+            texts.append(f"{type(err).__name__}: {err}")
+    return texts
+
+
+def module_arrays():
+    return {name: v for name, v in vars(analytic_module).items() if isinstance(v, np.ndarray)}
 
 
 @functools.cache
@@ -582,6 +613,41 @@ class TestOutageQuadrature:
             with pytest.raises(ValueError, match="read-only"):
                 column[0, 0] = 7
 
+    def test_module_arrays_stay_read_only_and_unchanged(self):
+        # the rules and design matrices are shared by every call: an in-place step
+        # that aliased one would change every later answer
+        before = {name: array.tobytes() for name, array in module_arrays().items()}
+        assert sorted(before) == [
+            "_ARG_DESIGN", "_EXP_DESIGN", "_FINE_NODES", "_FINE_WEIGHTS", "_GAUSS_NODES",
+            "_GAUSS_WEIGHTS",
+        ]
+        for evaluate in (outage_probability, outage_quadrature):
+            outcomes(evaluate, pinned_configs())
+        for name, array in module_arrays().items():
+            assert not array.flags.writeable, name
+            assert array.tobytes() == before[name], name
+
+    def test_concurrent_calls_match_sequential_ones(self):
+        # two threads at once, one through the configs backwards, switching every
+        # microsecond so that one call's numpy steps fall between the other's: a
+        # buffer shared between calls would mix two configs' rows
+        configs = pinned_configs()
+        want = outcomes(outage_probability, configs)
+        start = threading.Barrier(2)
+
+        def run(order):
+            start.wait()
+            return outcomes(outage_probability, configs[::order])[::order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(run, (1, -1)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want, want]
+
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sgfsim.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -807,8 +873,6 @@ class TestSingleUser:
 class TestOracleSensitivity:
     def test_corrupted_kernel_breaks_oracle_agreement(self, monkeypatch):
         # the series route must actually depend on the kernel the quadrature checks
-        import sgfsim.analytic as analytic_module
-
         cfg = config(num_gfus=3, power_gbu=100.0, power_gfu=10.0, rate_gbu=1.5, rate_gfu=1.5)
         true_kernel = analytic_module.nu_kernel
         monkeypatch.setattr(
@@ -821,8 +885,6 @@ class TestOracleSensitivity:
 
     def test_corrupted_rule_breaks_reference_agreement(self, monkeypatch):
         # and the quadrature must depend on its rule: 1% off the weights is seen
-        import sgfsim.analytic as analytic_module
-
         cfg = config(num_gfus=3, power_gbu=100.0, power_gfu=10.0, rate_gbu=1.5, rate_gfu=1.5)
         weights = 1.01 * analytic_module._GAUSS_WEIGHTS
         monkeypatch.setattr(analytic_module, "_GAUSS_WEIGHTS", weights)
