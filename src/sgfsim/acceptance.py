@@ -1,7 +1,8 @@
 """Acceptance gate: every release-blocking check with its pinned budget.
 
 Each criterion is a pure function of its seed and returns a
-:class:`CriterionResult`; ``run_all`` executes the battery in order. The
+:class:`CriterionResult`; ``run_all`` executes the battery in order, and
+reports a criterion that raises as a fail naming the exception. The
 same functions back ``pytest tests/test_acceptance.py`` and the CLI's
 ``validate`` subcommand. Deep-outage Monte Carlo points (fewer than 10
 observed or expected outage events) are flagged statistically unresolved
@@ -477,7 +478,16 @@ CRITERIA = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> Iterator[CriterionResult]:
+    """Each criterion's result, in order; one that raises is a fail naming the
+    exception, and the battery goes on to the next."""
     # the criteria key their generators on seed + 0..8, each a uint64
     if not 0 <= seed < 2**64 - 8:
         raise ValueError(f"acceptance seed must be an integer in [0, 2**64 - 8), got {seed}")
-    return (func(seed) for _, func in CRITERIA)
+    return (_run(name, func, seed) for name, func in CRITERIA)
+
+
+def _run(name: str, func, seed: int) -> CriterionResult:
+    try:
+        return func(seed)
+    except Exception as err:
+        return CriterionResult(name, False, f"raised {type(err).__name__}: {err}")

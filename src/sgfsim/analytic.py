@@ -6,11 +6,10 @@ case probability is an expectation of order-statistic CDFs over the GBU gain:
 * ``outage_probability`` - the production evaluator (any K >= 1): the case-I/II
   sum, one CDF on [eta0, eta0 * (1 + eps_s)], and case III on [0, eta0], both
   F(B)^K exp(-C), in one stacked pass over the 48- and 64-node Gauss-Legendre
-  nodes (a median 7.9 us per config, timed in ``outage_probability``); it
-  answers to ~1e-13 relative and raises ``NumericalRangeError`` where the
-  rules disagree or the total is subnormal,
-* ``outage_quadrature`` - the same pass, plus the per-case breakdown that
-  integrates each case-II bucket on its own by the 64-node rule,
+  nodes; it answers to ~1e-13 relative and raises ``NumericalRangeError``
+  where the rules disagree by more than 1e-10 or the total is subnormal,
+* ``outage_quadrature`` - the same pass, plus the per-case breakdown by both
+  rules on the same nodes: each part holds 1e-10 * total, or it raises too,
 * ``outage_exact`` - the paper's alternating binomial series over the
   exponential integral kernel ``nu_kernel`` (every K >= 1), the reference formula,
 * ``outage_probability_highsnr`` / ``outage_diversity_asymptote`` - high-SNR
@@ -21,12 +20,9 @@ GFU power. Each is summed with ``math.fsum``, correctly rounded, so what is
 lost is the terms' own rounding magnified by the condition number kappa =
 sum|t| / |sum t|; a ``ConditioningWarning`` naming the series and kappa is
 emitted when kappa * 2**-53 exceeds 1e-10 relative. The high-SNR
-approximation is a closed form whose double sums collapse exactly, but its eight
-terms still cancel, and it warns of nothing: at ``SystemConfig(5,
-43558.71200385824, 4.558262202765404, 3.3741913090350355, 0.7897775433939338)``
-it is -0.00431 and its largest term 1,907 times larger, so each term's rounding
-of about 2**-52 bounds the value's relative error by about 1907 * 2**-52 = 4e-13
-(6.6e-14 off the same eight terms in exact rational arithmetic).
+approximation is a closed form whose eight terms still cancel, and it warns of
+nothing: README's "Numerical range" names a config where its largest term is
+1,907 times the value, which bounds its relative error by about 4e-13.
 """
 
 from __future__ import annotations
@@ -74,13 +70,8 @@ class ConditioningWarning(RuntimeWarning):
 
 
 def _series_sum(terms: list[float], where: str) -> float:
-    """Correctly rounded sum of one of the paper's alternating series.
-
-    ``math.fsum`` adds the terms without rounding error of its own, so the
-    result is off only by the terms' own rounding magnified by cancellation:
-    a relative error of about kappa * 2**-53 with kappa = sum|t| / |sum t|.
-    ``ConditioningWarning`` is emitted when that bound exceeds 1e-10.
-    """
+    """Correctly rounded ``math.fsum`` of one of the paper's alternating series,
+    with the module docstring's ``ConditioningWarning`` where kappa * 2**-53 > 1e-10."""
     try:
         total = math.fsum(terms)
         magnitude = math.fsum(map(abs, terms))
@@ -135,7 +126,8 @@ class OutageBreakdown:
     """Per-case decomposition of the admitted GFU's outage probability.
 
     ``p_case2_terms[k]`` is the contribution of blocks where exactly k GFU
-    gains fall below the broadcast threshold, k = 0..K-1.
+    gains fall below the broadcast threshold, k = 0..K-1. ``outage_quadrature``
+    holds each part to 1e-10 * total by both rules, or raises.
     """
 
     p_case1: float
@@ -259,10 +251,8 @@ def _gauss_legendre_pair(coarse: int, fine: int) -> tuple[np.ndarray, ...]:
     return _read_only(nodes, weights)
 
 
-# the 64-node rule answers and the 48-node rule checks it
+# the 64-node rule answers and the 48-node rule checks it, for the total and every part
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre_pair(48, 64)
-# the 64-node rule alone, for the case-II buckets; views, so read-only too
-_FINE_NODES, _FINE_WEIGHTS = _GAUSS_NODES[48:], _GAUSS_WEIGHTS[48:, 1]
 
 
 def _stacked_designs(u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -342,12 +332,19 @@ def _quadrature(config: SystemConfig) -> tuple[float, float]:
             f"quadrature total {fine!r} is below the smallest normal double; no "
             "relative precision can be held"
         )
-    if not abs(coarse - fine) <= _RULE_AGREEMENT * fine:
+    total = _clip_probability(_agreed(coarse, fine, fine), "total outage probability")
+    return total, eta0 * case3_fine
+
+
+def _agreed(coarse: float, fine: float, scale: float, part: str = "") -> float:
+    """The 64-node value ``fine``, where the 48-node value ``coarse`` is within
+    ``_RULE_AGREEMENT * scale`` of it; else ``NumericalRangeError`` naming ``part``."""
+    if not abs(coarse - fine) <= _RULE_AGREEMENT * scale:
         raise NumericalRangeError(
-            f"the 48- and 64-node rules disagree ({coarse!r} vs {fine!r}); "
+            f"the 48- and 64-node rules disagree{part} ({coarse!r} vs {fine!r}); "
             "the integrands vary too fast for a fixed quadrature rule here"
         )
-    return _clip_probability(fine, "total outage probability"), eta0 * case3_fine
+    return fine
 
 
 def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
@@ -356,19 +353,22 @@ def outage_quadrature(config: SystemConfig) -> OutageBreakdown:
     The case integrals over the GBU gain x ~ Exp(1), with F(y) = -expm1(-y):
     case III over [0, eta0], case I and the K case-II buckets over [eta0, x*],
     x* = eta0 * (1 + eps_s), each a product of positive factors
-    (``_bucket_rows``), and the case-I tail beyond x*. ``total``, its
-    ``NumericalRangeError`` and ``p_case3`` come from ``outage_probability``'s
-    pass; case I and the buckets take the 64-node rule one by one (a median 22 us
-    more per config, on ``outage_probability``'s configs and host), so the parts
-    add up to ``total`` to rounding, not bit for bit. A part below about 1e-290
-    carries no relative precision: its bucket terms go subnormal, and summation
-    order alone can move it 3x.
+    (``_bucket_rows``), and the case-I tail beyond x*. ``total``, its raises and
+    ``p_case3`` are ``outage_probability``'s. Case I and each bucket take both rules
+    too (a median 39 us more per config), and a part whose rules differ by more
+    than 1e-10 * total raises ``NumericalRangeError`` naming it. A part below
+    about 1e-290 carries no relative precision: its bucket terms go subnormal,
+    and summation order alone can move it 3x.
     """
     total, p3 = _quadrature(config)
-    u, eta0, es = _FINE_NODES, config.eta0, config.eps_s
-    density = _FINE_WEIGHTS * (eta0 * es * np.exp(-eta0 * (1.0 + es * u)))
-    terms = (_bucket_rows(config, u) @ density).tolist()
-    return _build_breakdown(terms[-1] + _case1_tail(config), terms[:-1], p3, total)
+    u, eta0, es = _GAUSS_NODES, config.eta0, config.eps_s
+    # both rules' weights, times dx/du and the density exp(-x)
+    weights = (eta0 * es * np.exp(-eta0 * (1.0 + es * u)))[:, None] * _GAUSS_WEIGHTS
+    *buckets, (core_coarse, core_fine) = (_bucket_rows(config, u) @ weights).tolist()
+    tail = _case1_tail(config)
+    p1 = _agreed(core_coarse + tail, core_fine + tail, total, " on case I")
+    p2 = [_agreed(*pair, total, f" on case-II bucket k={k}") for k, pair in enumerate(buckets)]
+    return _build_breakdown(p1, p2, p3, total)
 
 
 def outage_diversity_asymptote(config: SystemConfig) -> float:
@@ -402,11 +402,10 @@ def outage_probability(config: SystemConfig) -> float:
     without the per-case breakdown.
 
     One pass over the nodes of both Gauss-Legendre rules evaluates the case-I/II
-    sum and case III (``_stacked_rows``): 7.9 us per config, the median over
-    perfbench's analytic-range configs (K <= 20) on a 2-vCPU x86-64 Xeon with
-    numpy 2.4.6. ``NumericalRangeError`` is raised where the 48- and 64-node
-    totals differ by more than 1e-10 relative (the integrands vary too fast for
-    a fixed rule) or where the total is below the smallest normal double.
+    sum and case III (``_stacked_rows``): a median 7.9 us per config over
+    perfbench's analytic-range configs (README names the host). It raises
+    ``NumericalRangeError`` where the 48- and 64-node totals differ by more than
+    1e-10 relative or where the total is below the smallest normal double.
     """
     return _quadrature(config)[0]
 

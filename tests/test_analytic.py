@@ -42,7 +42,7 @@ from sgfsim.montecarlo import _config_on_axis
 
 
 # SHA-256 of TestOutageQuadrature.test_outputs_are_pinned's seeded outputs
-QUADRATURE_OUTPUT_SHA256 = "99d6f9a0bc16feed415531020da6c37efb66683a054696c4eed3150e537737e0"
+QUADRATURE_OUTPUT_SHA256 = "2f211ebbfe301dc6f4201309a9446221f775b9152ddb73b60c3d290120ba3b88"
 # SHA-256 of TestOutageExact.test_outputs_are_pinned's seeded outputs
 SERIES_OUTPUT_SHA256 = "c4da903842f726e0e1113ef5f7468a895841329899169b252868f123d5b2b323"
 
@@ -452,14 +452,44 @@ class TestOutageQuadrature:
         with pytest.raises(NumericalRangeError, match="48- and 64-node rules disagree"):
             outage_quadrature(SystemConfig(5, 0.1, 10.0, 6.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "cfg,part",
+        [
+            # #265 of test_outputs_are_pinned's configs; 30-digit mpmath quadrature of
+            # the parts: case I 0.406138848085262618, case II 0.185991561158465385 (its
+            # bucket k = 24 0.00304232677342660495) and case III 0.407869590756271996.
+            # The 64-node rule alone answered case I 0.4061888, case II 0.1859416 and
+            # bucket k = 24 0.0014973, and raised nothing
+            pytest.param(
+                (40, 1.9596397636209328, -7.671564416904673, 0.8661930187939374, 5.651170224613859),
+                "case I",
+                id="265-case1",
+            ),
+            # #39: case I holds both rules, bucket k = 0 does not
+            pytest.param(
+                (12, 39.93316758605709, -0.7554517185274978, 5.2903618968002295, 5.536382501731269),
+                "case-II bucket k=0",
+                id="39-bucket0",
+            ),
+        ],
+    )
+    def test_part_whose_rules_disagree_raises(self, cfg, part):
+        # the total holds both rules and answers; the breakdown names the part that does not
+        cfg = SystemConfig.from_db(*cfg)
+        assert outage_probability(cfg) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        message = rf"^the 48- and 64-node rules disagree on {part} \("
+        with pytest.raises(NumericalRangeError, match=message):
+            outage_quadrature(cfg)
+
     def test_subnormal_total_raises(self):
         with pytest.raises(NumericalRangeError, match="smallest normal double"):
             outage_quadrature(SystemConfig(50, 1.0, 1e9, 1.0, 1.0))
 
     def test_breakdown_consistency(self):
-        # the total integrates the buckets' sum with both rules and the parts take the
-        # 64-node rule bucket by bucket: over 2,000 README-range configs (K 1..20) the
-        # two differed by at most 3.1e-15 relative, and agreed exactly on 615
+        # the total integrates the buckets' sum, and each part its own row, by both rules;
+        # every part holds 1e-10 * total by both or the call raises. Over 3,000 README-range
+        # configs (K 1..20, seed 5) none raised, and the fsum of the parts differed from
+        # the total by at most 3.7e-15 relative and equalled it on 1,160
         breakdown = outage_quadrature(config(num_gfus=5, power_gbu=31.6, power_gfu=100.0))
         parts = [breakdown.p_case1, *breakdown.p_case2_terms, breakdown.p_case3]
         assert all(isinstance(p, float) and 0.0 < p <= 1.0 for p in parts)
@@ -566,7 +596,7 @@ class TestOutageQuadrature:
         cfg = SystemConfig.from_db(1, db, db, 0.5, 0.5)
         assert outage_probability(cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_outputs_are_pinned(self):
+    def test_outputs_are_pinned(self, pin_dispatch):
         # repr of every breakdown, or the type and message of every raise, over
         # 2,000 seeded configs wider than the README range (42 of them raise);
         # re-pinned when the total moved to the buckets' summed integrand, which
@@ -574,7 +604,10 @@ class TestOutageQuadrature:
         # adaptive reference, where the bucket-sum total had been 2.5e-10 off; and
         # again for the stacked pass, which raised on the same 42, kept the case-I/II
         # parts bit for bit and moved totals by at most 6.4e-15 relative and case-III
-        # parts above 1e-290 by at most 8.4e-15
+        # parts above 1e-290 by at most 8.4e-15; and again when each part took both rules
+        # and the agreement check: 136 more raise (178 in all; the 42 with the same
+        # messages), totals and case-III parts are bit for bit the same, and the other
+        # parts above 1e-290 moved by at most 6.6e-16 relative
         rng = np.random.default_rng(2718)
         digest = hashlib.sha256()
         for _ in range(2000):
@@ -587,7 +620,7 @@ class TestOutageQuadrature:
             except (ValueError, ArithmeticError) as err:
                 text = f"{type(err).__name__}: {err}"
             digest.update(text.encode() + b"\n")
-        assert digest.hexdigest() == QUADRATURE_OUTPUT_SHA256
+        assert digest.hexdigest() == QUADRATURE_OUTPUT_SHA256, pin_dispatch
 
     def test_binomials_fit_at_the_largest_k(self):
         # C(K, k) would overflow a double from K = 1030; the input box ends at K = 256
@@ -617,10 +650,7 @@ class TestOutageQuadrature:
         # the rules and design matrices are shared by every call: an in-place step
         # that aliased one would change every later answer
         before = {name: array.tobytes() for name, array in module_arrays().items()}
-        assert sorted(before) == [
-            "_ARG_DESIGN", "_EXP_DESIGN", "_FINE_NODES", "_FINE_WEIGHTS", "_GAUSS_NODES",
-            "_GAUSS_WEIGHTS",
-        ]
+        assert sorted(before) == ["_ARG_DESIGN", "_EXP_DESIGN", "_GAUSS_NODES", "_GAUSS_WEIGHTS"]
         for evaluate in (outage_probability, outage_quadrature):
             outcomes(evaluate, pinned_configs())
         for name, array in module_arrays().items():

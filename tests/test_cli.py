@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sgfsim import acceptance, cli
+from sgfsim.analytic import NumericalRangeError
 from sgfsim.cli import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -462,7 +463,7 @@ class TestRunWithPresets:
         assert digest.hexdigest() == FIG7_MONTE_CARLO_SHA256
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_preset_files_are_pinned(self, tmp_path, preset):
+    def test_preset_files_are_pinned(self, tmp_path, preset, pin_dispatch):
         # metadata lines included: a moved parameter, source or rounding shows here
         out = str(tmp_path / f"{preset}.csv")
         argv = ["run", preset, "--trials", "3000", "--seed", "3", "--out", out, "--no-timestamp"]
@@ -475,10 +476,12 @@ class TestRunWithPresets:
             name: digest
             for name, digest in PRESET_FILE_SHA256.items()
             if name.partition("_")[0].removesuffix(".csv") == preset
-        }
+        }, pin_dispatch
 
     @pytest.mark.parametrize("preset", [p for p in PRESET_NAMES if p != "zone"])
-    def test_preset_files_outside_monte_carlo_cells_are_pinned(self, tmp_path, preset):
+    def test_preset_files_outside_monte_carlo_cells_are_pinned(
+        self, tmp_path, preset, pin_dispatch
+    ):
         # metadata, header, grid and analytic cells: the bytes no draw may move
         out = str(tmp_path / f"{preset}.csv")
         argv = ["run", preset, "--trials", "3000", "--seed", "3", "--out", out, "--no-timestamp"]
@@ -491,7 +494,7 @@ class TestRunWithPresets:
             name: digest
             for name, digest in PRESET_NON_MONTE_CARLO_SHA256.items()
             if name.partition("_")[0].removesuffix(".csv") == preset
-        }
+        }, pin_dispatch
 
     def test_zone_json_mirror_is_pinned(self, tmp_path):
         out = str(tmp_path / "zone.csv")
@@ -942,8 +945,10 @@ class TestUsageErrors:
         assert not os.listdir(tmp_path)
 
 
-def fake_criterion(name, passed):
+def fake_criterion(name, passed, raises=None):
     def criterion(seed):
+        if raises is not None:
+            raise raises
         return acceptance.CriterionResult(name, passed, f"seed {seed}")
 
     return name, criterion
@@ -956,6 +961,23 @@ class TestValidate:
         assert main(["validate", "--seed", "7"]) == 1
         out = capsys.readouterr().out
         assert out == "[PASS] good: seed 7\n[FAIL] bad: seed 7\n1 criterion(s) failed\n"
+
+    def test_a_raising_criterion_fails_and_the_next_one_runs(self, monkeypatch, capsys):
+        criteria = (
+            fake_criterion("good", True),
+            fake_criterion("raises", True, NumericalRangeError("rules disagree")),
+            fake_criterion("after", True),
+        )
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        assert main(["validate", "--seed", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "[PASS] good: seed 7\n"
+            "[FAIL] raises: raised NumericalRangeError: rules disagree\n"
+            "[PASS] after: seed 7\n"
+            "1 criterion(s) failed\n"
+        )
+        assert err == ""
 
     def test_exits_zero_when_every_criterion_passes(self, monkeypatch, capsys):
         criteria = (fake_criterion("good", True), fake_criterion("also good", True))

@@ -269,7 +269,7 @@ class TestProtocolInvariants:
             assert outage == sorted(outage, reverse=True)
 
 
-def test_scalar_outputs_are_pinned():
+def test_scalar_outputs_are_pinned(pin_dispatch):
     # repr of every drawn gain, every TransmissionOutcome field and every
     # cr_noma_rate result over seeded blocks plus hand-built boundary blocks;
     # pinned before the one-pass scalar protocol went in, and again when each draw
@@ -303,4 +303,4 @@ def test_scalar_outputs_are_pinned():
         if outcome.case_label is CaseLabel.CASE_II:
             seen.add("decoded last" if admitted < real.num_gfus else "decoded first")
     assert seen == {*CaseLabel, "silent", "decoded last", "decoded first"}
-    assert digest.hexdigest() == SCALAR_OUTPUT_SHA256
+    assert digest.hexdigest() == SCALAR_OUTPUT_SHA256, pin_dispatch
